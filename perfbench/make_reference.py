@@ -2,17 +2,17 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/make_reference.py [--workload NAME ...] [--size full|tiny ...]
+    python3 perfbench/make_reference.py
 
-Each file under perfbench/reference/ holds the outputs of every scenario in
-a workload's pool, in pool order: the per-window isl_tot and efficiency of a
+It regenerates every workload at both sizes. Each file under
+perfbench/reference/ holds the outputs of every scenario in a workload's
+pool, in pool order: the per-window isl_tot and efficiency of a
 simulation, or the summary.csv rows of a sweep. Regenerate only when a
 change to mfload is meant to change its outputs, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -28,18 +28,11 @@ os.environ.update(workloads.BLAS_PIN)
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", nargs="*", default=sorted(workloads.WORKLOADS),
-                        choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--size", nargs="*", default=["full", "tiny"], choices=["full", "tiny"])
-    args = parser.parse_args(argv)
-
+def main() -> int:
     mfload = workloads.import_program(ROOT)
     workloads.REFERENCE_DIR.mkdir(exist_ok=True)
-    for name in args.workload:
-        w = workloads.WORKLOADS[name]
-        for size in args.size:
+    for name, w in sorted(workloads.WORKLOADS.items()):
+        for size in ("full", "tiny"):
             tmp = workloads.make_tmp(ROOT)
             try:
                 scenarios = [w.outputs(inp, w.call(mfload, inp)) for inp in w.build(mfload, size, tmp)]

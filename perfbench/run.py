@@ -19,8 +19,9 @@ before it give the run's context and each metric with its unit.
   peak_rss_mb  peak resident memory of the benchmark process
 Their seconds are host seconds rescaled to the nominal machine speed of
 speed.py: each host time is divided by the machine's slowness, measured
-with reference kernels right before and after it. The raw host medians are
-printed above the result.
+with reference kernels right before and after it. The raw host figures
+are not rescaled: they are printed as the ``host:`` line above the result
+and written with the context to ``perfbench/out/``.
 
 ``--trace 1`` reports the per-layer metrics of one traced pass (see
 tracing.py). It alternates an untraced and a traced pass over the same
@@ -116,7 +117,8 @@ class Runner:
 
 
 def end_to_end(runner: Runner, order: list[int], seconds: float,
-               setup: list[tuple[float, float]]) -> dict:
+               setup: list[tuple[float, float]]) -> tuple[dict, dict]:
+    """(rescaled metrics, raw host figures) of one untraced run."""
     import speed
 
     share = runner.workload.interpreted_share
@@ -136,8 +138,13 @@ def end_to_end(runner: Runner, order: list[int], seconds: float,
             k += 1
     setup_times = [t / slow for t, slow in setup]
     print(f"scenario_s samples: {len(times)}; setup_s samples: {len(setup)}")
-    print(f"host seconds: scenario median {statistics.median(host):.6g} s, "
-          f"setup median {statistics.median(t for t, _ in setup):.6g} s")
+    raw = {
+        "interpreted_share": share,
+        "scenario_s": statistics.median(host),
+        "setup_s": statistics.median(t for t, _ in setup),
+        "ticks_per_s": ticks / sum(host),
+    }
+    print("host: " + json.dumps(raw, sort_keys=True))
     # the highest percentile with at least ten samples beyond it, if any
     tail = max((p for p in (75, 90, 95, 99) if len(times) * (100 - p) >= 1000), default=None)
     if tail:
@@ -147,7 +154,7 @@ def end_to_end(runner: Runner, order: list[int], seconds: float,
         "scenario_s": statistics.median(times),
         "ticks_per_s": ticks / sum(times),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
+    }, raw
 
 
 def per_layer(runner: Runner, order: list[int], seconds: float, units: dict,
@@ -225,11 +232,15 @@ def main(argv=None) -> int:
             "tolerance": {"rel": workloads.REL_TOL, "abs": workloads.ABS_TOL},
         }
         print("context: " + json.dumps(context, sort_keys=True))
+        out = ROOT / "perfbench" / "out"
+        stem = f"{args.workload}-{args.size}-seed{args.seed}.json"
         if args.trace:
-            trace_file = ROOT / "perfbench" / "out" / f"trace-{args.workload}-{args.size}-seed{args.seed}.json"
-            metrics, correct = per_layer(runner, order, args.seconds, units, trace_file, context)
+            metrics, correct = per_layer(runner, order, args.seconds, units, out / f"trace-{stem}", context)
         else:
-            metrics, correct = end_to_end(runner, order, args.seconds, setup), True
+            (metrics, host), correct = end_to_end(runner, order, args.seconds, setup), True
+            out.mkdir(parents=True, exist_ok=True)
+            with open(out / f"run-{stem}", "w", encoding="utf-8") as fh:
+                json.dump({"context": context, "host": host, "metrics": metrics}, fh)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
