@@ -152,12 +152,12 @@ def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
 
     if explicit:
         specs = []
-        for key in sorted(explicit, key=lambda k: int(k.split("_", 1)[1])):
+        for key, raw in explicit.items():
             try:
                 sid = int(key.split("_", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"cluster.{key}: malformed server id") from exc
-            parts = [p.strip() for p in explicit[key].split(",")]
+            parts = [p.strip() for p in raw.split(",")]
             if len(parts) != 3:
                 raise ConfigError(
                     f"cluster.{key}: expected 'cpu_count,ram_capacity,net_capacity'"
@@ -176,7 +176,7 @@ def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
         ids = [s.id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError("cluster: duplicate server ids")
-        return tuple(specs)
+        return tuple(sorted(specs, key=lambda s: s.id))
 
     if not sec:
         return reference_cluster()
@@ -199,7 +199,7 @@ def _parse_weights(sec: dict) -> WeightTriple:
     return WeightTriple(a=a, b=b, c=c)
 
 
-def _parse_policy(sec: dict, weights: WeightTriple) -> Policy:
+def _parse_policy(sec: dict) -> Policy:
     name = sec.get("kind", PolicyKind.LEAST_SIL.value).strip().lower()
     kind = _POLICY_NAMES.get(name)
     if kind is None:
@@ -208,7 +208,6 @@ def _parse_policy(sec: dict, weights: WeightTriple) -> Policy:
         )
     return Policy(
         kind=kind,
-        weights=weights,
         migration_threshold=_get_float(sec, "policy", "migration_threshold", 0.0),
     )
 
@@ -264,12 +263,11 @@ def parse_config(path) -> ScenarioConfig:
     sim = _section(parser, "sim")
     seed = _get_int(sim, "sim", "seed", 1)
     horizon = _get_int(sim, "sim", "horizon", 16384)
-    weights = _parse_weights(_section(parser, "weights"))
     return ScenarioConfig(
         traffic=_parse_traffic(_section(parser, "traffic"), seed, horizon),
         cluster=_parse_cluster(_section(parser, "cluster")),
-        weights=weights,
-        policy=_parse_policy(_section(parser, "policy"), weights),
+        weights=_parse_weights(_section(parser, "weights")),
+        policy=_parse_policy(_section(parser, "policy")),
         horizon=horizon,
         window=_get_int(sim, "sim", "window", 64),
         arrival_scale=_get_float(sim, "sim", "arrival_scale", 0.1),

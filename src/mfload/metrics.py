@@ -13,6 +13,7 @@ ISL_tot is a mean over servers. Both are kept as-is deliberately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "resource_imbalance",
     "total_imbalance",
     "server_sil",
+    "sil_value",
     "system_sil",
     "efficiency",
     "full_report",
@@ -49,8 +51,8 @@ class ServerSpec:
     def __post_init__(self):
         if self.cpu_count < 1:
             raise ConfigError(f"server {self.id}: cpu_count must be >= 1")
-        if self.ram_capacity <= 0 or self.net_capacity <= 0:
-            raise ConfigError(f"server {self.id}: capacities must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.ram_capacity, self.net_capacity)):
+            raise ConfigError(f"server {self.id}: ram_capacity and net_capacity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,10 @@ class WeightTriple:
     c: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigError(f"weights.{name} must be a finite number, got {v}")
         if min(self.a, self.b, self.c) < 0.0:
             raise ConfigError("weights must be non-negative")
         if abs(self.a + self.b + self.c - 1.0) > 1e-9:
@@ -191,13 +197,18 @@ def total_imbalance(isl_cpu: float, isl_ram: float, isl_net: float) -> float:
     return isl_cpu + isl_ram + isl_net
 
 
+def sil_value(cpu, ram, net, cpu_all, ram_all, net_all, w: WeightTriple) -> float:
+    """The SIL formula on plain floats: the one place it is written down.
+
+    Placement, migration scoring and window reports all call this, so a
+    decision and the score it is judged by can never disagree.
+    """
+    return w.a * (cpu - cpu_all) ** 2 + w.b * (ram - ram_all) ** 2 + w.c * (net - net_all) ** 2
+
+
 def server_sil(util: ResourceUtilization, avgs: SystemAverages, w: WeightTriple) -> float:
     """Weighted squared deviation of one server from the system averages."""
-    return (
-        w.a * (util.cpu - avgs.cpu_all) ** 2
-        + w.b * (util.ram - avgs.ram_all) ** 2
-        + w.c * (util.net - avgs.net_all) ** 2
-    )
+    return sil_value(util.cpu, util.ram, util.net, avgs.cpu_all, avgs.ram_all, avgs.net_all, w)
 
 
 def system_sil(sils: Sequence[float]) -> float:

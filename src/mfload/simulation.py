@@ -2,9 +2,11 @@
 
 Each tick: expired tasks complete, the FIFO queue is retried, new arrivals
 are dispatched by the configured policy, an optional migration pass runs,
-and instantaneous per-server utilizations are recorded. Arrival counts per
-tick are Poisson with mean arrival_scale * series[tick], so the traffic
-series' scaling structure carries through to the offered load.
+and instantaneous per-server utilizations are added to the current report
+window. Arrival counts per tick are Poisson with mean arrival_scale *
+series[tick], so the traffic series' scaling structure carries through to
+the offered load. The scenario's one weight triple drives placement,
+migration and the window reports alike.
 
 Capacity is hard: a task is admitted only if it fits every resource, else
 it waits in the queue. Because admission compares and then stores the same
@@ -35,6 +37,7 @@ from .metrics import (
     ServerSpec,
     WeightTriple,
     default_weights,
+    sil_value,
 )
 from .traffic import GeneratorMeta, TrafficSeries
 
@@ -49,7 +52,6 @@ __all__ = [
     "ClusterState",
     "homogeneous_cluster",
     "reference_cluster",
-    "default_demand_params",
     "arrivals_from_traffic",
     "dispatch",
     "rebalance",
@@ -86,12 +88,11 @@ class Policy:
     """
 
     kind: PolicyKind
-    weights: WeightTriple = field(default_factory=default_weights)
     migration_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.migration_threshold < 0.0:
-            raise ConfigError("migration_threshold must be non-negative")
+        if not (math.isfinite(self.migration_threshold) and self.migration_threshold >= 0.0):
+            raise ConfigError(f"migration_threshold must be finite and non-negative, got {self.migration_threshold}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,8 @@ class ServiceClass:
     def __post_init__(self):
         if not (0.0 <= self.probability <= 1.0):
             raise ConfigError("class probability must lie in [0,1]")
-        if self.demand_scale <= 0.0 or self.duration_scale <= 0.0:
-            raise ConfigError("class scales must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.demand_scale, self.duration_scale)):
+            raise ConfigError("class scales must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,15 @@ class DemandParams:
 
     def __post_init__(self):
         for name in ("cpu_mean", "ram_mean", "net_mean", "cpu_max", "ram_max", "net_max"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be finite and positive")
         for name in ("cpu_sigma", "ram_sigma", "net_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.duration_mean < 1.0:
-            raise ConfigError("duration_mean must be >= 1 tick")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ConfigError(f"{name} must be finite and non-negative")
+        if not (math.isfinite(self.duration_mean) and self.duration_mean >= 1.0):
+            raise ConfigError("duration_mean must be finite and >= 1 tick")
         if not self.classes:
             raise ConfigError("at least one service class is required")
         total = sum(c.probability for c in self.classes)
@@ -210,10 +213,6 @@ def reference_cluster() -> tuple[ServerSpec, ...]:
     )
 
 
-def default_demand_params() -> DemandParams:
-    return DemandParams()
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run depends on."""
@@ -225,7 +224,7 @@ class ScenarioConfig:
     horizon: int = 16384
     window: int = 64
     arrival_scale: float = 0.1
-    demand_params: DemandParams = field(default_factory=default_demand_params)
+    demand_params: DemandParams = field(default_factory=DemandParams)
     seed: int = 1
     name: str = "scenario"
 
@@ -234,8 +233,8 @@ class ScenarioConfig:
             raise ConfigError(f"horizon must be >= 256 ticks, got {self.horizon}")
         if not (1 <= self.window <= self.horizon):
             raise ConfigError("window must satisfy 1 <= window <= horizon")
-        if self.arrival_scale <= 0.0:
-            raise ConfigError("arrival_scale must be positive")
+        if not (math.isfinite(self.arrival_scale) and self.arrival_scale > 0.0):
+            raise ConfigError(f"arrival_scale must be finite and positive, got {self.arrival_scale}")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if len(self.cluster) < 1:
@@ -246,30 +245,24 @@ class ScenarioConfig:
 
 
 class ClusterState:
-    """Mutable simulation state: running tasks, queue, utilization history.
+    """Mutable simulation state: running tasks, FIFO queue, window sums.
 
     Resource occupancy is tracked as running demand sums per server;
     instantaneous utilization is sum/capacity, with any migration net
-    surcharge added to the source server for the tick of the move.
-    ``utilization_history`` keeps the last `window` instantaneous triples
-    per server.
+    surcharge added to the source server for the tick of the move. Each
+    snapshot adds the instantaneous triples to per-server accumulators
+    that :meth:`drain_window` turns into window means.
     """
 
-    def __init__(self, specs, window: int):
+    def __init__(self, specs):
         specs = tuple(specs)
         if not specs:
             raise ConfigError("cluster needs at least one server")
         self.specs = specs
-        self.window = int(window)
         self.tick = 0
         n = len(specs)
         self.n = n
-        # FIFO queue as task list + parallel demand rows so a whole drain
-        # pass can prefilter in one vectorized comparison
-        self._q_tasks: list[Task | None] = []
-        self._q_demands = np.empty((256, 3))
-        self._q_head = 0
-        self._q_len = 0
+        self.queue: deque[Task] = deque()
         self.running: list[dict[int, Task]] = [dict() for _ in range(n)]
         self.cpu_sum = [0.0] * n
         self.ram_sum = [0.0] * n
@@ -278,12 +271,10 @@ class ClusterState:
         self.cpu_cap = [float(s.cpu_count) for s in specs]
         self.ram_cap = [float(s.ram_capacity) for s in specs]
         self.net_cap = [float(s.net_capacity) for s in specs]
-        self.utilization_history: list[deque] = [deque(maxlen=self.window) for _ in range(n)]
         self._completion_buckets: dict[int, list[int]] = {}
         self._task_server: dict[int, int] = {}
         self._win_acc = [[0.0, 0.0, 0.0] for _ in range(n)]
         self._win_count = 0
-        self.max_observed_utilization = 0.0
         self.arrived = 0
         self.completed = 0
         self._rr_cursor = -1
@@ -296,33 +287,7 @@ class ClusterState:
         return len(self._task_server)
 
     def queue_len(self) -> int:
-        return self._q_len
-
-    @property
-    def queue(self) -> list["Task"]:
-        """Waiting tasks in FIFO order. Inspection helper, not the hot path."""
-        return [t for t in self._q_tasks[self._q_head:] if t is not None]
-
-    def enqueue(self, task: "Task") -> None:
-        i = len(self._q_tasks)
-        if i == self._q_demands.shape[0]:
-            self._queue_compact()
-            i = len(self._q_tasks)
-        self._q_tasks.append(task)
-        self._q_demands[i, 0] = task.cpu_demand
-        self._q_demands[i, 1] = task.ram_demand
-        self._q_demands[i, 2] = task.net_demand
-        self._q_len += 1
-
-    def _queue_compact(self) -> None:
-        # drop consumed slots; grow only if the live queue itself outgrew the buffer
-        live = [i for i in range(self._q_head, len(self._q_tasks)) if self._q_tasks[i] is not None]
-        cap = max(256, 2 * len(live))
-        buf = np.empty((cap, 3))
-        buf[: len(live)] = self._q_demands[live]
-        self._q_demands = buf
-        self._q_tasks = [self._q_tasks[i] for i in live]
-        self._q_head = 0
+        return len(self.queue)
 
     def max_headroom(self) -> tuple[float, float, float]:
         """Largest per-resource free capacity over all servers.
@@ -403,17 +368,14 @@ class ClusterState:
         self._task_server[task.id] = dst
 
     def snapshot(self) -> None:
-        """Record instantaneous utilizations into history and window accumulators."""
+        """Add instantaneous utilizations to the window accumulators."""
         for i in range(self.n):
             u = self.utilization(i)
-            if max(u) > self.max_observed_utilization:
-                self.max_observed_utilization = max(u)
             if max(u) > 1.0 + 1e-9:
                 raise RuntimeError(
                     f"internal consistency violation: server {self.specs[i].id} "
                     f"utilization {max(u):.12f} > 1 at tick {self.tick}"
                 )
-            self.utilization_history[i].append(u)
             acc = self._win_acc[i]
             acc[0] += u[0]
             acc[1] += u[1]
@@ -452,20 +414,6 @@ def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
         ram_cap += state.ram_cap[i]
         net_cap += state.net_cap[i]
     return cpu / cpu_cap, ram / ram_cap, net / net_cap
-
-
-def _sil_now(state: ClusterState, i: int, avgs, w: WeightTriple, extra=None) -> float:
-    """SIL of server i against given instantaneous averages.
-
-    `extra` optionally adds (cpu, ram, net) demand to the server first,
-    for evaluating prospective placements.
-    """
-    cu, ru, nu = state.utilization(i)
-    if extra is not None:
-        cu += extra[0] / state.cpu_cap[i]
-        ru += extra[1] / state.ram_cap[i]
-        nu += extra[2] / state.net_cap[i]
-    return w.a * (cu - avgs[0]) ** 2 + w.b * (ru - avgs[1]) ** 2 + w.c * (nu - avgs[2]) ** 2
 
 
 def arrivals_from_traffic(
@@ -535,7 +483,7 @@ def arrivals_from_traffic(
     return tasks
 
 
-def dispatch(task: Task, state: ClusterState, policy: Policy) -> int | None:
+def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -> int | None:
     """Pick the server for a task, or None when nobody can admit it.
 
     Pure decision: the caller applies the placement. Ties always break
@@ -553,7 +501,6 @@ def dispatch(task: Task, state: ClusterState, policy: Policy) -> int | None:
         return None
 
     if kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.THRESHOLD_MIGRATION):
-        w = policy.weights
         best, best_load = None, None
         for i in range(n):
             if not state.fits(i, task):
@@ -568,13 +515,14 @@ def dispatch(task: Task, state: ClusterState, policy: Policy) -> int | None:
         admissible = [i for i in range(n) if state.fits(i, task)]
         if not admissible:
             return None
-        w = policy.weights
         avgs = _system_averages_now(state)
         best, best_sil = None, None
         for i in admissible:
-            sil = _sil_now(
-                state, i, avgs, w, extra=(task.cpu_demand, task.ram_demand, task.net_demand)
-            )
+            cu, ru, nu = state.utilization(i)
+            cu += task.cpu_demand / state.cpu_cap[i]
+            ru += task.ram_demand / state.ram_cap[i]
+            nu += task.net_demand / state.net_cap[i]
+            sil = sil_value(cu, ru, nu, *avgs, w)
             if best is None or sil < best_sil:
                 best, best_sil = i, sil
         return best
@@ -602,13 +550,13 @@ def _post_move_max_sil(state: ClusterState, src: int, dst: int, task: Task, w: W
             cu += dc / state.cpu_cap[i]
             ru += dr / state.ram_cap[i]
             nu += dn / state.net_cap[i]
-        sil = w.a * (cu - avg_c) ** 2 + w.b * (ru - avg_r) ** 2 + w.c * (nu - avg_n) ** 2
+        sil = sil_value(cu, ru, nu, avg_c, avg_r, avg_n, w)
         if sil > worst:
             worst = sil
     return worst
 
 
-def rebalance(state: ClusterState, policy: Policy) -> list[tuple[int, int, int]]:
+def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tuple[int, int, int]]:
     """Migrate tasks off the max-SIL server while that strictly helps.
 
     Each pass: find the server with the highest SIL; if it exceeds the
@@ -625,12 +573,11 @@ def rebalance(state: ClusterState, policy: Policy) -> list[tuple[int, int, int]]
     n = state.n
     if n < 2:
         return []
-    w = policy.weights
     moves: list[tuple[int, int, int]] = []
 
     for _ in range(_MAX_MOVES_PER_TICK):
         avgs = _system_averages_now(state)
-        sils = [_sil_now(state, i, avgs, w) for i in range(n)]
+        sils = [sil_value(*state.utilization(i), *avgs, w) for i in range(n)]
         max_sil = max(sils)
         if max_sil <= policy.migration_threshold:
             break
@@ -659,7 +606,7 @@ def rebalance(state: ClusterState, policy: Policy) -> list[tuple[int, int, int]]
     return moves
 
 
-def step(state: ClusterState, arrivals, policy: Policy) -> ClusterState:
+def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> ClusterState:
     """Advance the simulation by one tick.
 
     Order: completions, queue retry (FIFO pass), new arrivals, migration
@@ -668,67 +615,31 @@ def step(state: ClusterState, arrivals, policy: Policy) -> ClusterState:
     """
     state.complete_expired()
 
-    if state._q_len:
-        if len(state._q_tasks) - state._q_head > 2 * state._q_len + 64:
-            state._queue_compact()
-        tasks = state._q_tasks
-        hi = len(tasks)
-        lo = state._q_head
-        while lo < hi and tasks[lo] is None:
-            lo += 1
-        state._q_head = lo
-        # vectorized prefilter for the FIFO pass: saturated ticks retry long
-        # queues and most entries cannot fit on any server. First the cheap
-        # per-resource headroom bound, then an exact fits-anywhere check on
-        # the survivors. Headroom changes only when a candidate is placed,
-        # so the exact mask stays valid between placements and is refiltered
-        # over the remaining candidates after each one.
-        cpu_d = state._q_demands[lo:hi, 0]
-        ram_d = state._q_demands[lo:hi, 1]
-        net_d = state._q_demands[lo:hi, 2]
+    if state.queue:
+        # one FIFO pass; placements only shrink free capacity, so a task over
+        # the per-resource headroom cannot fit anywhere until the next tick
         fc, fr, fn = state.max_headroom()
-        cand = np.nonzero((cpu_d <= fc) & (ram_d <= fr) & (net_d <= fn))[0]
-
-        def _anyfit(offsets):
-            cw, rw, nw = cpu_d[offsets], ram_d[offsets], net_d[offsets]
-            ok = np.zeros(offsets.size, dtype=bool)
-            for i in range(state.n):
-                ok |= (
-                    (cw <= state.cpu_cap[i] - state.cpu_sum[i])
-                    & (rw <= state.ram_cap[i] - state.ram_sum[i])
-                    & (nw <= state.net_cap[i] - state.net_sum[i] - state.net_surcharge[i])
-                )
-            return offsets[ok]
-
-        if cand.size:
-            cand = _anyfit(cand)
-        pos = 0
-        while pos < cand.size:
-            off = cand[pos]
-            pos += 1
-            task = tasks[lo + off]
-            if task is None:
-                continue
-            target = dispatch(task, state, policy)
-            if target is None:
-                continue
-            state.place(target, task, state.tick + task.duration)
-            tasks[lo + off] = None
-            state._q_len -= 1
-            if pos < cand.size:
-                cand = _anyfit(cand[pos:])
-                pos = 0
+        waiting: deque[Task] = deque()
+        for task in state.queue:
+            if task.cpu_demand <= fc and task.ram_demand <= fr and task.net_demand <= fn:
+                target = dispatch(task, state, policy, w)
+                if target is not None:
+                    state.place(target, task, state.tick + task.duration)
+                    fc, fr, fn = state.max_headroom()
+                    continue
+            waiting.append(task)
+        state.queue = waiting
 
     for task in arrivals:
         state.arrived += 1
-        target = dispatch(task, state, policy)
+        target = dispatch(task, state, policy, w)
         if target is None:
-            state.enqueue(task)
+            state.queue.append(task)
         else:
             state.place(target, task, state.tick + task.duration)
 
     if policy.kind is PolicyKind.THRESHOLD_MIGRATION:
-        rebalance(state, policy)
+        rebalance(state, policy, w)
 
     state.snapshot()
     for i in range(state.n):
@@ -771,7 +682,7 @@ def run_scenario(config: ScenarioConfig) -> list[ImbalanceReport]:
     count_rng = default_rng(SeedSequence([int(config.seed), _STREAM_ARRIVALS]))
     demand_rng = default_rng(SeedSequence([int(config.seed), _STREAM_DEMANDS]))
 
-    state = ClusterState(config.cluster, config.window)
+    state = ClusterState(config.cluster)
     reports: list[ImbalanceReport] = []
     for t in range(config.horizon):
         arrivals = arrivals_from_traffic(
@@ -783,7 +694,7 @@ def run_scenario(config: ScenarioConfig) -> list[ImbalanceReport]:
             demand_rng,
             id_start=state.arrived,
         )
-        step(state, arrivals, config.policy)
+        step(state, arrivals, config.policy, config.weights)
         if (t + 1) % config.window == 0:
             utils = state.drain_window()
             reports.append(metrics.full_report(utils, config.cluster, config.weights))

@@ -273,23 +273,25 @@ def test_criterion_9_safety(grid_runs):
     # here an overloaded instrumented run re-verifies both from the outside
     series = generate_fgn(hurst=0.85, length=1024, seed=90)
     c_rng, d_rng = default_rng(91), default_rng(92)
-    state = ClusterState(homogeneous_cluster(2, cpu_count=1, ram_capacity=4.0, net_capacity=2.0), window=64)
+    state = ClusterState(homogeneous_cluster(2, cpu_count=1, ram_capacity=4.0, net_capacity=2.0))
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     over_cap = 0
+    peak = 0.0
     for t in range(1024):
         arrivals = arrivals_from_traffic(
             series, t, 3.0, DemandParams(), c_rng, d_rng, id_start=state.arrived
         )
-        step(state, arrivals, pol)
+        step(state, arrivals, pol, default_weights())
         for i in range(state.n):
+            peak = max(peak, *state.utilization(i))
             if max(state.utilization(i)) > 1.0:
                 over_cap += 1
     conserved = state.arrived == state.completed + state.running_count() + state.queue_len()
-    ok = over_cap == 0 and conserved and state.max_observed_utilization <= 1.0 and grid_runs["completed"] == 30
+    ok = over_cap == 0 and conserved and peak <= 1.0 and grid_runs["completed"] == 30
     _verdict(
         9,
         ok,
         f"over-capacity ticks {over_cap}, conservation {conserved}, "
-        f"peak utilization {state.max_observed_utilization:.6f}, "
+        f"peak utilization {peak:.6f}, "
         f"grid runs completed {grid_runs['completed']}/30",
     )

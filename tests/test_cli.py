@@ -147,6 +147,33 @@ def test_simulate_config_errors(tmp_path, capsys):
     assert "sim.horzon: unknown key" in capsys.readouterr().err
 
 
+def test_simulate_malformed_server_id_names_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[cluster]\nserver_x = 1,8,4\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "cluster.server_x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value,named",
+    [
+        ("sim", "arrival_scale", "nan", "arrival_scale"),
+        ("sim", "arrival_scale", "inf", "arrival_scale"),
+        ("weights", "a", "nan", "weights.a"),
+        ("policy", "migration_threshold", "nan", "migration_threshold"),
+        ("demand", "cpu_mean", "nan", "cpu_mean"),
+        ("demand", "classes", "0.5:nan:1 0.5:1:1", "demand.classes"),
+        ("cluster", "ram_capacity", "nan", "ram_capacity"),
+    ],
+)
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, section, key, value, named):
+    cfg = tmp_path / "nonfinite.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
 def test_simulate_calibration_failure_is_runtime_error(tmp_path):
     cfg = tmp_path / "hard.ini"
     cfg.write_text(

@@ -5,7 +5,13 @@ import pytest
 from mfload.config import canonical_config_text, config_digest, parse_config, parse_sweep_grid
 from mfload.errors import ConfigError
 from mfload.metrics import WeightTriple
-from mfload.simulation import CalibrationTarget, PolicyKind, reference_cluster
+from mfload.simulation import (
+    CalibrationTarget,
+    PolicyKind,
+    ScenarioConfig,
+    reference_cluster,
+    run_scenario,
+)
 from mfload.traffic import GeneratorKind, GeneratorMeta
 
 
@@ -85,8 +91,22 @@ def test_weights_invariant_message(tmp_path):
         parse_config(_write(tmp_path, "[weights]\na = 0.5\nb = 0.5\nc = 0.5\n"))
     cfg = parse_config(_write(tmp_path, "[weights]\na = 0.5\nb = 0.3\nc = 0.2\n"))
     assert cfg.weights == WeightTriple(0.5, 0.3, 0.2)
-    # policy decisions use the same triple
-    assert cfg.policy.weights == cfg.weights
+
+
+def test_library_weights_drive_placement(tmp_path):
+    # one triple places and scores: a library config with the default policy
+    # reproduces the same scenario read from a file with that [weights]
+    parsed = parse_config(
+        _write(
+            tmp_path,
+            "[traffic]\nkind = fgn\nhurst = 0.8\n[weights]\na = 0.6\nb = 0.1\nc = 0.3\n"
+            "[sim]\nhorizon = 1024\narrival_scale = 0.6\n",
+        )
+    )
+    w = WeightTriple(0.6, 0.1, 0.3)
+    library = ScenarioConfig(traffic=parsed.traffic, weights=w, horizon=1024, arrival_scale=0.6)
+    assert library == parsed
+    assert run_scenario(library) == run_scenario(parsed)
 
 
 def test_policy_parsing(tmp_path):

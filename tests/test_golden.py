@@ -84,6 +84,5 @@ def simulate_digests(name, tmp_path) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_simulate_outputs_match_golden_digests(name, tmp_path, capsys):
+def test_simulate_outputs_match_golden_digests(name, tmp_path):
     assert simulate_digests(name, tmp_path) == GOLDEN[name]
-    capsys.readouterr()

@@ -135,36 +135,36 @@ def test_arrivals_tick_bounds():
 
 
 def test_least_composite_picks_lightest_server():
-    state = ClusterState(homogeneous_cluster(2), window=64)
+    state = ClusterState(homogeneous_cluster(2))
     state.place(0, _task(0, cpu=3.6, ram=28.0, net=14.0), completes_at=100)
     state.place(1, _task(1, cpu=0.4, ram=3.0, net=1.0), completes_at=100)
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    assert dispatch(_task(2, cpu=0.2), state, pol) == 1
+    assert dispatch(_task(2, cpu=0.2), state, pol, default_weights()) == 1
 
 
 def test_dispatch_ties_break_to_lowest_id():
-    state = ClusterState(homogeneous_cluster(3), window=64)
+    state = ClusterState(homogeneous_cluster(3))
     for kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.LEAST_SIL):
-        assert dispatch(_task(9), state, Policy(kind=kind)) == 0
+        assert dispatch(_task(9), state, Policy(kind=kind), default_weights()) == 0
 
 
 def test_round_robin_cycles():
-    state = ClusterState(homogeneous_cluster(3), window=64)
+    state = ClusterState(homogeneous_cluster(3))
     pol = Policy(kind=PolicyKind.ROUND_ROBIN)
     picks = []
     for tid in range(6):
-        i = dispatch(_task(tid, cpu=0.1, ram=0.1, net=0.1), state, pol)
+        i = dispatch(_task(tid, cpu=0.1, ram=0.1, net=0.1), state, pol, default_weights())
         state.place(i, _task(100 + tid, cpu=0.1, ram=0.1, net=0.1), completes_at=1000)
         picks.append(i)
     assert picks == [0, 1, 2, 0, 1, 2]
 
 
 def test_dispatch_returns_none_when_saturated():
-    state = ClusterState(homogeneous_cluster(2, cpu_count=1), window=64)
+    state = ClusterState(homogeneous_cluster(2, cpu_count=1))
     for i in range(2):
         state.place(i, _task(i, cpu=1.0, ram=0.5, net=0.5), completes_at=100)
     for kind in PolicyKind:
-        assert dispatch(_task(9, cpu=0.5), state, Policy(kind=kind)) is None
+        assert dispatch(_task(9, cpu=0.5), state, Policy(kind=kind), default_weights()) is None
 
 
 def test_least_sil_is_argmin_over_admissible_servers():
@@ -183,7 +183,7 @@ def test_least_sil_is_argmin_over_admissible_servers():
             )
             for i in range(n)
         )
-        state = ClusterState(specs, window=64)
+        state = ClusterState(specs)
         tid = 0
         for i in range(n):
             for _ in range(int(rng.integers(0, 4))):
@@ -199,7 +199,7 @@ def test_least_sil_is_argmin_over_admissible_servers():
         probe = _task(tid, cpu=float(rng.uniform(0.05, 0.8)),
                       ram=float(rng.uniform(0.1, 4.0)), net=float(rng.uniform(0.05, 2.0)))
         w = default_weights()
-        got = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL, weights=w))
+        got = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL), w)
 
         caps = [(s.cpu_count, s.ram_capacity, s.net_capacity) for s in specs]
         tot = [sum(c[k] for c in caps) for k in range(3)]
@@ -224,13 +224,13 @@ def test_least_sil_is_argmin_over_admissible_servers():
 def test_least_sil_matches_least_composite_on_uniform_state():
     # identical servers at identical utilization: the deviation-minimizing
     # choice and the load-minimizing choice coincide (both tie at id 0)
-    state = ClusterState(homogeneous_cluster(4), window=64)
+    state = ClusterState(homogeneous_cluster(4))
     for i in range(4):
         state.place(i, _task(i, cpu=1.0, ram=8.0, net=4.0), completes_at=10_000)
     for cpu in (0.2, 0.7, 1.5):
         probe = _task(99, cpu=cpu)
-        a = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL))
-        b = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_COMPOSITE))
+        a = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL), default_weights())
+        b = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_COMPOSITE), default_weights())
         assert a == b
 
 
@@ -239,22 +239,22 @@ def test_least_sil_matches_least_composite_on_uniform_state():
 
 def test_rebalance_noop_cases():
     pol = Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.5)
-    single = ClusterState(homogeneous_cluster(1), window=64)
-    assert rebalance(single, pol) == []
-    balanced = ClusterState(homogeneous_cluster(3), window=64)
-    assert rebalance(balanced, pol) == []
-    loaded = ClusterState(homogeneous_cluster(3), window=64)
+    single = ClusterState(homogeneous_cluster(1))
+    assert rebalance(single, pol, default_weights()) == []
+    balanced = ClusterState(homogeneous_cluster(3))
+    assert rebalance(balanced, pol, default_weights()) == []
+    loaded = ClusterState(homogeneous_cluster(3))
     loaded.place(0, _task(0, cpu=2.0), completes_at=100)
-    assert rebalance(loaded, Policy(kind=PolicyKind.LEAST_SIL)) == []
+    assert rebalance(loaded, Policy(kind=PolicyKind.LEAST_SIL), default_weights()) == []
 
 
 def test_rebalance_drains_overloaded_server():
-    state = ClusterState(homogeneous_cluster(2), window=64)
+    state = ClusterState(homogeneous_cluster(2))
     for tid in range(4):
         state.place(0, _task(tid, cpu=0.8, ram=4.0, net=2.0), completes_at=100)
     w = default_weights()
     before = max(_cluster_sils(state, w))
-    moves = rebalance(state, Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.0))
+    moves = rebalance(state, Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.0), w)
     assert len(moves) >= 1
     for tid, src, dst in moves:
         assert src != dst
@@ -263,7 +263,7 @@ def test_rebalance_drains_overloaded_server():
 
 
 def test_migration_keeps_net_charge_on_source():
-    state = ClusterState(homogeneous_cluster(2), window=64)
+    state = ClusterState(homogeneous_cluster(2))
     t = _task(0, cpu=1.0, ram=2.0, net=3.0)
     state.place(0, t, completes_at=100)
     state.migrate(0, dst=1)
@@ -285,14 +285,14 @@ def test_every_committed_move_lowers_max_sil():
             super().migrate(task_id, dst)
             checks.append((before, max(_cluster_sils(self, w))))
 
-    pol = Policy(kind=PolicyKind.THRESHOLD_MIGRATION, weights=w, migration_threshold=0.0)
+    pol = Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.0)
     series = generate_fgn(hurst=0.75, length=2048, seed=21)
     c_rng, d_rng = default_rng(31), default_rng(32)
-    state = Tracked(homogeneous_cluster(4), window=64)
+    state = Tracked(homogeneous_cluster(4))
     params = DemandParams()
     for t in range(2048):
         arrivals = arrivals_from_traffic(series, t, 0.25, params, c_rng, d_rng, id_start=state.arrived)
-        step(state, arrivals, pol)
+        step(state, arrivals, pol, w)
     assert len(checks) > 0
     violations = [c for c in checks if not c[1] < c[0]]
     assert violations == []
@@ -302,28 +302,29 @@ def test_every_committed_move_lowers_max_sil():
 
 
 def test_task_occupies_exactly_its_duration():
-    state = ClusterState(homogeneous_cluster(1), window=5)
+    state = ClusterState(homogeneous_cluster(1))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    step(state, [_task(0, cpu=1.0, duration=3)], pol)
+    step(state, [_task(0, cpu=1.0, duration=3)], pol, default_weights())
+    cpu_trace = [state.utilization(0)[0]]
     for _ in range(4):
-        step(state, [], pol)
-    cpu_trace = [u[0] for u in state.utilization_history[0]]
+        step(state, [], pol, default_weights())
+        cpu_trace.append(state.utilization(0)[0])
     assert cpu_trace == [0.25, 0.25, 0.25, 0.0, 0.0]
     assert state.completed == 1
 
 
 def test_queue_is_fifo_and_served_before_new_arrivals():
-    state = ClusterState(homogeneous_cluster(1), window=64)
+    state = ClusterState(homogeneous_cluster(1))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
     big = _task(1, cpu=4.0, ram=1.0, net=1.0, duration=2)
     small = _task(2, cpu=1.0, ram=0.5, net=0.5, duration=5)
-    step(state, [big, small], pol)
+    step(state, [big, small], pol, default_weights())
     assert state.queue_len() == 1 and state.running_count() == 1
-    step(state, [], pol)
+    step(state, [], pol, default_weights())
     # the blocker finishes now; the queued task must win the freed slot
     # over the simultaneously arriving second blocker
     big2 = _task(3, cpu=4.0, ram=1.0, net=1.0, duration=2)
-    step(state, [big2], pol)
+    step(state, [big2], pol, default_weights())
     assert state.running_count() == 1
     assert state.utilization(0)[0] == 0.25
     assert [t.id for t in state.queue] == [3]
@@ -331,11 +332,11 @@ def test_queue_is_fifo_and_served_before_new_arrivals():
 
 
 def test_window_means_match_hand_average():
-    state = ClusterState(homogeneous_cluster(1), window=4)
+    state = ClusterState(homogeneous_cluster(1))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    step(state, [_task(0, cpu=1.0, duration=2)], pol)
+    step(state, [_task(0, cpu=1.0, duration=2)], pol, default_weights())
     for _ in range(3):
-        step(state, [], pol)
+        step(state, [], pol, default_weights())
     utils = state.drain_window()
     assert utils[0].cpu == pytest.approx((0.25 + 0.25) / 4.0, abs=1e-15)
     assert utils[0].window == 4
@@ -346,11 +347,11 @@ def test_window_means_match_hand_average():
 def test_conservation_holds_every_tick():
     series = generate_fgn(hurst=0.8, length=1024, seed=33)
     c_rng, d_rng = default_rng(41), default_rng(42)
-    state = ClusterState(homogeneous_cluster(2, cpu_count=2), window=64)
+    state = ClusterState(homogeneous_cluster(2, cpu_count=2))
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     for t in range(1024):
         arrivals = arrivals_from_traffic(series, t, 0.4, DemandParams(), c_rng, d_rng, id_start=state.arrived)
-        step(state, arrivals, pol)
+        step(state, arrivals, pol, default_weights())
         assert state.arrived == state.completed + state.running_count() + state.queue_len()
 
 
@@ -358,24 +359,23 @@ def test_utilization_never_exceeds_capacity_under_pressure():
     # offered load far above capacity: queue must absorb it, not the servers
     series = generate_fgn(hurst=0.85, length=768, seed=34)
     c_rng, d_rng = default_rng(51), default_rng(52)
-    state = ClusterState(homogeneous_cluster(2, cpu_count=1, ram_capacity=4.0, net_capacity=2.0), window=64)
+    state = ClusterState(homogeneous_cluster(2, cpu_count=1, ram_capacity=4.0, net_capacity=2.0))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
     saw_queue = False
     for t in range(768):
         arrivals = arrivals_from_traffic(series, t, 3.0, DemandParams(), c_rng, d_rng, id_start=state.arrived)
-        step(state, arrivals, pol)
+        step(state, arrivals, pol, default_weights())
         saw_queue = saw_queue or state.queue_len() > 0
         for i in range(state.n):
             assert max(state.utilization(i)) <= 1.0
     assert saw_queue
-    assert state.max_observed_utilization <= 1.0
 
 
 def test_idle_cluster_reports_all_zero():
-    state = ClusterState(reference_cluster(), window=8)
+    state = ClusterState(reference_cluster())
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     for _ in range(8):
-        step(state, [], pol)
+        step(state, [], pol, default_weights())
     for u in state.drain_window():
         assert (u.cpu, u.ram, u.net) == (0.0, 0.0, 0.0)
 
