@@ -153,14 +153,11 @@ def _run_one(config: ScenarioConfig, out_dir: str) -> dict:
     _ensure_dir(out_dir)
     started = _now()
 
-    meta, series = resolve_traffic(config)
-    # hand the realized meta back so run_scenario skips a second calibration
-    run_config = dataclasses.replace(config, traffic=meta)
+    # one realization feeds both the measurement and the run
+    _, series = resolve_traffic(config)
     used = series.values[: config.horizon]
-    spectrum = fractal.mfdfa(used)
-    measured = (spectrum.h_at(2.0), spectrum.delta_h)
-
-    reports = run_scenario(run_config)
+    measured = traffic.measure_scaling(used)
+    reports = run_scenario(config, series)
 
     series_path = os.path.join(out_dir, "series.csv")
     report_path = os.path.join(out_dir, "report.csv")

@@ -16,9 +16,11 @@ import configparser
 import hashlib
 import math
 import os
+from dataclasses import fields, is_dataclass
 from enum import Enum
 
 from .errors import ConfigError
+from .fractal import MFDFA_MIN_SAMPLES
 from .metrics import ServerSpec, WeightTriple, default_weights
 from .simulation import (
     CalibrationTarget,
@@ -37,22 +39,10 @@ __all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_confi
 _KNOWN_KEYS = {
     "traffic": {"kind", "hurst", "delta_h", "budget", "depth", "spread"},
     "cluster": {"servers", "cpu_count", "ram_capacity", "net_capacity"},
-    "weights": {"a", "b", "c"},
-    "policy": {"kind", "migration_threshold"},
+    "weights": {f.name for f in fields(WeightTriple)},
+    "policy": {f.name for f in fields(Policy)},
     "sim": {"name", "horizon", "window", "arrival_scale", "seed"},
-    "demand": {
-        "cpu_mean",
-        "cpu_sigma",
-        "ram_mean",
-        "ram_sigma",
-        "net_mean",
-        "net_sigma",
-        "duration_mean",
-        "cpu_max",
-        "ram_max",
-        "net_max",
-        "classes",
-    },
+    "demand": {f.name for f in fields(DemandParams)},
     "sweep": {"grid", "budget"},
 }
 
@@ -87,24 +77,16 @@ def _section(parser, name) -> dict:
     return dict(parser[name]) if parser.has_section(name) else {}
 
 
-def _get_float(sec: dict, section: str, key: str, default: float) -> float:
+def _get(sec: dict, section: str, key: str, default, kind=float):
+    """`sec[key]` parsed as `kind` (float or int), or `default` when absent."""
     raw = sec.get(key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from exc
-
-
-def _get_int(sec: dict, section: str, key: str, default: int) -> int:
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key}: expected {noun}, got {raw!r}") from exc
 
 
 def _parse_traffic(sec: dict, seed: int, horizon: int):
@@ -114,30 +96,30 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
         if "hurst" not in sec or "delta_h" not in sec:
             raise ConfigError("traffic.kind=calibrate requires traffic.hurst and traffic.delta_h")
         return CalibrationTarget(
-            hurst=_get_float(sec, "traffic", "hurst", 0.0),
-            delta_h=_get_float(sec, "traffic", "delta_h", 0.0),
-            budget=_get_int(sec, "traffic", "budget", 64),
+            hurst=_get(sec, "traffic", "hurst", 0.0),
+            delta_h=_get(sec, "traffic", "delta_h", 0.0),
+            budget=_get(sec, "traffic", "budget", 64, int),
         )
     if kind == "fgn":
         return GeneratorMeta(
             kind=GeneratorKind.FGN,
             seed=seed,
-            target_hurst=_get_float(sec, "traffic", "hurst", 0.7),
+            target_hurst=_get(sec, "traffic", "hurst", 0.7),
         )
     if kind == "cascade":
         return GeneratorMeta(
             kind=GeneratorKind.CASCADE,
             seed=seed,
-            depth=_get_int(sec, "traffic", "depth", depth_default),
-            multiplier_spread=_get_float(sec, "traffic", "spread", 0.5),
+            depth=_get(sec, "traffic", "depth", depth_default, int),
+            multiplier_spread=_get(sec, "traffic", "spread", 0.5),
         )
     if kind == "composite":
         return GeneratorMeta(
             kind=GeneratorKind.COMPOSITE,
             seed=seed,
-            depth=_get_int(sec, "traffic", "depth", depth_default),
-            target_hurst=_get_float(sec, "traffic", "hurst", 0.7),
-            multiplier_spread=_get_float(sec, "traffic", "spread", 0.5),
+            depth=_get(sec, "traffic", "depth", depth_default, int),
+            target_hurst=_get(sec, "traffic", "hurst", 0.7),
+            multiplier_spread=_get(sec, "traffic", "spread", 0.5),
         )
     raise ConfigError(
         f"traffic.kind: expected one of calibrate/fgn/cascade/composite, got {kind!r}"
@@ -173,29 +155,25 @@ def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
                 )
             except ValueError as exc:
                 raise ConfigError(f"cluster.{key}: {exc}") from exc
-        ids = [s.id for s in specs]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("cluster: duplicate server ids")
+        # duplicate ids are rejected by ScenarioConfig
         return tuple(sorted(specs, key=lambda s: s.id))
 
     if not sec:
         return reference_cluster()
     return homogeneous_cluster(
-        n=_get_int(sec, "cluster", "servers", 8),
-        cpu_count=_get_int(sec, "cluster", "cpu_count", 4),
-        ram_capacity=_get_float(sec, "cluster", "ram_capacity", 32.0),
-        net_capacity=_get_float(sec, "cluster", "net_capacity", 16.0),
+        n=_get(sec, "cluster", "servers", 8, int),
+        cpu_count=_get(sec, "cluster", "cpu_count", 4, int),
+        ram_capacity=_get(sec, "cluster", "ram_capacity", 32.0),
+        net_capacity=_get(sec, "cluster", "net_capacity", 16.0),
     )
 
 
 def _parse_weights(sec: dict) -> WeightTriple:
     if not sec:
         return default_weights()
-    a = _get_float(sec, "weights", "a", 1.0 / 3.0)
-    b = _get_float(sec, "weights", "b", 1.0 / 3.0)
-    c = _get_float(sec, "weights", "c", 1.0 / 3.0)
-    if abs(a + b + c - 1.0) > 1e-9:
-        raise ConfigError(f"weights: invariant a + b + c = 1 violated (got {a + b + c})")
+    a = _get(sec, "weights", "a", 1.0 / 3.0)
+    b = _get(sec, "weights", "b", 1.0 / 3.0)
+    c = _get(sec, "weights", "c", 1.0 / 3.0)
     return WeightTriple(a=a, b=b, c=c)
 
 
@@ -208,7 +186,7 @@ def _parse_policy(sec: dict) -> Policy:
         )
     return Policy(
         kind=kind,
-        migration_threshold=_get_float(sec, "policy", "migration_threshold", 0.0),
+        migration_threshold=_get(sec, "policy", "migration_threshold", 0.0),
     )
 
 
@@ -237,21 +215,12 @@ def _parse_classes(raw: str) -> tuple[ServiceClass, ...]:
 
 
 def _parse_demand(sec: dict) -> DemandParams:
-    base = DemandParams()
-    kwargs = {}
-    for name in (
-        "cpu_mean",
-        "cpu_sigma",
-        "ram_mean",
-        "ram_sigma",
-        "net_mean",
-        "net_sigma",
-        "duration_mean",
-        "cpu_max",
-        "ram_max",
-        "net_max",
-    ):
-        kwargs[name] = _get_float(sec, "demand", name, getattr(base, name))
+    # every field but the class list is a plain number with a default
+    kwargs = {
+        f.name: _get(sec, "demand", f.name, f.default)
+        for f in fields(DemandParams)
+        if f.name != "classes"
+    }
     if "classes" in sec:
         kwargs["classes"] = _parse_classes(sec["classes"])
     return DemandParams(**kwargs)
@@ -261,16 +230,19 @@ def parse_config(path) -> ScenarioConfig:
     """Read and fully validate a scenario configuration file."""
     parser = _load(path)
     sim = _section(parser, "sim")
-    seed = _get_int(sim, "sim", "seed", 1)
-    horizon = _get_int(sim, "sim", "horizon", 16384)
+    seed = _get(sim, "sim", "seed", 1, int)
+    horizon = _get(sim, "sim", "horizon", 16384, int)
+    if horizon < MFDFA_MIN_SAMPLES:
+        # every CLI run measures its traffic with MF-DFA
+        raise ConfigError(f"sim.horizon: must be >= {MFDFA_MIN_SAMPLES} ticks, got {horizon}")
     return ScenarioConfig(
         traffic=_parse_traffic(_section(parser, "traffic"), seed, horizon),
         cluster=_parse_cluster(_section(parser, "cluster")),
         weights=_parse_weights(_section(parser, "weights")),
         policy=_parse_policy(_section(parser, "policy")),
         horizon=horizon,
-        window=_get_int(sim, "sim", "window", 64),
-        arrival_scale=_get_float(sim, "sim", "arrival_scale", 0.1),
+        window=_get(sim, "sim", "window", 64, int),
+        arrival_scale=_get(sim, "sim", "arrival_scale", 0.1),
         demand_params=_parse_demand(_section(parser, "demand")),
         seed=seed,
         name=sim.get("name", "scenario").strip(),
@@ -299,7 +271,7 @@ def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
             cells.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ConfigError(f"sweep.grid: {exc}") from exc
-    return cells, _get_int(sec, "sweep", "budget", 64)
+    return cells, _get(sec, "sweep", "budget", 64, int)
 
 
 def canonical_config_text(config: ScenarioConfig) -> str:
@@ -307,7 +279,7 @@ def canonical_config_text(config: ScenarioConfig) -> str:
     lines = []
 
     def emit(prefix: str, value) -> None:
-        if isinstance(value, (GeneratorMeta, CalibrationTarget, Policy, WeightTriple, DemandParams, ServiceClass, ServerSpec)):
+        if is_dataclass(value):
             for fname in sorted(value.__dataclass_fields__):
                 emit(f"{prefix}.{fname}", getattr(value, fname))
         elif isinstance(value, (tuple, list)):

@@ -28,6 +28,7 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_Q_GRID",
+    "MFDFA_MIN_SAMPLES",
     "HurstMethod",
     "HurstEstimate",
     "MultifractalSpectrum",
@@ -42,6 +43,9 @@ __all__ = [
 # q = 0 needs the logarithmic-average branch; the default grid skips it while
 # still spanning [-5, 5] so delta_h keeps its usual meaning.
 DEFAULT_Q_GRID = (-5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 5.0)
+
+# shortest series mfdfa accepts
+MFDFA_MIN_SAMPLES = 1024
 
 # moments of near-zero mass intervals blow up under negative q; floor first
 _MASS_FLOOR = 1e-12
@@ -280,7 +284,7 @@ def mfdfa(
     Parameters
     ----------
     series : TrafficSeries or array-like
-        Input series, length >= 1024.
+        Input series, length >= MFDFA_MIN_SAMPLES (1024).
     q_grid : sequence of float
         Strictly ascending moment orders. Must contain q=2 so the
         spectrum stays consistent with :func:`estimate_hurst_dfa`;
@@ -294,8 +298,8 @@ def mfdfa(
         h(q), per-q intercepts, and delta_h = h(q_min) - h(q_max).
     """
     x = _as_values(series)
-    if x.size < 1024:
-        raise InsufficientDataError(f"MF-DFA needs at least 1024 samples, got {x.size}")
+    if x.size < MFDFA_MIN_SAMPLES:
+        raise InsufficientDataError(f"MF-DFA needs at least {MFDFA_MIN_SAMPLES} samples, got {x.size}")
     q = tuple(float(v) for v in q_grid)
     if len(q) == 0:
         raise ConfigError("q_grid is empty")

@@ -31,6 +31,7 @@ __all__ = [
     "total_imbalance",
     "server_sil",
     "sil_value",
+    "composite_load",
     "system_sil",
     "efficiency",
     "full_report",
@@ -104,7 +105,7 @@ class WeightTriple:
         if min(self.a, self.b, self.c) < 0.0:
             raise ConfigError("weights must be non-negative")
         if abs(self.a + self.b + self.c - 1.0) > 1e-9:
-            raise ConfigError(f"weights must sum to 1, got {self.a + self.b + self.c}")
+            raise ConfigError(f"weights: invariant a + b + c = 1 violated (got {self.a + self.b + self.c})")
 
 
 def default_weights() -> WeightTriple:
@@ -206,6 +207,11 @@ def sil_value(cpu, ram, net, cpu_all, ram_all, net_all, w: WeightTriple) -> floa
     return w.a * (cpu - cpu_all) ** 2 + w.b * (ram - ram_all) ** 2 + w.c * (net - net_all) ** 2
 
 
+def composite_load(cpu, ram, net, w: WeightTriple) -> float:
+    """Weighted load a*cpu + b*ram + c*net: the one place it is written down."""
+    return w.a * cpu + w.b * ram + w.c * net
+
+
 def server_sil(util: ResourceUtilization, avgs: SystemAverages, w: WeightTriple) -> float:
     """Weighted squared deviation of one server from the system averages."""
     return sil_value(util.cpu, util.ram, util.net, avgs.cpu_all, avgs.ram_all, avgs.net_all, w)
@@ -224,7 +230,7 @@ def efficiency(utils: Sequence[ResourceUtilization], w: WeightTriple) -> float:
     """Mean composite load a*cpu + b*ram + c*net over all servers."""
     if len(utils) == 0:
         raise InsufficientDataError("need at least one server")
-    return sum(w.a * u.cpu + w.b * u.ram + w.c * u.net for u in utils) / len(utils)
+    return sum(composite_load(u.cpu, u.ram, u.net, w) for u in utils) / len(utils)
 
 
 def full_report(

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -36,12 +37,14 @@ from .metrics import (
     ResourceUtilization,
     ServerSpec,
     WeightTriple,
+    composite_load,
     default_weights,
     sil_value,
 )
 from .traffic import GeneratorMeta, TrafficSeries
 
 __all__ = [
+    "MAX_TICK_ARRIVAL_MEAN",
     "PolicyKind",
     "Policy",
     "Task",
@@ -69,6 +72,9 @@ _STREAM_DEMANDS = 2
 _MAX_MOVES_PER_TICK = 64
 
 _DEMAND_FLOOR = 1e-6
+
+# cap on one tick's Poisson arrival mean, far past any cluster's capacity
+MAX_TICK_ARRIVAL_MEAN = 1e6
 
 
 class PolicyKind(str, Enum):
@@ -279,10 +285,6 @@ class ClusterState:
         self.completed = 0
         self._rr_cursor = -1
 
-    @property
-    def server_count(self) -> int:
-        return self.n
-
     def running_count(self) -> int:
         return len(self._task_server)
 
@@ -328,12 +330,15 @@ class ClusterState:
             and self.net_sum[i] + self.net_surcharge[i] + task.net_demand <= self.net_cap[i]
         )
 
-    def place(self, i: int, task: Task, completes_at: int) -> None:
+    def _add(self, i: int, task: Task) -> None:
         self.running[i][task.id] = task
         self.cpu_sum[i] += task.cpu_demand
         self.ram_sum[i] += task.ram_demand
         self.net_sum[i] += task.net_demand
         self._task_server[task.id] = i
+
+    def place(self, i: int, task: Task, completes_at: int) -> None:
+        self._add(i, task)
         self._completion_buckets.setdefault(completes_at, []).append(task.id)
 
     def _remove(self, i: int, task: Task) -> None:
@@ -361,11 +366,7 @@ class ClusterState:
         self._remove(src, task)
         self.net_surcharge[src] += task.net_demand
         # completion bucket entries are keyed by task id, so they survive the move
-        self.running[dst][task.id] = task
-        self.cpu_sum[dst] += task.cpu_demand
-        self.ram_sum[dst] += task.ram_demand
-        self.net_sum[dst] += task.net_demand
-        self._task_server[task.id] = dst
+        self._add(dst, task)
 
     def snapshot(self) -> None:
         """Add instantaneous utilizations to the window accumulators."""
@@ -404,16 +405,9 @@ class ClusterState:
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
     """Capacity-weighted instantaneous averages over the cluster."""
-    cpu_cap = ram_cap = net_cap = 0.0
-    cpu = ram = net = 0.0
-    for i in range(state.n):
-        cpu += state.cpu_sum[i]
-        ram += state.ram_sum[i]
-        net += state.net_sum[i] + state.net_surcharge[i]
-        cpu_cap += state.cpu_cap[i]
-        ram_cap += state.ram_cap[i]
-        net_cap += state.net_cap[i]
-    return cpu / cpu_cap, ram / ram_cap, net / net_cap
+    net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
+    return (sum(state.cpu_sum) / sum(state.cpu_cap), sum(state.ram_sum) / sum(state.ram_cap),
+            net / sum(state.net_cap))
 
 
 def arrivals_from_traffic(
@@ -430,7 +424,8 @@ def arrivals_from_traffic(
     The arrival count is Poisson with mean arrival_scale * series[tick];
     demands and durations come from `demand_params` via `demand_rng`. Two
     separate streams let callers vary the counting process while freezing
-    the demand draws (and vice versa).
+    the demand draws (and vice versa). A mean above MAX_TICK_ARRIVAL_MEAN
+    (1e6) is rejected before the tick draws anything.
     """
     values = series.values if isinstance(series, TrafficSeries) else np.asarray(series)
     if not (0 <= tick < len(values)):
@@ -438,6 +433,9 @@ def arrivals_from_traffic(
     lam = arrival_scale * float(values[tick])
     if lam < 0.0:
         raise ConfigError("arrival intensity must be non-negative")
+    if lam > MAX_TICK_ARRIVAL_MEAN:
+        raise ConfigError(f"arrival_scale {arrival_scale:g} puts tick {tick}'s arrival mean "
+                          f"{lam:g} above the cap {MAX_TICK_ARRIVAL_MEAN:g}")
     k = int(count_rng.poisson(lam)) if lam > 0.0 else 0
     if k == 0:
         return []
@@ -450,11 +448,7 @@ def arrivals_from_traffic(
     net = demand_rng.lognormal(math.log(p.net_mean) - 0.5 * p.net_sigma**2, p.net_sigma, k)
     dur_u = demand_rng.random(k)
 
-    cum = []
-    acc = 0.0
-    for c in p.classes:
-        acc += c.probability
-        cum.append(acc)
+    cum = list(accumulate(c.probability for c in p.classes))
 
     tasks = []
     for j in range(k):
@@ -500,49 +494,42 @@ def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -
                 return i
         return None
 
+    # min keeps the first minimum, so ties go to the lowest id
+    admissible = [i for i in range(n) if state.fits(i, task)]
     if kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.THRESHOLD_MIGRATION):
-        best, best_load = None, None
-        for i in range(n):
-            if not state.fits(i, task):
-                continue
-            cu, ru, nu = state.utilization(i)
-            load = w.a * cu + w.b * ru + w.c * nu
-            if best is None or load < best_load:
-                best, best_load = i, load
-        return best
+        return min(admissible, key=lambda i: composite_load(*state.utilization(i), w), default=None)
 
     if kind is PolicyKind.LEAST_SIL:
-        admissible = [i for i in range(n) if state.fits(i, task)]
         if not admissible:
             return None
         avgs = _system_averages_now(state)
-        best, best_sil = None, None
-        for i in admissible:
+
+        def post_place_sil(i):
             cu, ru, nu = state.utilization(i)
             cu += task.cpu_demand / state.cpu_cap[i]
             ru += task.ram_demand / state.ram_cap[i]
             nu += task.net_demand / state.net_cap[i]
-            sil = sil_value(cu, ru, nu, *avgs, w)
-            if best is None or sil < best_sil:
-                best, best_sil = i, sil
-        return best
+            return sil_value(cu, ru, nu, *avgs, w)
+
+        return min(admissible, key=post_place_sil)
 
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
-def _post_move_max_sil(state: ClusterState, src: int, dst: int, task: Task, w: WeightTriple) -> float:
+def _post_move_max_sil(state: ClusterState, utils, avgs, net_total: float,
+                       src: int, dst: int, task: Task, w: WeightTriple) -> float:
     """Cluster max SIL if `task` moved src -> dst, without mutating state.
 
-    The source keeps the task's net_demand as a migration surcharge this
-    tick, so its net utilization is unchanged while cpu/ram drop; the
-    cluster net average rises by net_demand / total net capacity.
+    Scores from the pass's snapshot (`utils`, `avgs`, `net_total`). The
+    source keeps the task's net_demand as a migration surcharge this tick,
+    so its net utilization is unchanged while cpu/ram drop; the cluster
+    net average rises by net_demand / net_total.
     """
     dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
-    avg_c, avg_r, avg_n = _system_averages_now(state)
-    avg_n += dn / sum(state.net_cap)
+    avg_c, avg_r, avg_n = avgs
+    avg_n += dn / net_total
     worst = 0.0
-    for i in range(state.n):
-        cu, ru, nu = state.utilization(i)
+    for i, (cu, ru, nu) in enumerate(utils):
         if i == src:
             cu -= dc / state.cpu_cap[i]
             ru -= dr / state.ram_cap[i]
@@ -563,21 +550,24 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     threshold, try its tasks in ascending composite-demand order and move
     the first one that has an admissible destination strictly lowering the
     cluster's maximum SIL (destination chosen to minimize that post-move
-    maximum). Moves are evaluated hypothetically and applied only when
-    committed. A moved task keeps its remaining duration; its net_demand
-    is charged to the source server for this tick. Returns the committed
-    moves as (task_id, source, destination).
+    maximum). Moves are scored from one snapshot per pass, exact because
+    state changes only when a move commits and ends the pass. A moved task
+    keeps its remaining duration; its net_demand is charged to the source
+    server for this tick. Returns the committed moves as (task_id, source,
+    destination).
     """
     if policy.kind is not PolicyKind.THRESHOLD_MIGRATION:
         return []
     n = state.n
     if n < 2:
         return []
+    net_total = sum(state.net_cap)
     moves: list[tuple[int, int, int]] = []
 
     for _ in range(_MAX_MOVES_PER_TICK):
+        utils = [state.utilization(i) for i in range(n)]
         avgs = _system_averages_now(state)
-        sils = [sil_value(*state.utilization(i), *avgs, w) for i in range(n)]
+        sils = [sil_value(*u, *avgs, w) for u in utils]
         max_sil = max(sils)
         if max_sil <= policy.migration_threshold:
             break
@@ -585,23 +575,21 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
 
         candidates = sorted(
             state.running[src].values(),
-            key=lambda t: (w.a * t.cpu_demand + w.b * t.ram_demand + w.c * t.net_demand, t.id),
+            key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id),
         )
-        committed = False
         for task in candidates:
-            best_dst, best_new_max = None, None
-            for j in range(n):
-                if j == src or not state.fits(j, task):
-                    continue
-                new_max = _post_move_max_sil(state, src, j, task, w)
-                if best_dst is None or new_max < best_new_max:
-                    best_dst, best_new_max = j, new_max
-            if best_dst is not None and best_new_max < max_sil:
-                state.migrate(task.id, best_dst)
-                moves.append((task.id, src, best_dst))
-                committed = True
-                break
-        if not committed:
+            post_max = {
+                j: _post_move_max_sil(state, utils, avgs, net_total, src, j, task, w)
+                for j in range(n)
+                if j != src and state.fits(j, task)
+            }
+            if post_max:
+                dst = min(post_max, key=post_max.get)
+                if post_max[dst] < max_sil:
+                    state.migrate(task.id, dst)
+                    moves.append((task.id, src, dst))
+                    break
+        else:
             break
     return moves
 
@@ -642,8 +630,7 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
         rebalance(state, policy, w)
 
     state.snapshot()
-    for i in range(state.n):
-        state.net_surcharge[i] = 0.0
+    state.net_surcharge = [0.0] * state.n
     state.tick += 1
     return state
 
@@ -660,12 +647,15 @@ def resolve_traffic(config: ScenarioConfig) -> tuple[GeneratorMeta, TrafficSerie
     reproduces that exact series regardless of the config seed; only the
     arrival and demand draws vary between runs. A CalibrationTarget names
     properties rather than a series, so its realization is drawn from the
-    config seed's traffic substream.
+    config seed's traffic substream, at the calibration probe depth or
+    deeper when the horizon needs more ticks.
     """
     if isinstance(config.traffic, CalibrationTarget):
         meta = traffic.calibrate(
             config.traffic.hurst, config.traffic.delta_h, config.traffic.budget
         )
+        if meta.depth is not None:  # probe depth, or deeper for a longer horizon
+            meta = replace(meta, depth=max(meta.depth, math.ceil(math.log2(config.horizon))))
         series = traffic.generate_from_meta(
             meta, config.horizon, seed=_stream_seed(config.seed, _STREAM_TRAFFIC)
         )
@@ -676,9 +666,14 @@ def resolve_traffic(config: ScenarioConfig) -> tuple[GeneratorMeta, TrafficSerie
     return (series.meta if series.meta is not None else config.traffic), series
 
 
-def run_scenario(config: ScenarioConfig) -> list[ImbalanceReport]:
-    """Simulate the full horizon; one ImbalanceReport per complete window."""
-    _, series = resolve_traffic(config)
+def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) -> list[ImbalanceReport]:
+    """Simulate the full horizon; one ImbalanceReport per complete window.
+
+    `series`, when given, is the config's traffic already realized by
+    :func:`resolve_traffic`.
+    """
+    if series is None:
+        _, series = resolve_traffic(config)
     count_rng = default_rng(SeedSequence([int(config.seed), _STREAM_ARRIVALS]))
     demand_rng = default_rng(SeedSequence([int(config.seed), _STREAM_DEMANDS]))
 

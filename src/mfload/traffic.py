@@ -19,7 +19,8 @@ Three families, one knob vocabulary:
 
 ``calibrate`` inverts the composite (or fGn, for near-zero delta_h targets)
 numerically: probe series are generated at a fixed probe seed, measured with
-MF-DFA, and the two knobs are searched by coarse grid plus bisection.
+MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
+local grid around the best probe.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -126,7 +127,8 @@ class TrafficSeries:
     meta: GeneratorMeta | None
 
     def __post_init__(self):
-        x = np.asarray(self.values, dtype=float)
+        # a copy, so freezing it leaves the caller's array writeable
+        x = np.array(self.values, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ConfigError("values must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(x)):
@@ -373,9 +375,10 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
     Probes are generated at a fixed internal seed and depth 14, measured by
     MF-DFA with the default q grid (H read as h(2)). Success means the
     probe lands within +-0.1 of target_hurst and +-0.3 of target_delta_h.
-    The search is deterministic: coarse knob grid, then alternating
-    bisection on the spread (delta_h rises with spread) and the envelope
-    exponent (h(2) rises with it).
+    The search is deterministic. The composite family probes a coarse 5 x 6
+    grid of (envelope exponent, spread), then up to three 5 x 3 local grids
+    around the best probe, halving the exponent step and square-rooting the
+    spread factor each round; the fGn family iterates its one exponent.
 
     Parameters
     ----------

@@ -145,6 +145,12 @@ def test_simulate_config_errors(tmp_path, capsys):
     typo.write_text("[sim]\nhorzon = 1024\n")
     assert _run(["simulate", "--config", str(typo)]) == 1
     assert "sim.horzon: unknown key" in capsys.readouterr().err
+    # MF-DFA needs 1024 ticks, so a shorter run is refused before any traffic is made
+    short = tmp_path / "short.ini"
+    short.write_text("[sim]\nhorizon = 512\n")
+    assert _run(["simulate", "--config", str(short), "--out", str(tmp_path / "o")]) == 1
+    assert "sim.horizon" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_malformed_server_id_names_key(tmp_path, capsys):
@@ -159,6 +165,7 @@ def test_simulate_malformed_server_id_names_key(tmp_path, capsys):
     [
         ("sim", "arrival_scale", "nan", "arrival_scale"),
         ("sim", "arrival_scale", "inf", "arrival_scale"),
+        ("sim", "arrival_scale", "1e300", "arrival_scale"),
         ("weights", "a", "nan", "weights.a"),
         ("policy", "migration_threshold", "nan", "migration_threshold"),
         ("demand", "cpu_mean", "nan", "cpu_mean"),

@@ -29,7 +29,7 @@ from mfload.simulation import (
     run_scenario,
     step,
 )
-from mfload.traffic import GeneratorKind, GeneratorMeta, generate_fgn
+from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries, generate_fgn
 
 
 def _task(tid, cpu=1.0, ram=0.5, net=0.25, duration=4, tick=0):
@@ -129,6 +129,14 @@ def test_service_classes_split_and_scale():
 def test_arrivals_tick_bounds():
     with pytest.raises(ConfigError):
         arrivals_from_traffic(np.ones(8), 8, 1.0, DemandParams(), default_rng(0), default_rng(1))
+
+
+def test_arrival_mean_above_cap_is_rejected_before_drawing():
+    count_rng = default_rng(0)
+    state = count_rng.bit_generator.state
+    with pytest.raises(ConfigError, match="arrival_scale"):
+        arrivals_from_traffic(np.ones(8), 0, 2e6, DemandParams(), count_rng, default_rng(1))
+    assert count_rng.bit_generator.state == state
 
 
 # ----------------------------------------------------------------- dispatch
@@ -426,6 +434,28 @@ def test_calibration_target_draws_series_from_run_seed():
                                            horizon=1024, window=64,
                                            arrival_scale=0.3, seed=99))[1]
     assert np.array_equal(series_a.values, again.values)
+
+
+def test_calibrated_series_covers_horizons_past_the_probe_depth():
+    # calibration probes at depth 14 (16384 ticks); a longer run needs a deeper series
+    cfg = ScenarioConfig(traffic=CalibrationTarget(hurst=0.6, delta_h=1.5), horizon=2**15)
+    meta, series = resolve_traffic(cfg)
+    assert len(series) >= 2**15
+    assert meta.depth == 15
+    # an explicit depth that is too short is still refused
+    short = GeneratorMeta(kind=GeneratorKind.COMPOSITE, seed=0, depth=10,
+                          target_hurst=0.7, multiplier_spread=0.5)
+    with pytest.raises(ConfigError, match="depth 10"):
+        resolve_traffic(_fgn_config(traffic=short, horizon=2048))
+
+
+def test_run_scenario_accepts_the_resolved_series():
+    cfg = _fgn_config(seed=3)
+    _, series = resolve_traffic(cfg)
+    assert run_scenario(cfg, series) == run_scenario(cfg)
+    # the given series is the one simulated: no traffic, no load
+    idle = TrafficSeries(values=np.zeros(1024), tick_count=1024, meta=None)
+    assert all(r.efficiency == 0.0 for r in run_scenario(cfg, idle))
 
 
 def test_scenario_config_validation():

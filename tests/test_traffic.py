@@ -139,6 +139,12 @@ def test_series_values_read_only():
     series = generate_fgn(0.7, 128, seed=0)
     with pytest.raises(ValueError):
         series.values[0] = 9.0
+    # the series freezes its own copy, not the caller's array
+    own = np.ones(4)
+    wrapped = TrafficSeries(values=own, tick_count=4, meta=None)
+    assert own.flags.writeable
+    own[0] = 2.0
+    assert wrapped.values[0] == 1.0
 
 
 def test_meta_validation():
