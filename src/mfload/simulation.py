@@ -8,6 +8,15 @@ series[tick], so the traffic series' scaling structure carries through to
 the offered load. The scenario's one weight triple drives placement,
 migration and the window reports alike.
 
+:func:`step` is the per-tick reference. :func:`run_scenario` gives the same
+output while running :func:`step` only on event ticks: a tick with an
+arrival, a completion, or a migration committed on the tick before. On any
+other (quiet) tick nothing can change: every queued task failed to fit at
+the end of the tick before and no capacity has been freed since, and the
+migration pass found no move in the same state. So a quiet tick only
+repeats the last utilization sample, which the window keeps as a
+(row, span) segment.
+
 Capacity is hard: a task is admitted only if it fits every resource, else
 it waits in the queue. Because admission compares and then stores the same
 float sum, and completions only subtract, a recorded utilization can never
@@ -72,6 +81,9 @@ _STREAM_DEMANDS = 2
 _MAX_MOVES_PER_TICK = 64
 
 _DEMAND_FLOOR = 1e-6
+
+# relative rounding slack on the queue retry's headroom filter (see max_headroom)
+_HEADROOM_SLACK = 1.0 + 1e-12
 
 # cap on one tick's Poisson arrival mean, far past any cluster's capacity
 MAX_TICK_ARRIVAL_MEAN = 1e6
@@ -251,13 +263,20 @@ class ScenarioConfig:
 
 
 class ClusterState:
-    """Mutable simulation state: running tasks, FIFO queue, window sums.
+    """Mutable simulation state: running tasks, FIFO queue, window samples.
 
     Resource occupancy is tracked as running demand sums per server;
     instantaneous utilization is sum/capacity, with any migration net
-    surcharge added to the source server for the tick of the move. Each
-    snapshot adds the instantaneous triples to per-server accumulators
-    that :meth:`drain_window` turns into window means.
+    surcharge added to the source server for the tick of the move, which
+    ``last_move_tick`` records.
+
+    The current window's samples are (row, span) segments: a row holds
+    every server's utilization triple as :meth:`snapshot` took it, and
+    its span counts the ticks it held. :meth:`hold` lengthens the last
+    span by a quiet tick instead of sampling again. :meth:`drain_window`
+    expands the segments to one row per tick and sums them in tick order
+    from a zero row, the same float additions as a per-tick running sum,
+    so window means do not depend on which ticks were skipped.
     """
 
     def __init__(self, specs):
@@ -279,11 +298,16 @@ class ClusterState:
         self.net_cap = [float(s.net_capacity) for s in specs]
         self._completion_buckets: dict[int, list[int]] = {}
         self._task_server: dict[int, int] = {}
-        self._win_acc = [[0.0, 0.0, 0.0] for _ in range(n)]
-        self._win_count = 0
+        self._rows: list[list[tuple[float, float, float]]] = []
+        self._spans: list[int] = []
         self.arrived = 0
         self.completed = 0
+        self.last_move_tick = -1
         self._rr_cursor = -1
+        # bumped by every change to the running sets; a migration pass that
+        # found no move at (version, policy, weights) finds none again there
+        self._version = 0
+        self._idle_rebalance = None
 
     def running_count(self) -> int:
         return len(self._task_server)
@@ -292,17 +316,20 @@ class ClusterState:
         return len(self.queue)
 
     def max_headroom(self) -> tuple[float, float, float]:
-        """Largest per-resource free capacity over all servers.
+        """Largest per-resource free capacity over all servers, rounded up.
 
         A task exceeding any component cannot fit anywhere; the converse
         does not hold (the headroom may be spread across servers), so this
         is only a cheap rejection filter in front of :func:`dispatch`.
+        :meth:`fits` rounds sum + demand before comparing it with the
+        capacity, so it can admit a demand a few ulps above cap - sum; a
+        slack of 1e-12 of the capacity keeps the filter from rejecting it.
         """
         cpu = ram = net = 0.0
         for i in range(self.n):
-            c = self.cpu_cap[i] - self.cpu_sum[i]
-            r = self.ram_cap[i] - self.ram_sum[i]
-            v = self.net_cap[i] - self.net_sum[i] - self.net_surcharge[i]
+            c = self.cpu_cap[i] * _HEADROOM_SLACK - self.cpu_sum[i]
+            r = self.ram_cap[i] * _HEADROOM_SLACK - self.ram_sum[i]
+            v = self.net_cap[i] * _HEADROOM_SLACK - self.net_sum[i] - self.net_surcharge[i]
             if c > cpu:
                 cpu = c
             if r > ram:
@@ -331,6 +358,7 @@ class ClusterState:
         )
 
     def _add(self, i: int, task: Task) -> None:
+        self._version += 1
         self.running[i][task.id] = task
         self.cpu_sum[i] += task.cpu_demand
         self.ram_sum[i] += task.ram_demand
@@ -342,6 +370,7 @@ class ClusterState:
         self._completion_buckets.setdefault(completes_at, []).append(task.id)
 
     def _remove(self, i: int, task: Task) -> None:
+        self._version += 1
         del self.running[i][task.id]
         self.cpu_sum[i] -= task.cpu_demand
         self.ram_sum[i] -= task.ram_demand
@@ -367,40 +396,51 @@ class ClusterState:
         self.net_surcharge[src] += task.net_demand
         # completion bucket entries are keyed by task id, so they survive the move
         self._add(dst, task)
+        self.last_move_tick = self.tick
+
+    def completes_at(self, tick: int) -> bool:
+        """Whether any running task is scheduled to finish at `tick`."""
+        return tick in self._completion_buckets
 
     def snapshot(self) -> None:
-        """Add instantaneous utilizations to the window accumulators."""
-        for i in range(self.n):
-            u = self.utilization(i)
+        """Sample every server's instantaneous utilization for one tick."""
+        row = [self.utilization(i) for i in range(self.n)]
+        for i, u in enumerate(row):
             if max(u) > 1.0 + 1e-9:
                 raise RuntimeError(
                     f"internal consistency violation: server {self.specs[i].id} "
                     f"utilization {max(u):.12f} > 1 at tick {self.tick}"
                 )
-            acc = self._win_acc[i]
-            acc[0] += u[0]
-            acc[1] += u[1]
-            acc[2] += u[2]
-        self._win_count += 1
+        self._rows.append(row)
+        self._spans.append(1)
+
+    def hold(self) -> None:
+        """Pass a quiet tick: the last sample holds one tick longer.
+
+        Only exact when the tick changes nothing and the last sample carries
+        no migration surcharge; :func:`run_scenario` calls it under those
+        conditions. The first tick of a window samples afresh.
+        """
+        if self._spans:
+            self._spans[-1] += 1
+        else:
+            self.snapshot()
+        self.tick += 1
 
     def drain_window(self) -> list[ResourceUtilization]:
-        """Mean utilizations since the last drain; resets the accumulators."""
-        if self._win_count == 0:
+        """Mean utilizations since the last drain; resets the samples."""
+        if not self._spans:
             raise ConfigError("no samples accumulated in the current window")
-        out = []
-        for i in range(self.n):
-            acc = self._win_acc[i]
-            out.append(
-                ResourceUtilization(
-                    cpu=min(acc[0] / self._win_count, 1.0),
-                    ram=min(acc[1] / self._win_count, 1.0),
-                    net=min(acc[2] / self._win_count, 1.0),
-                    window=self._win_count,
-                )
-            )
-            acc[0] = acc[1] = acc[2] = 0.0
-        self._win_count = 0
-        return out
+        count = sum(self._spans)
+        per_tick = np.repeat(np.array(self._rows), self._spans, axis=0)
+        # cumsum adds strictly in tick order; the zero row makes an all -0.0
+        # column sum to +0.0, as a running sum started at 0.0 does
+        sums = np.cumsum(np.concatenate([np.zeros((1, self.n, 3)), per_tick]), axis=0)[-1]
+        self._rows, self._spans = [], []
+        return [
+            ResourceUtilization(cpu=cpu, ram=ram, net=net, window=count)
+            for cpu, ram, net in np.minimum(sums / count, 1.0).tolist()
+        ]
 
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
@@ -408,6 +448,24 @@ def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
     net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
     return (sum(state.cpu_sum) / sum(state.cpu_cap), sum(state.ram_sum) / sum(state.ram_cap),
             net / sum(state.net_cap))
+
+
+def _arrival_means(values, arrival_scale: float, first_tick: int = 0) -> np.ndarray:
+    """Per-tick Poisson means arrival_scale * values, checked before any draw.
+
+    A negative mean, or one above MAX_TICK_ARRIVAL_MEAN (1e6), is rejected
+    naming arrival_scale and the first offending tick (`first_tick` is the
+    tick of values[0]).
+    """
+    lam = arrival_scale * np.asarray(values, dtype=float)
+    if (lam < 0.0).any():
+        raise ConfigError("arrival intensity must be non-negative")
+    over = np.flatnonzero(lam > MAX_TICK_ARRIVAL_MEAN)
+    if over.size:
+        j = int(over[0])
+        raise ConfigError(f"arrival_scale {arrival_scale:g} puts tick {first_tick + j}'s arrival mean "
+                          f"{lam[j]:g} above the cap {MAX_TICK_ARRIVAL_MEAN:g}")
+    return lam
 
 
 def arrivals_from_traffic(
@@ -430,13 +488,18 @@ def arrivals_from_traffic(
     values = series.values if isinstance(series, TrafficSeries) else np.asarray(series)
     if not (0 <= tick < len(values)):
         raise ConfigError(f"tick {tick} outside the series horizon {len(values)}")
-    lam = arrival_scale * float(values[tick])
-    if lam < 0.0:
-        raise ConfigError("arrival intensity must be non-negative")
-    if lam > MAX_TICK_ARRIVAL_MEAN:
-        raise ConfigError(f"arrival_scale {arrival_scale:g} puts tick {tick}'s arrival mean "
-                          f"{lam:g} above the cap {MAX_TICK_ARRIVAL_MEAN:g}")
+    lam = float(_arrival_means(values[tick:tick + 1], arrival_scale, tick)[0])
     k = int(count_rng.poisson(lam)) if lam > 0.0 else 0
+    return _draw_tasks(k, tick, demand_params, demand_rng, id_start)
+
+
+def _draw_tasks(k: int, tick: int, demand_params: DemandParams, demand_rng,
+                id_start: int) -> list[Task]:
+    """The tick's `k` tasks, with demands and durations drawn from `demand_rng`.
+
+    Draws nothing when k is 0, so the demand stream advances only on ticks
+    with arrivals.
+    """
     if k == 0:
         return []
 
@@ -599,7 +662,10 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
 
     Order: completions, queue retry (FIFO pass), new arrivals, migration
     pass, utilization snapshot, tick increment. A task dispatched at tick t
-    with duration d occupies its server for ticks t .. t+d-1 exactly.
+    with duration d occupies its server for ticks t .. t+d-1 exactly. The
+    migration pass is skipped when it found no move on an earlier tick and
+    no task has been placed, completed or moved since: it is a pure
+    function of that state.
     """
     state.complete_expired()
 
@@ -627,7 +693,10 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
             state.place(target, task, state.tick + task.duration)
 
     if policy.kind is PolicyKind.THRESHOLD_MIGRATION:
-        rebalance(state, policy, w)
+        # a pass that found no move finds none again until the running sets change
+        idle_key = (state._version, policy, w)
+        if state._idle_rebalance != idle_key and not rebalance(state, policy, w):
+            state._idle_rebalance = idle_key
 
     state.snapshot()
     state.net_surcharge = [0.0] * state.n
@@ -670,26 +739,37 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     """Simulate the full horizon; one ImbalanceReport per complete window.
 
     `series`, when given, is the config's traffic already realized by
-    :func:`resolve_traffic`.
+    :func:`resolve_traffic`; it must cover the horizon. All arrival counts
+    are drawn up front in one Poisson call, the same draws as per tick
+    (a zero mean draws nothing), after every tick's mean is checked
+    against MAX_TICK_ARRIVAL_MEAN. Demands are drawn on each tick with
+    arrivals. :func:`step` runs only on event ticks (an arrival, a
+    completion, or a migration on the tick before); a quiet tick holds the
+    last utilization sample (:meth:`ClusterState.hold`). The reports equal
+    those of calling :func:`arrivals_from_traffic` and :func:`step` on
+    every tick.
     """
     if series is None:
         _, series = resolve_traffic(config)
+    if len(series.values) < config.horizon:
+        raise ConfigError(
+            f"series has {len(series.values)} ticks, fewer than the horizon {config.horizon}"
+        )
+    lam = _arrival_means(series.values[:config.horizon], config.arrival_scale)
     count_rng = default_rng(SeedSequence([int(config.seed), _STREAM_ARRIVALS]))
     demand_rng = default_rng(SeedSequence([int(config.seed), _STREAM_DEMANDS]))
+    counts = np.zeros(config.horizon, dtype=np.int64)
+    drawn = lam > 0.0
+    counts[drawn] = count_rng.poisson(lam[drawn])
 
     state = ClusterState(config.cluster)
     reports: list[ImbalanceReport] = []
-    for t in range(config.horizon):
-        arrivals = arrivals_from_traffic(
-            series,
-            t,
-            config.arrival_scale,
-            config.demand_params,
-            count_rng,
-            demand_rng,
-            id_start=state.arrived,
-        )
-        step(state, arrivals, config.policy, config.weights)
+    for t, k in enumerate(counts.tolist()):
+        if k or state.last_move_tick == t - 1 or state.completes_at(t):
+            arrivals = _draw_tasks(k, t, config.demand_params, demand_rng, state.arrived)
+            step(state, arrivals, config.policy, config.weights)
+        else:
+            state.hold()
         if (t + 1) % config.window == 0:
             utils = state.drain_window()
             reports.append(metrics.full_report(utils, config.cluster, config.weights))

@@ -109,13 +109,19 @@ class GeneratorMeta:
             raise ConfigError("seed must be a non-negative integer")
         if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
             raise ConfigError(f"target_hurst must lie in (0,1), got {self.target_hurst}")
-        if self.target_delta_h is not None and self.target_delta_h < 0.0:
-            raise ConfigError("target_delta_h must be non-negative")
+        if self.target_delta_h is not None and not (
+            math.isfinite(self.target_delta_h) and self.target_delta_h >= 0.0
+        ):
+            raise ConfigError(f"target_delta_h must be finite and non-negative, got {self.target_delta_h}")
         if self.kind in (GeneratorKind.CASCADE, GeneratorKind.COMPOSITE):
             if self.depth is not None and self.depth < 1:
                 raise ConfigError("depth must be >= 1 for cascade kinds")
-            if self.multiplier_spread is not None and self.multiplier_spread <= 0.0:
-                raise ConfigError("multiplier_spread must be positive")
+            if self.multiplier_spread is not None and not (
+                math.isfinite(self.multiplier_spread) and self.multiplier_spread > 0.0
+            ):
+                raise ConfigError(
+                    f"multiplier_spread must be finite and positive, got {self.multiplier_spread}"
+                )
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,8 @@ def test_simulate_malformed_server_id_names_key(tmp_path, capsys):
         ("demand", "cpu_mean", "nan", "cpu_mean"),
         ("demand", "classes", "0.5:nan:1 0.5:1:1", "demand.classes"),
         ("cluster", "ram_capacity", "nan", "ram_capacity"),
+        ("traffic", "spread", "nan", "spread"),
+        ("traffic", "spread", "inf", "spread"),
     ],
 )
 def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, section, key, value, named):

@@ -2,19 +2,24 @@
 
 Hypothesis draws 1-4 servers, a demand profile, a weight triple, a policy
 and a short arrival series. Every run must stay within capacity on every
-tick, conserve tasks after every step and repeat itself under the same
-seed; under threshold migration, each committed move's predicted
+tick, conserve tasks after every step, place queued tasks in arrival
+order unless the earlier task fits nowhere, and repeat itself under the
+same seed; under threshold migration, each committed move's predicted
 post-move max SIL must equal the max SIL measured once it is applied.
+`run_scenario`, which skips quiet ticks, must report exactly what calling
+`arrivals_from_traffic` and `step` on every tick reports.
 """
 
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import default_rng
+from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation as sim
-from mfload.metrics import ServerSpec, WeightTriple
+from mfload.metrics import ServerSpec, WeightTriple, full_report
+from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -119,6 +124,30 @@ def test_capacity_and_conservation_hold_every_tick(sc):
     assert max(state.peaks) <= 1.0 + 1e-9
 
 
+class _FifoChecked(sim.ClusterState):
+    """ClusterState that asserts no earlier waiting task fits when a task is placed."""
+
+    def __init__(self, specs):
+        super().__init__(specs)
+        self.placed = set()
+
+    def place(self, i, task, completes_at):
+        # ids count arrivals, so a smaller id arrived earlier (or earlier in its batch)
+        passed_over = [q for q in self.queue if q.id < task.id and q.id not in self.placed]
+        for q in passed_over:
+            assert not any(self.fits(j, q) for j in range(self.n)), (q.id, task.id)
+        self.placed.add(task.id)
+        super().place(i, task, completes_at)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios)
+def test_queued_tasks_are_placed_in_arrival_order_unless_they_fit_nowhere(sc):
+    state = _FifoChecked(sc["specs"])
+    _run(sc, state)
+    assert len(state.placed) == state.arrived - state.queue_len()
+
+
 @PROPERTY_SETTINGS
 @given(scenarios)
 def test_same_seed_gives_the_same_run(sc):
@@ -170,3 +199,79 @@ def test_migration_property_is_not_vacuous():
     gaps = _migration_gaps(sc)
     assert gaps
     assert max(gaps) <= 1e-12
+
+
+def _reference_reports(config, series, on_tick=None):
+    """Reports of a per-tick loop: arrivals_from_traffic and step on every tick.
+
+    Clearing the migration pass's memo before each step runs that pass on
+    every tick, as an engine without any skipping does. `on_tick(t, arrivals,
+    state)` is called before each step.
+    """
+    count_rng = default_rng(SeedSequence([config.seed, sim._STREAM_ARRIVALS]))
+    demand_rng = default_rng(SeedSequence([config.seed, sim._STREAM_DEMANDS]))
+    state = sim.ClusterState(config.cluster)
+    reports = []
+    for t in range(config.horizon):
+        arrivals = sim.arrivals_from_traffic(
+            series, t, config.arrival_scale, config.demand_params, count_rng, demand_rng,
+            id_start=state.arrived,
+        )
+        if on_tick is not None:
+            on_tick(t, arrivals, state)
+        state._idle_rebalance = None
+        sim.step(state, arrivals, config.policy, config.weights)
+        if (t + 1) % config.window == 0:
+            reports.append(full_report(state.drain_window(), config.cluster, config.weights))
+    return reports
+
+
+# run_scenario is handed the series, so this record is never realized
+_UNUSED_TRAFFIC = GeneratorMeta(kind=GeneratorKind.FGN, seed=0, target_hurst=0.7)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios, st.integers(0, 64), st.integers(4, 16), st.floats(0.0, 0.9))
+def test_run_scenario_equals_the_per_tick_reference(sc, extra_ticks, window, quiet_share):
+    horizon = 256 + extra_ticks
+    rng = default_rng(sc["seed"])
+    values = np.where(rng.random(horizon) < quiet_share, 0.0, rng.random(horizon) * 2.0)
+    series = TrafficSeries(values=values, tick_count=horizon, meta=None)
+    config = sim.ScenarioConfig(
+        traffic=_UNUSED_TRAFFIC, cluster=sc["specs"], weights=sc["w"], policy=sc["policy"],
+        horizon=horizon, window=window, arrival_scale=sc["arrival_scale"],
+        demand_params=sc["demand"], seed=sc["seed"],
+    )
+    assert sim.run_scenario(config, series) == _reference_reports(config, series)
+
+
+def test_a_move_lets_a_queued_task_in_on_the_next_tick_without_other_events():
+    """Tick 48 has no arrival and no completion, only the move of tick 47.
+
+    That move frees room for a queued task, so tick 48 is not quiet: an
+    engine that skipped it would place the task a tick late.
+    """
+    values = np.where(np.arange(256) % 7 == 0, 1.0, 0.0)
+    series = TrafficSeries(values=values, tick_count=256, meta=None)
+    config = sim.ScenarioConfig(
+        traffic=_UNUSED_TRAFFIC,
+        cluster=tuple(ServerSpec(i, 1, 8.0, 4.0) for i in range(3)),
+        weights=WeightTriple(0.5, 0.3, 0.2),
+        policy=sim.Policy(sim.PolicyKind.THRESHOLD_MIGRATION, 0.0),
+        horizon=256,
+        window=16,
+        arrival_scale=2.0,
+        demand_params=sim.DemandParams(duration_mean=10.0),
+        seed=990,
+    )
+    events = {}
+
+    def note(t, arrivals, state):
+        events[t] = (len(arrivals), state.completes_at(t), state.last_move_tick == t - 1,
+                     state.queue_len())
+
+    reference = _reference_reports(config, series, on_tick=note)
+    arrivals, completes, moved_before, queued = events[48]
+    assert (arrivals, completes, moved_before) == (0, False, True)
+    assert events[49][3] < queued  # the queue shrank on tick 48
+    assert sim.run_scenario(config, series) == reference

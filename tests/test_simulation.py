@@ -5,6 +5,8 @@ recomputations that use only the public state accessors, so a regression
 in the engine's incremental bookkeeping cannot hide inside the oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
@@ -339,6 +341,19 @@ def test_queue_is_fifo_and_served_before_new_arrivals():
     assert state.arrived == 3 and state.completed == 1
 
 
+def test_queue_retry_admits_a_task_that_fits_to_the_last_ulp():
+    state = ClusterState(homogeneous_cluster(1, cpu_count=1))
+    pol = Policy(kind=PolicyKind.ROUND_ROBIN)
+    w = default_weights()
+    small = [_task(0, cpu=0.2, duration=1), _task(1, cpu=0.6, duration=1)]
+    step(state, [*small, _task(2, cpu=1.0)], pol, w)
+    assert [t.id for t in state.queue] == [2]
+    # both finish, leaving a 1.1e-16 cpu residue: 1.0 - residue < 1.0, yet
+    # residue + 1.0 rounds to 1.0, so the full-core task fits
+    step(state, [], pol, w)
+    assert state.queue_len() == 0 and state.running_count() == 1
+
+
 def test_window_means_match_hand_average():
     state = ClusterState(homogeneous_cluster(1))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
@@ -456,6 +471,29 @@ def test_run_scenario_accepts_the_resolved_series():
     # the given series is the one simulated: no traffic, no load
     idle = TrafficSeries(values=np.zeros(1024), tick_count=1024, meta=None)
     assert all(r.efficiency == 0.0 for r in run_scenario(cfg, idle))
+
+
+def _spiked(n, spike_at):
+    values = np.full(n, 0.05)
+    values[spike_at] = values[spike_at + 50] = 0.2
+    return TrafficSeries(values=values, tick_count=n, meta=None)
+
+
+@pytest.mark.parametrize(
+    "series,arrival_scale,match",
+    [
+        # 1e7 * 0.2 = 2e6 is over the 1e6 cap at ticks 300 and 350; 5e5 elsewhere is not
+        (_spiked(1024, 300), 1e7, r"arrival_scale 1e\+07 puts tick 300's"),
+        (TrafficSeries(values=np.ones(1000), tick_count=1000, meta=None), 0.3,
+         "series has 1000 ticks, fewer than the horizon 1024"),
+    ],
+    ids=["mean_over_cap", "series_too_short"],
+)
+def test_run_scenario_rejects_bad_traffic_before_drawing(series, arrival_scale, match):
+    cfg = _fgn_config(arrival_scale=arrival_scale)
+    with mock.patch("mfload.simulation.default_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(ConfigError, match=match):
+            run_scenario(cfg, series)
 
 
 def test_scenario_config_validation():
