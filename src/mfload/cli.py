@@ -148,13 +148,16 @@ def _final_half_cv(reports) -> float:
     return float(np.std(tail) / mean)
 
 
-def _run_one(config: ScenarioConfig, out_dir: str) -> dict:
-    """Simulate one scenario into `out_dir`; returns its summary numbers."""
+def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -> dict:
+    """Simulate one scenario into `out_dir`; returns its summary numbers.
+
+    `probes` is the calibration probe memo, shared by the cells of a sweep.
+    """
     _ensure_dir(out_dir)
     started = _now()
 
     # one realization feeds both the measurement and the run
-    _, series = resolve_traffic(config)
+    _, series = resolve_traffic(config, probes)
     used = series.values[: config.horizon]
     measured = traffic.measure_scaling(used)
     reports = run_scenario(config, series)
@@ -205,17 +208,28 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         base = dataclasses.replace(base, seed=args.seed)
     cells, budget = parse_sweep_grid(args.config)
-    _ensure_dir(args.out)
-
-    rows = []
+    named = {}
     for hurst, delta_h in cells:
         name = f"h{hurst:g}_dh{delta_h:g}"
+        if name in named:
+            h0, dh0 = named[name]
+            raise ConfigError(
+                f"sweep.grid: cells {h0!r}:{dh0!r} and {hurst!r}:{delta_h!r} "
+                f"both write {name}"
+            )
+        named[name] = (hurst, delta_h)
+    _ensure_dir(args.out)
+
+    # one probe memo per sweep: the cells' calibrations revisit the same probes
+    probes = {}
+    rows = []
+    for name, (hurst, delta_h) in named.items():
         cell_config = dataclasses.replace(
             base,
             name=name,
             traffic=CalibrationTarget(hurst=hurst, delta_h=delta_h, budget=budget),
         )
-        result = _run_one(cell_config, os.path.join(args.out, name))
+        result = _run_one(cell_config, os.path.join(args.out, name), probes)
         rows.append(
             (
                 name,

@@ -259,11 +259,8 @@ def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
     if not parser.has_section("sweep"):
         raise ConfigError("sweep: section missing (required by the sweep command)")
     sec = _section(parser, "sweep")
-    raw = sec.get("grid")
-    if not raw:
-        raise ConfigError("sweep.grid: no cells given")
     cells = []
-    for token in raw.replace(",", " ").split():
+    for token in sec.get("grid", "").replace(",", " ").split():
         parts = token.split(":")
         if len(parts) != 2:
             raise ConfigError(f"sweep.grid: expected H:delta_h, got {token!r}")
@@ -271,7 +268,12 @@ def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
             cells.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ConfigError(f"sweep.grid: {exc}") from exc
-    return cells, _get(sec, "sweep", "budget", 64, int)
+    if not cells:
+        raise ConfigError("sweep.grid: no cells given")
+    budget = _get(sec, "sweep", "budget", 64, int)
+    if budget < 1:
+        raise ConfigError(f"sweep.budget: must be a positive integer, got {budget}")
+    return cells, budget
 
 
 def canonical_config_text(config: ScenarioConfig) -> str:

@@ -155,20 +155,29 @@ def _segment_f2(profile: np.ndarray, scale: int) -> np.ndarray:
 
     Order-1 detrending via the closed-form OLS line per segment; the
     backward pass keeps the tail from being discarded when length % scale != 0.
+    Each pass detrends a view of the profile in two scratch buffers, with
+    the same element operations and row reductions as on a stacked copy;
+    when scale divides the length both passes cover the same segments, so
+    one is computed and repeated.
     """
     n = profile.size
     ns = n // scale
-    fwd = profile[: ns * scale].reshape(ns, scale)
-    bwd = profile[n - ns * scale :].reshape(ns, scale)
-    segs = np.vstack([fwd, bwd])
-
     t = np.arange(scale, dtype=float)
     tc = t - t.mean()
     ss_t = float(np.dot(tc, tc))
-    means = segs.mean(axis=1, keepdims=True)
-    slopes = (segs * tc).sum(axis=1, keepdims=True) / ss_t
-    resid = segs - means - slopes * tc
-    return (resid * resid).mean(axis=1)
+
+    def detrended_f2(segs: np.ndarray) -> np.ndarray:
+        buf = np.multiply(segs, tc)
+        slopes = buf.sum(axis=1, keepdims=True) / ss_t
+        resid = np.subtract(segs, segs.mean(axis=1, keepdims=True))
+        resid -= np.multiply(slopes, tc, out=buf)
+        resid *= resid
+        return resid.mean(axis=1)
+
+    fwd = detrended_f2(profile[: ns * scale].reshape(ns, scale))
+    if ns * scale == n:
+        return np.concatenate([fwd, fwd])
+    return np.concatenate([fwd, detrended_f2(profile[n - ns * scale :].reshape(ns, scale))])
 
 
 def _fluctuation_matrix(x: np.ndarray, scales: np.ndarray) -> list[np.ndarray]:

@@ -709,7 +709,9 @@ def _stream_seed(seed: int, stream: int) -> int:
     return int(SeedSequence([int(seed), stream]).generate_state(2, np.uint32)[0])
 
 
-def resolve_traffic(config: ScenarioConfig) -> tuple[GeneratorMeta, TrafficSeries]:
+def resolve_traffic(
+    config: ScenarioConfig, probes: dict | None = None
+) -> tuple[GeneratorMeta, TrafficSeries]:
     """Calibrate if needed, then realize the run's traffic series.
 
     An explicit GeneratorMeta is a complete record of one series, so it
@@ -717,11 +719,12 @@ def resolve_traffic(config: ScenarioConfig) -> tuple[GeneratorMeta, TrafficSerie
     arrival and demand draws vary between runs. A CalibrationTarget names
     properties rather than a series, so its realization is drawn from the
     config seed's traffic substream, at the calibration probe depth or
-    deeper when the horizon needs more ticks.
+    deeper when the horizon needs more ticks. `probes` is the calibration
+    probe memo of :func:`traffic.calibrate`, shared by the cells of a sweep.
     """
     if isinstance(config.traffic, CalibrationTarget):
         meta = traffic.calibrate(
-            config.traffic.hurst, config.traffic.delta_h, config.traffic.budget
+            config.traffic.hurst, config.traffic.delta_h, config.traffic.budget, probes
         )
         if meta.depth is not None:  # probe depth, or deeper for a longer horizon
             meta = replace(meta, depth=max(meta.depth, math.ceil(math.log2(config.horizon))))

@@ -375,7 +375,12 @@ _COARSE_H = (0.55, 0.65, 0.75, 0.85, 0.95)
 _COARSE_SPREAD = (0.08, 0.18, 0.35, 0.7, 1.2, 2.0)
 
 
-def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> GeneratorMeta:
+def calibrate(
+    target_hurst: float,
+    target_delta_h: float,
+    budget: int = 64,
+    probes: dict[tuple, tuple[float, float]] | None = None,
+) -> GeneratorMeta:
     """Find generator parameters whose measured (H, delta_h) hit the targets.
 
     Probes are generated at a fixed internal seed and depth 14, measured by
@@ -394,7 +399,14 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
         Desired measured generalized-Hurst width, in [0, 4]. Targets
         <= 0.2 select the fGn family, larger ones the composite family.
     budget : int
-        Maximum number of probe evaluations before giving up.
+        Maximum number of distinct probes this call visits before giving
+        up. A probe answered from `probes` still counts, so the search
+        path, the result and any CalibrationError do not depend on the memo.
+    probes : dict, optional
+        Memo from probe knobs to their measured (h(2), delta_h). Every
+        probe is a pure function of its knobs, so one dict can be shared
+        by the calibrations of a sweep: each distinct probe is then
+        generated and measured once. Measured probes are added to it.
 
     Returns
     -------
@@ -414,8 +426,9 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
     if budget < 1:
         raise ConfigError("budget must be a positive integer")
 
-    evals = 0
-    cache: dict[tuple, tuple[float, float]] = {}
+    if probes is None:
+        probes = {}
+    visited: set[tuple] = set()
 
     def score(measured: tuple[float, float]) -> float:
         return max(
@@ -424,25 +437,24 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
         )
 
     def probe(knobs: tuple) -> tuple[float, float]:
-        nonlocal evals
-        if knobs in cache:
-            return cache[knobs]
-        if evals >= budget:
-            raise _BudgetExhausted()
-        evals += 1
-        if len(knobs) == 1:
-            series = generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)
-        else:
-            series = generate_composite(_PROBE_DEPTH, knobs[0], knobs[1], _PROBE_SEED)
-        cache[knobs] = measure_scaling(series)
-        return cache[knobs]
+        if knobs not in visited:
+            if len(visited) >= budget:
+                raise _BudgetExhausted()
+            visited.add(knobs)
+        if knobs not in probes:
+            if len(knobs) == 1:
+                series = generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)
+            else:
+                series = generate_composite(_PROBE_DEPTH, knobs[0], knobs[1], _PROBE_SEED)
+            probes[knobs] = measure_scaling(series)
+        return probes[knobs]
 
     best: tuple | None = None
 
     def consider(knobs: tuple) -> float:
         nonlocal best
         m = probe(knobs)
-        if best is None or score(m) < score(cache[best]):
+        if best is None or score(m) < score(probes[best]):
             best = knobs
         return score(m)
 
@@ -454,7 +466,7 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
                 s = consider((knob,))
                 if s <= _EARLY_STOP:
                     break
-                measured_h = cache[(knob,)][0]
+                measured_h = probes[(knob,)][0]
                 nxt = min(max(knob + (target_hurst - measured_h), 0.05), 0.99)
                 if abs(nxt - knob) < 1e-3:
                     break
@@ -469,7 +481,7 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
             # per-axis bisection
             h_step, s_mult = 0.04, 1.25
             for _ in range(3):
-                if score(cache[best]) <= _EARLY_STOP:
+                if score(probes[best]) <= _EARLY_STOP:
                     break
                 hk, sk = best
                 for h_off in (-h_step, -h_step / 2, 0.0, h_step / 2, h_step):
@@ -481,7 +493,7 @@ def calibrate(target_hurst: float, target_delta_h: float, budget: int = 64) -> G
     except _BudgetExhausted:
         pass
 
-    measured = cache[best]
+    measured = probes[best]
     residuals = (measured[0] - target_hurst, measured[1] - target_delta_h)
     if len(best) == 1:
         meta = GeneratorMeta(

@@ -1,10 +1,12 @@
 """Command-line behaviour: outputs, exit codes, reproducibility."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mfload import traffic
 from mfload.cli import main
 from mfload.fractal import mfdfa
 from mfload.traffic import generate_fgn, read_series_csv
@@ -225,6 +227,49 @@ def test_sweep_requires_grid_section(tmp_path, capsys):
     cfg.write_text(FAST_SIM)
     assert _run(["sweep", "--config", str(cfg)]) == 1
     assert "sweep" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_empty_grid(tmp_path, capsys):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = ,\n")
+    out = tmp_path / "s"
+    assert _run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "sweep.grid" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+def test_sweep_rejects_cells_whose_names_collide(tmp_path, capsys):
+    cfg = tmp_path / "collide.ini"
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.6:1.5 0.6000001:1.5\n")
+    out = tmp_path / "s"
+    assert _run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep.grid" in err and "0.6:1.5" in err and "0.6000001:1.5" in err
+    assert not out.exists()
+
+
+def test_sweep_zero_budget_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "nobudget.ini"
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.7:0.05\nbudget = 0\n")
+    assert _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    assert "sweep.budget" in capsys.readouterr().err
+
+
+def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):
+    calls = Counter()
+    original = traffic.generate_composite
+
+    def counted(depth, hurst, multiplier_spread, seed):
+        calls[(depth, hurst, multiplier_spread, seed)] += 1
+        return original(depth, hurst, multiplier_spread, seed)
+
+    monkeypatch.setattr(traffic, "generate_composite", counted)
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.6:1.5 0.6:2.5\n")
+    assert _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    # both composite cells probe the same 30-point coarse grid first
+    assert len(calls) > 30
+    assert max(calls.values()) == 1
 
 
 # ------------------------------------------------------------------- parser

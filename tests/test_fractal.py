@@ -15,6 +15,7 @@ from mfload.fractal import (
     DEFAULT_Q_GRID,
     HurstMethod,
     MultifractalSpectrum,
+    _segment_f2,
     default_scales,
     estimate_hurst_dfa,
     estimate_hurst_rs,
@@ -22,7 +23,7 @@ from mfload.fractal import (
     structure_function,
     write_spectrum_csv,
 )
-from mfload.traffic import generate_cascade, generate_fgn
+from mfload.traffic import generate_cascade, generate_composite, generate_fgn
 
 SF_SCALES = tuple(int(s) for s in np.unique(np.geomspace(16, 512, 12).astype(int)))
 
@@ -143,6 +144,32 @@ def test_mfdfa_deterministic():
     a, b = mfdfa(values), mfdfa(values)
     assert a.h_of_q == b.h_of_q
     assert a.delta_h == b.delta_h
+
+
+def _stacked_segment_f2(profile, scale):
+    """Per-segment f2 on a stacked forward+backward copy, the plain formula."""
+    n = profile.size
+    ns = n // scale
+    segs = np.vstack(
+        [profile[: ns * scale].reshape(ns, scale), profile[n - ns * scale :].reshape(ns, scale)]
+    )
+    t = np.arange(scale, dtype=float)
+    tc = t - t.mean()
+    ss_t = float(np.dot(tc, tc))
+    means = segs.mean(axis=1, keepdims=True)
+    slopes = (segs * tc).sum(axis=1, keepdims=True) / ss_t
+    resid = segs - means - slopes * tc
+    return (resid * resid).mean(axis=1)
+
+
+@pytest.mark.parametrize("n", [2**14, 3000, 1024 + 17])
+def test_segment_f2_equals_the_stacked_formula_bitwise(n):
+    x = generate_composite(depth=14, hurst=0.75, multiplier_spread=0.7, seed=3).values[:n]
+    profile = np.cumsum(x - x.mean())
+    # some default scales divide 2^14 and 3000 (both passes cover the same
+    # segments), none divides 1041, and most leave a tail for the backward pass
+    for s in default_scales(n):
+        assert np.array_equal(_segment_f2(profile, int(s)), _stacked_segment_f2(profile, int(s)))
 
 
 def test_spectrum_invariants_enforced():

@@ -227,6 +227,34 @@ def test_calibrate_reports_best_attempt_on_failure():
     assert len(err.residuals) == 2
 
 
+GRID_CELLS = ((0.6, 1.5), (0.6, 2.5), (0.9, 2.5))
+
+
+def test_calibrate_with_a_shared_probe_memo_matches_cold_calls():
+    cold = {cell: calibrate(*cell) for cell in GRID_CELLS}
+    for order in (GRID_CELLS, GRID_CELLS[::-1]):
+        probes = {}
+        for cell in order:
+            assert calibrate(*cell, probes=probes) == cold[cell]
+        # the composite cells share their coarse grid: 64 distinct of 124 probes
+        assert len(probes) == 64
+
+
+def test_warm_probe_memo_still_counts_against_the_budget():
+    probes = {}
+    # the 30-probe coarse grid meets the target; budget 2 sees only its first two
+    calibrate(target_hurst=0.52, target_delta_h=4.0, budget=30, probes=probes)
+    assert len(probes) == 30
+    with pytest.raises(CalibrationError) as cold:
+        calibrate(target_hurst=0.52, target_delta_h=4.0, budget=2)
+    with pytest.raises(CalibrationError) as warm:
+        calibrate(target_hurst=0.52, target_delta_h=4.0, budget=2, probes=probes)
+    assert str(warm.value) == str(cold.value)
+    assert warm.value.best_meta == cold.value.best_meta
+    assert warm.value.measured == cold.value.measured
+    assert warm.value.residuals == cold.value.residuals
+
+
 def test_measure_scaling_matches_mfdfa():
     series = generate_cascade(depth=12, multiplier_spread=0.6, seed=11)
     h, dh = measure_scaling(series)
