@@ -116,7 +116,7 @@ def cmd_generate(args) -> int:
         series = traffic.generate_fgn(args.hurst, args.length, args.seed)
     else:
         meta = traffic.calibrate(args.hurst, args.delta_h)
-        series = traffic.generate_from_meta(meta, args.length, seed=args.seed)
+        series = traffic.generate_calibrated(meta, args.length, args.seed)
     path = os.path.join(args.out, "series.csv")
     traffic.write_series_csv(path, series.values[: args.length])
     print(f"wrote {path} ({args.length} ticks)")

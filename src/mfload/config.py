@@ -89,6 +89,14 @@ def _get(sec: dict, section: str, key: str, default, kind=float):
         raise ConfigError(f"{section}.{key}: expected {noun}, got {raw!r}") from exc
 
 
+def _get_budget(sec: dict, section: str) -> int:
+    """`sec["budget"]`, a calibration probe budget (default 64), checked positive."""
+    budget = _get(sec, section, "budget", 64, int)
+    if budget < 1:
+        raise ConfigError(f"{section}.budget: must be a positive integer, got {budget}")
+    return budget
+
+
 def _parse_traffic(sec: dict, seed: int, horizon: int):
     kind = sec.get("kind", "composite").strip().lower()
     depth_default = max(5, math.ceil(math.log2(horizon)))
@@ -98,7 +106,7 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
         return CalibrationTarget(
             hurst=_get(sec, "traffic", "hurst", 0.0),
             delta_h=_get(sec, "traffic", "delta_h", 0.0),
-            budget=_get(sec, "traffic", "budget", 64, int),
+            budget=_get_budget(sec, "traffic"),
         )
     if kind == "fgn":
         return GeneratorMeta(
@@ -270,10 +278,7 @@ def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
             raise ConfigError(f"sweep.grid: {exc}") from exc
     if not cells:
         raise ConfigError("sweep.grid: no cells given")
-    budget = _get(sec, "sweep", "budget", 64, int)
-    if budget < 1:
-        raise ConfigError(f"sweep.budget: must be a positive integer, got {budget}")
-    return cells, budget
+    return cells, _get_budget(sec, "sweep")
 
 
 def canonical_config_text(config: ScenarioConfig) -> str:

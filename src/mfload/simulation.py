@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 
@@ -268,7 +268,13 @@ class ClusterState:
     Resource occupancy is tracked as running demand sums per server;
     instantaneous utilization is sum/capacity, with any migration net
     surcharge added to the source server for the tick of the move, which
-    ``last_move_tick`` records.
+    ``last_move_tick`` records. Each server's utilization triple is cached,
+    recomputed whenever its sums or surcharge change.
+
+    Freed-set invariant: ``_freed`` holds every server that lost load (a
+    completion or a migration source) since the last queue retry. A queued
+    task fit no server when last checked, and float ``+`` of a positive
+    demand is monotone, so it still fits no server outside ``_freed``.
 
     The current window's samples are (row, span) segments: a row holds
     every server's utilization triple as :meth:`snapshot` took it, and
@@ -296,6 +302,10 @@ class ClusterState:
         self.cpu_cap = [float(s.cpu_count) for s in specs]
         self.ram_cap = [float(s.ram_capacity) for s in specs]
         self.net_cap = [float(s.net_capacity) for s in specs]
+        self._util = [(0.0, 0.0, 0.0)] * n
+        # servers whose triple changed since the last snapshot
+        self._changed: set[int] = set()
+        self._freed: set[int] = set()
         self._completion_buckets: dict[int, list[int]] = {}
         self._task_server: dict[int, int] = {}
         self._rows: list[list[tuple[float, float, float]]] = []
@@ -315,18 +325,20 @@ class ClusterState:
     def queue_len(self) -> int:
         return len(self.queue)
 
-    def max_headroom(self) -> tuple[float, float, float]:
-        """Largest per-resource free capacity over all servers, rounded up.
+    def max_headroom(self, servers) -> tuple[float, float, float]:
+        """Largest per-resource free capacity over `servers`, rounded up.
 
-        A task exceeding any component cannot fit anywhere; the converse
+        A task exceeding any component fits none of `servers`; the converse
         does not hold (the headroom may be spread across servers), so this
         is only a cheap rejection filter in front of :func:`dispatch`.
-        :meth:`fits` rounds sum + demand before comparing it with the
-        capacity, so it can admit a demand a few ulps above cap - sum; a
-        slack of 1e-12 of the capacity keeps the filter from rejecting it.
+        :func:`step` passes the freed set: by the freed-set invariant of
+        this class, a queued task fits no other server. :meth:`fits` rounds
+        sum + demand before comparing it with the capacity, so it can admit
+        a demand a few ulps above cap - sum; a slack of 1e-12 of the
+        capacity keeps the filter from rejecting it.
         """
         cpu = ram = net = 0.0
-        for i in range(self.n):
+        for i in servers:
             c = self.cpu_cap[i] * _HEADROOM_SLACK - self.cpu_sum[i]
             r = self.ram_cap[i] * _HEADROOM_SLACK - self.ram_sum[i]
             v = self.net_cap[i] * _HEADROOM_SLACK - self.net_sum[i] - self.net_surcharge[i]
@@ -339,16 +351,21 @@ class ClusterState:
         return cpu, ram, net
 
     def utilization(self, i: int) -> tuple[float, float, float]:
-        """Instantaneous (cpu, ram, net) utilization of server i.
+        """Instantaneous (cpu, ram, net) utilization of server i (cached)."""
+        return self._util[i]
+
+    def _refresh(self, i: int) -> None:
+        """Recompute server i's cached triple from its sums.
 
         Sums are clamped at zero: emptying a server can leave a -1 ulp
         residue from float subtraction.
         """
-        return (
+        self._util[i] = (
             max(self.cpu_sum[i], 0.0) / self.cpu_cap[i],
             max(self.ram_sum[i], 0.0) / self.ram_cap[i],
             max(self.net_sum[i] + self.net_surcharge[i], 0.0) / self.net_cap[i],
         )
+        self._changed.add(i)
 
     def fits(self, i: int, task: Task) -> bool:
         return (
@@ -364,6 +381,7 @@ class ClusterState:
         self.ram_sum[i] += task.ram_demand
         self.net_sum[i] += task.net_demand
         self._task_server[task.id] = i
+        self._refresh(i)
 
     def place(self, i: int, task: Task, completes_at: int) -> None:
         self._add(i, task)
@@ -375,6 +393,8 @@ class ClusterState:
         self.cpu_sum[i] -= task.cpu_demand
         self.ram_sum[i] -= task.ram_demand
         self.net_sum[i] -= task.net_demand
+        self._freed.add(i)
+        self._refresh(i)
 
     def complete_expired(self) -> int:
         """Release every task scheduled to finish before the current tick runs."""
@@ -392,8 +412,8 @@ class ClusterState:
         """Move a running task; its net demand stays charged to the source this tick."""
         src = self._task_server[task_id]
         task = self.running[src][task_id]
-        self._remove(src, task)
         self.net_surcharge[src] += task.net_demand
+        self._remove(src, task)
         # completion bucket entries are keyed by task id, so they survive the move
         self._add(dst, task)
         self.last_move_tick = self.tick
@@ -402,16 +422,27 @@ class ClusterState:
         """Whether any running task is scheduled to finish at `tick`."""
         return tick in self._completion_buckets
 
+    def _reset_surcharges(self) -> None:
+        """End the tick's migration surcharges on the servers that carry one."""
+        for i, s in enumerate(self.net_surcharge):
+            if s:
+                self.net_surcharge[i] = 0.0
+                self._refresh(i)
+
     def snapshot(self) -> None:
-        """Sample every server's instantaneous utilization for one tick."""
-        row = [self.utilization(i) for i in range(self.n)]
-        for i, u in enumerate(row):
+        """Sample every server's cached utilization for one tick.
+
+        Only triples changed since the last snapshot need the capacity check.
+        """
+        for i in self._changed:
+            u = self._util[i]
             if max(u) > 1.0 + 1e-9:
                 raise RuntimeError(
                     f"internal consistency violation: server {self.specs[i].id} "
                     f"utilization {max(u):.12f} > 1 at tick {self.tick}"
                 )
-        self._rows.append(row)
+        self._changed.clear()
+        self._rows.append(self._util[:])
         self._spans.append(1)
 
     def hold(self) -> None:
@@ -579,31 +610,42 @@ def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
-def _post_move_max_sil(state: ClusterState, utils, avgs, net_total: float,
-                       src: int, dst: int, task: Task, w: WeightTriple) -> float:
-    """Cluster max SIL if `task` moved src -> dst, without mutating state.
+def _post_move_max_sils(state: ClusterState, utils, avgs, net_total: float,
+                        src: int, task: Task, w: WeightTriple) -> dict[int, float]:
+    """Cluster max SIL if `task` moved src -> j, for each admissible j != src.
 
-    Scores from the pass's snapshot (`utils`, `avgs`, `net_total`). The
-    source keeps the task's net_demand as a migration surcharge this tick,
-    so its net utilization is unchanged while cpu/ram drop; the cluster
-    net average rises by net_demand / net_total.
+    Scores from the pass's snapshot (`utils`, `avgs`, `net_total`) without
+    mutating state. The source keeps the task's net_demand as a migration
+    surcharge this tick, so its net utilization is unchanged while cpu/ram
+    drop; the cluster net average rises by net_demand / net_total. A
+    destination's score is the max of its own post-move SIL and the other
+    servers' SILs as non-destinations, each computed once per candidate.
     """
+    dests = [j for j in range(state.n) if j != src and state.fits(j, task)]
+    if not dests:
+        return {}
     dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
     avg_c, avg_r, avg_n = avgs
     avg_n += dn / net_total
-    worst = 0.0
+    # the two largest SILs as non-destinations, and the index of the largest
+    first = second = 0.0
+    top = -1
     for i, (cu, ru, nu) in enumerate(utils):
         if i == src:
             cu -= dc / state.cpu_cap[i]
             ru -= dr / state.ram_cap[i]
-        elif i == dst:
-            cu += dc / state.cpu_cap[i]
-            ru += dr / state.ram_cap[i]
-            nu += dn / state.net_cap[i]
         sil = sil_value(cu, ru, nu, avg_c, avg_r, avg_n, w)
-        if sil > worst:
-            worst = sil
-    return worst
+        if sil > first:
+            first, second, top = sil, first, i
+        elif sil > second:
+            second = sil
+    scores = {}
+    for j in dests:
+        cu, ru, nu = utils[j]
+        own = sil_value(cu + dc / state.cpu_cap[j], ru + dr / state.ram_cap[j],
+                        nu + dn / state.net_cap[j], avg_c, avg_r, avg_n, w)
+        scores[j] = max(own, second if j == top else first)
+    return scores
 
 
 def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tuple[int, int, int]]:
@@ -613,10 +655,11 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     threshold, try its tasks in ascending composite-demand order and move
     the first one that has an admissible destination strictly lowering the
     cluster's maximum SIL (destination chosen to minimize that post-move
-    maximum). Moves are scored from one snapshot per pass, exact because
-    state changes only when a move commits and ends the pass. A moved task
-    keeps its remaining duration; its net_demand is charged to the source
-    server for this tick. Returns the committed moves as (task_id, source,
+    maximum). Moves are scored from one snapshot per pass (the cached
+    triples), exact because state changes only when a move commits and
+    ends the pass. A moved task keeps its remaining duration; its
+    net_demand is charged to the source server for this tick, and the
+    source joins the freed set of the next queue retry. Returns the committed moves as (task_id, source,
     destination).
     """
     if policy.kind is not PolicyKind.THRESHOLD_MIGRATION:
@@ -628,7 +671,7 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     moves: list[tuple[int, int, int]] = []
 
     for _ in range(_MAX_MOVES_PER_TICK):
-        utils = [state.utilization(i) for i in range(n)]
+        utils = state._util  # read only: a committed move ends the pass
         avgs = _system_averages_now(state)
         sils = [sil_value(*u, *avgs, w) for u in utils]
         max_sil = max(sils)
@@ -641,11 +684,7 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
             key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id),
         )
         for task in candidates:
-            post_max = {
-                j: _post_move_max_sil(state, utils, avgs, net_total, src, j, task, w)
-                for j in range(n)
-                if j != src and state.fits(j, task)
-            }
+            post_max = _post_move_max_sils(state, utils, avgs, net_total, src, task, w)
             if post_max:
                 dst = min(post_max, key=post_max.get)
                 if post_max[dst] < max_sil:
@@ -663,23 +702,28 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
     Order: completions, queue retry (FIFO pass), new arrivals, migration
     pass, utilization snapshot, tick increment. A task dispatched at tick t
     with duration d occupies its server for ticks t .. t+d-1 exactly. The
-    migration pass is skipped when it found no move on an earlier tick and
-    no task has been placed, completed or moved since: it is a pure
-    function of that state.
+    queue retry runs only if a server was freed since the last retry, and
+    its headroom filter covers only the freed servers (the freed-set
+    invariant of :class:`ClusterState`); :func:`dispatch` still scores
+    every server. The migration pass is skipped when it found no move on
+    an earlier tick and no task has been placed, completed or moved since:
+    it is a pure function of that state. The snapshot copies the cached
+    utilization triples.
     """
     state.complete_expired()
 
-    if state.queue:
+    freed, state._freed = state._freed, set()
+    if state.queue and freed:
         # one FIFO pass; placements only shrink free capacity, so a task over
-        # the per-resource headroom cannot fit anywhere until the next tick
-        fc, fr, fn = state.max_headroom()
+        # the freed servers' per-resource headroom cannot fit this tick
+        fc, fr, fn = state.max_headroom(freed)
         waiting: deque[Task] = deque()
         for task in state.queue:
             if task.cpu_demand <= fc and task.ram_demand <= fr and task.net_demand <= fn:
                 target = dispatch(task, state, policy, w)
                 if target is not None:
                     state.place(target, task, state.tick + task.duration)
-                    fc, fr, fn = state.max_headroom()
+                    fc, fr, fn = state.max_headroom(freed)
                     continue
             waiting.append(task)
         state.queue = waiting
@@ -699,7 +743,8 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
             state._idle_rebalance = idle_key
 
     state.snapshot()
-    state.net_surcharge = [0.0] * state.n
+    if state.last_move_tick == state.tick:
+        state._reset_surcharges()
     state.tick += 1
     return state
 
@@ -726,10 +771,8 @@ def resolve_traffic(
         meta = traffic.calibrate(
             config.traffic.hurst, config.traffic.delta_h, config.traffic.budget, probes
         )
-        if meta.depth is not None:  # probe depth, or deeper for a longer horizon
-            meta = replace(meta, depth=max(meta.depth, math.ceil(math.log2(config.horizon))))
-        series = traffic.generate_from_meta(
-            meta, config.horizon, seed=_stream_seed(config.seed, _STREAM_TRAFFIC)
+        series = traffic.generate_calibrated(
+            meta, config.horizon, _stream_seed(config.seed, _STREAM_TRAFFIC)
         )
     elif isinstance(config.traffic, GeneratorMeta):
         series = traffic.generate_from_meta(config.traffic, config.horizon)

@@ -29,7 +29,7 @@ bitwise-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "generate_fgn",
     "generate_composite",
     "generate_from_meta",
+    "generate_calibrated",
     "calibrate",
     "measure_scaling",
     "write_series_csv",
@@ -356,6 +357,18 @@ def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None
     raise ConfigError(f"unknown generator kind {meta.kind!r}")
 
 
+def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficSeries:
+    """Realize a calibrated record for `length` ticks under `seed`.
+
+    The record's depth is the calibration probe depth; a longer series is
+    drawn at depth ceil(log2(length)) instead, so lengths up to the probe
+    horizon keep the probed construction and longer ones are covered.
+    """
+    if meta.depth is not None:
+        meta = replace(meta, depth=max(meta.depth, math.ceil(math.log2(length))))
+    return generate_from_meta(meta, length, seed=seed)
+
+
 def measure_scaling(series, q_grid=fractal.DEFAULT_Q_GRID) -> tuple[float, float]:
     """(h(2), delta_h) from one MF-DFA pass; the calibration oracle."""
     spectrum = fractal.mfdfa(series, q_grid)
@@ -550,7 +563,10 @@ def read_series_csv(path) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'tick,value'")
-            values.append(float(parts[1]))
+            try:
+                values.append(float(parts[1]))
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: expected a number, got {parts[1]!r}") from None
     if not values:
         raise ConfigError(f"{path}: no data rows")
     x = np.asarray(values, dtype=float)

@@ -61,6 +61,14 @@ def test_generate_validation(tmp_path, capsys):
     assert _run(["generate", "--hurst", "0.7", "--frobnicate", "1"]) == 1
 
 
+def test_generate_calibrated_series_past_the_probe_depth(tmp_path):
+    # calibration probes at depth 14 (16384 ticks); a longer series needs more
+    out = tmp_path / "g"
+    assert _run(["generate", "--hurst", "0.8", "--delta-h", "1.0", "--length", "32768",
+                 "--out", str(out)]) == 0
+    assert len((out / "series.csv").read_text().splitlines()) == 32769
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -98,6 +106,13 @@ def test_analyze_error_codes(tmp_path, capsys):
     assert _run(["analyze", str(flat), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_analyze_non_numeric_value_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("tick,value\n0,1.0\n1,abc\n")
+    assert _run(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert f"{bad}:3:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- simulate
@@ -192,6 +207,16 @@ def test_simulate_calibration_failure_is_runtime_error(tmp_path):
         "[sim]\nhorizon = 1024\n"
     )
     assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_simulate_zero_calibration_budget_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "nobudget.ini"
+    cfg.write_text(
+        "[traffic]\nkind = calibrate\nhurst = 0.7\ndelta_h = 0.5\nbudget = 0\n"
+        "[sim]\nhorizon = 1024\n"
+    )
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "traffic.budget: must be a positive integer, got 0" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- sweep

@@ -7,9 +7,13 @@ order unless the earlier task fits nowhere, and repeat itself under the
 same seed; under threshold migration, each committed move's predicted
 post-move max SIL must equal the max SIL measured once it is applied.
 `run_scenario`, which skips quiet ticks, must report exactly what calling
-`arrivals_from_traffic` and `step` on every tick reports.
+`arrivals_from_traffic` and `step` on every tick reports. Two test-local
+oracles keep the engine's earlier, simpler forms: a step that retries the
+whole queue on every tick, and a move scorer that scores one
+(candidate, destination) pair at a time.
 """
 
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation as sim
-from mfload.metrics import ServerSpec, WeightTriple, full_report
+from mfload.metrics import ServerSpec, WeightTriple, full_report, sil_value
 from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
@@ -109,17 +113,24 @@ def _max_sil(state, w):
     )
 
 
-def _check_conservation(state):
+def _check_bookkeeping(state):
+    """Tasks are conserved, and each cached utilization triple equals its sums."""
     in_flight = state.running_count() + state.queue_len()
     assert state.arrived == state.completed + in_flight
     assert sum(len(tasks) for tasks in state.running) == state.running_count()
+    for i in range(state.n):
+        assert state.utilization(i) == (
+            max(state.cpu_sum[i], 0.0) / state.cpu_cap[i],
+            max(state.ram_sum[i], 0.0) / state.ram_cap[i],
+            max(state.net_sum[i] + state.net_surcharge[i], 0.0) / state.net_cap[i],
+        )
 
 
 @PROPERTY_SETTINGS
 @given(scenarios)
 def test_capacity_and_conservation_hold_every_tick(sc):
     state = _Recorded(sc["specs"])
-    _run(sc, state, after_step=_check_conservation)
+    _run(sc, state, after_step=_check_bookkeeping)
     assert len(state.peaks) == sc["horizon"]
     assert max(state.peaks) <= 1.0 + 1e-9
 
@@ -156,23 +167,128 @@ def test_same_seed_gives_the_same_run(sc):
     assert first == second
 
 
+def _full_retry_step(state, arrivals, policy, w):
+    """`sim.step` with the queue retried on every tick against every server.
+
+    The headroom filter runs over all servers, and every task that passes it
+    is dispatched. The retry left to `sim.step` afterwards places nothing:
+    every task still queued fit no server when this retry checked it, and
+    servers have only gained load since.
+    """
+    state.complete_expired()
+    if state.queue:
+        everyone = range(state.n)
+        fc, fr, fn = state.max_headroom(everyone)
+        waiting = []
+        for task in state.queue:
+            if task.cpu_demand <= fc and task.ram_demand <= fr and task.net_demand <= fn:
+                target = sim.dispatch(task, state, policy, w)
+                if target is not None:
+                    state.place(target, task, state.tick + task.duration)
+                    fc, fr, fn = state.max_headroom(everyone)
+                    continue
+            waiting.append(task)
+        state.queue = deque(waiting)
+    sim.step(state, arrivals, policy, w)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios, st.integers(1, 16))
+def test_freed_server_retry_equals_the_full_queue_retry(sc, window):
+    """Reports, queue order and running sets match the full retry after every tick."""
+    rng = default_rng(sc["seed"])
+    intensity = rng.random(sc["horizon"]) * 2.0
+    count_rng, demand_rng = default_rng([sc["seed"], 1]), default_rng([sc["seed"], 2])
+    state, reference = sim.ClusterState(sc["specs"]), sim.ClusterState(sc["specs"])
+    policy, w = sc["policy"], sc["w"]
+    for t in range(sc["horizon"]):
+        arrivals = sim.arrivals_from_traffic(
+            intensity, t, sc["arrival_scale"], sc["demand"], count_rng, demand_rng,
+            id_start=state.arrived,
+        )
+        sim.step(state, arrivals, policy, w)
+        _full_retry_step(reference, arrivals, policy, w)
+        assert [q.id for q in state.queue] == [q.id for q in reference.queue]
+        assert state.running == reference.running
+        if (t + 1) % window == 0:
+            assert (full_report(state.drain_window(), sc["specs"], w)
+                    == full_report(reference.drain_window(), sc["specs"], w))
+
+
+def _post_move_max_sil(state, utils, avgs, net_total, src, dst, task, w):
+    """Cluster max SIL if `task` moved src -> dst, scoring every server for this one move."""
+    dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
+    avg_c, avg_r, avg_n = avgs
+    avg_n += dn / net_total
+    worst = 0.0
+    for i, (cu, ru, nu) in enumerate(utils):
+        if i == src:
+            cu -= dc / state.cpu_cap[i]
+            ru -= dr / state.ram_cap[i]
+        elif i == dst:
+            cu += dc / state.cpu_cap[i]
+            ru += dr / state.ram_cap[i]
+            nu += dn / state.net_cap[i]
+        sil = sil_value(cu, ru, nu, avg_c, avg_r, avg_n, w)
+        if sil > worst:
+            worst = sil
+    return worst
+
+
+task_demands = st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 16.0), st.floats(0.01, 8.0))
+
+
+@PROPERTY_SETTINGS
+@given(servers.filter(lambda specs: len(specs) >= 2), weights(),
+       st.lists(st.tuples(st.integers(0, 3), task_demands), max_size=24),
+       st.lists(st.integers(0, 23), max_size=4), task_demands)
+def test_move_scores_equal_the_per_move_oracle(specs, w, placements, moved, probe):
+    """Every admissible destination of every candidate scores == the per-move oracle."""
+    state = sim.ClusterState(specs)
+    for tid, (i, (c, r, n)) in enumerate(placements):
+        task = sim.Task(tid, 0, c, r, n, 1)
+        if state.fits(i % state.n, task):
+            state.place(i % state.n, task, completes_at=100)
+    # migrations leave net surcharges on their sources
+    for tid in moved:
+        src = state._task_server.get(tid)
+        if src is not None:
+            dst = (src + 1) % state.n
+            if state.fits(dst, state.running[src][tid]):
+                state.migrate(tid, dst)
+    utils = [state.utilization(i) for i in range(state.n)]
+    avgs = sim._system_averages_now(state)
+    net_total = sum(state.net_cap)
+    probe_task = sim.Task(len(placements), 0, *probe, 1)
+    for src in range(state.n):
+        for task in [*state.running[src].values(), probe_task]:
+            expected = {
+                j: _post_move_max_sil(state, utils, avgs, net_total, src, j, task, w)
+                for j in range(state.n)
+                if j != src and state.fits(j, task)
+            }
+            assert sim._post_move_max_sils(state, utils, avgs, net_total, src, task, w) == expected
+
+
 def _migration_gaps(sc):
     """|predicted - measured| post-move max SIL for every committed move of the run."""
     w = sc["w"]
     predicted = {}
     gaps = []
-    score = sim._post_move_max_sil
+    score = sim._post_move_max_sils
 
-    def recording_score(state, utils, avgs, net_total, src, dst, task, w):
-        predicted[task.id, dst] = score(state, utils, avgs, net_total, src, dst, task, w)
-        return predicted[task.id, dst]
+    def recording_score(state, utils, avgs, net_total, src, task, w):
+        scores = score(state, utils, avgs, net_total, src, task, w)
+        for dst, value in scores.items():
+            predicted[task.id, dst] = value
+        return scores
 
     class Checked(sim.ClusterState):
         def migrate(self, task_id, dst):
             super().migrate(task_id, dst)
             gaps.append(abs(predicted[task_id, dst] - _max_sil(self, w)))
 
-    with mock.patch.object(sim, "_post_move_max_sil", recording_score):
+    with mock.patch.object(sim, "_post_move_max_sils", recording_score):
         _run(sc, Checked(sc["specs"]))
     return gaps
 

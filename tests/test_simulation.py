@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+from mfload import simulation
 from mfload.errors import ConfigError
 from mfload.metrics import ServerSpec, default_weights
 from mfload.simulation import (
@@ -352,6 +353,26 @@ def test_queue_retry_admits_a_task_that_fits_to_the_last_ulp():
     # residue + 1.0 rounds to 1.0, so the full-core task fits
     step(state, [], pol, w)
     assert state.queue_len() == 0 and state.running_count() == 1
+
+
+def test_queue_retry_waits_for_a_freed_server():
+    """A queued task that passes the all-server headroom filter yet fits nowhere.
+
+    Server 0 has cpu room but too little ram, server 1 the reverse. With
+    nothing freed the retry makes no dispatch call; once server 0's task
+    completes, it makes one and places the queued task.
+    """
+    state = ClusterState(homogeneous_cluster(2, cpu_count=1, ram_capacity=8.0, net_capacity=4.0))
+    pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
+    w = default_weights()
+    step(state, [_task(0, cpu=0.5, ram=7.0, duration=2), _task(1, cpu=0.9, ram=1.0, duration=50),
+                 _task(2, cpu=0.4, ram=4.0)], pol, w)
+    assert [t.id for t in state.queue] == [2]
+    with mock.patch.object(simulation, "dispatch", wraps=dispatch) as counted:
+        step(state, [], pol, w)
+        assert counted.call_count == 0 and state.queue_len() == 1
+        step(state, [], pol, w)  # task 0 completes
+        assert counted.call_count == 1 and state.queue_len() == 0
 
 
 def test_window_means_match_hand_average():
