@@ -20,7 +20,10 @@ Three families, one knob vocabulary:
 ``calibrate`` inverts the composite (or fGn, for near-zero delta_h targets)
 numerically: probe series are generated at a fixed probe seed, measured with
 MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
-local grid around the best probe.
+local grid around the best probe. A composite draw depends on its exponent
+only through the fGn envelope, so a call draws one envelope per run of
+probes with equal exponent and composes each probe of the run from it;
+probes are memoized and counted against the budget exactly as before.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -287,36 +290,7 @@ def generate_composite(
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
-    n = 2**depth
-    block = 2**_BURST_BLOCK_DEPTH
-    cascade_depth = depth - _BURST_BLOCK_DEPTH
-
-    env = _fgn_increments(
-        float(hurst), n, default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
-    )
-    mass = _cascade_mass(
-        cascade_depth,
-        float(multiplier_spread),
-        default_rng(SeedSequence([int(seed), _STREAM_CASCADE])),
-    )
-
-    nblocks = 2**cascade_depth
-    block_means = env.reshape(nblocks, block).mean(axis=1)
-    segs = min(_PLACEMENT_SEGMENTS, nblocks)
-    per = nblocks // segs
-    smass = np.sort(mass)
-    placed = np.empty(nblocks)
-    for s in range(segs):
-        seg_mass = smass[s::segs]  # every segs-th order statistic, ascending
-        ranks = np.argsort(np.argsort(block_means[s * per : (s + 1) * per]))
-        placed[s * per : (s + 1) * per] = seg_mass[ranks]
-    placed *= nblocks  # unit-mean block masses
-
-    v = np.repeat(placed, block) * np.exp(_ENVELOPE_LOG_SCALE * env)
-    mean = v.mean()
-    if mean <= 0.0 or not np.isfinite(mean):
-        raise EstimationError("degenerate composite draw")
-    v = _BASELINE_FRACTION + (1.0 - _BASELINE_FRACTION) * (v / mean)
+    v = _compose(_envelope(depth, hurst, seed), depth, multiplier_spread, seed)
     meta = GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
         seed=int(seed),
@@ -325,6 +299,46 @@ def generate_composite(
         multiplier_spread=float(multiplier_spread),
     )
     return _series(v, meta)
+
+
+def _envelope(depth: int, hurst: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of a composite draw that depends on `hurst` and not on the spread.
+
+    Returns each 16-tick block's slot in the ascending cascade mass, and
+    the per-tick factor exp(1.5 * envelope). Placement is stratified over
+    `segs` segments: segment s takes every segs-th order statistic from s
+    on, in the rank order of its blocks' envelope means.
+    """
+    env = _fgn_increments(
+        float(hurst), 2**depth, default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
+    )
+    nblocks = 2 ** (depth - _BURST_BLOCK_DEPTH)
+    segs = min(_PLACEMENT_SEGMENTS, nblocks)
+    per = nblocks // segs
+    block_means = env.reshape(nblocks, -1).mean(axis=1)
+    slots = np.empty(nblocks, dtype=np.intp)
+    for s in range(segs):
+        ranks = np.argsort(np.argsort(block_means[s * per : (s + 1) * per]))
+        slots[s * per : (s + 1) * per] = s + segs * ranks
+    return slots, np.exp(_ENVELOPE_LOG_SCALE * env)
+
+
+def _compose(
+    envelope: tuple[np.ndarray, np.ndarray], depth: int, spread: float, seed: int
+) -> np.ndarray:
+    """Composite values from an :func:`_envelope` and a cascade of `spread`."""
+    slots, factor = envelope
+    mass = _cascade_mass(
+        depth - _BURST_BLOCK_DEPTH,
+        float(spread),
+        default_rng(SeedSequence([int(seed), _STREAM_CASCADE])),
+    )
+    placed = np.sort(mass)[slots] * slots.size  # unit-mean block masses
+    v = np.repeat(placed, 2**_BURST_BLOCK_DEPTH) * factor
+    mean = v.mean()
+    if mean <= 0.0 or not np.isfinite(mean):
+        raise EstimationError("degenerate composite draw")
+    return _BASELINE_FRACTION + (1.0 - _BASELINE_FRACTION) * (v / mean)
 
 
 def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None) -> TrafficSeries:
@@ -369,8 +383,14 @@ def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficS
     return generate_from_meta(meta, length, seed=seed)
 
 
-def measure_scaling(series, q_grid=fractal.DEFAULT_Q_GRID) -> tuple[float, float]:
-    """(h(2), delta_h) from one MF-DFA pass; the calibration oracle."""
+def measure_scaling(series) -> tuple[float, float]:
+    """(h(2), delta_h) from one MF-DFA pass; the calibration oracle.
+
+    MF-DFA fits each moment order on its own, so fitting only the default
+    grid's two ends and q=2 gives bitwise the default grid's h(2) and
+    delta_h.
+    """
+    q_grid = (fractal.DEFAULT_Q_GRID[0], 2.0, fractal.DEFAULT_Q_GRID[-1])
     spectrum = fractal.mfdfa(series, q_grid)
     return spectrum.h_at(2.0), spectrum.delta_h
 
@@ -403,6 +423,10 @@ def calibrate(
     grid of (envelope exponent, spread), then up to three 5 x 3 local grids
     around the best probe, halving the exponent step and square-rooting the
     spread factor each round; the fGn family iterates its one exponent.
+    Both grids visit exponent-major, and a composite probe reuses the fGn
+    envelope of the probe built before it when their exponents are equal,
+    so a call draws one envelope per run of equal exponents. The reuse is
+    exact: probes, memo contents and budget counting are unchanged.
 
     Parameters
     ----------
@@ -442,6 +466,9 @@ def calibrate(
     if probes is None:
         probes = {}
     visited: set[tuple] = set()
+    # the envelope of the last composite probe built; the grids visit
+    # H-major, so one entry catches nearly every reuse
+    envelope_hurst, envelope = None, None
 
     def score(measured: tuple[float, float]) -> float:
         return max(
@@ -450,6 +477,7 @@ def calibrate(
         )
 
     def probe(knobs: tuple) -> tuple[float, float]:
+        nonlocal envelope_hurst, envelope
         if knobs not in visited:
             if len(visited) >= budget:
                 raise _BudgetExhausted()
@@ -458,7 +486,10 @@ def calibrate(
             if len(knobs) == 1:
                 series = generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)
             else:
-                series = generate_composite(_PROBE_DEPTH, knobs[0], knobs[1], _PROBE_SEED)
+                if knobs[0] != envelope_hurst:
+                    envelope_hurst = knobs[0]
+                    envelope = _envelope(_PROBE_DEPTH, envelope_hurst, _PROBE_SEED)
+                series = _compose(envelope, _PROBE_DEPTH, knobs[1], _PROBE_SEED)
             probes[knobs] = measure_scaling(series)
         return probes[knobs]
 

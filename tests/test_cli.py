@@ -281,14 +281,22 @@ def test_sweep_zero_budget_names_its_key(tmp_path, capsys):
 
 
 def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):
+    # a composite probe is composed from the envelope of its exponent; the
+    # exponent of the envelope last drawn names the probe being composed
     calls = Counter()
-    original = traffic.generate_composite
+    drawn = []
+    envelope, compose = traffic._envelope, traffic._compose
 
-    def counted(depth, hurst, multiplier_spread, seed):
-        calls[(depth, hurst, multiplier_spread, seed)] += 1
-        return original(depth, hurst, multiplier_spread, seed)
+    def drawn_envelope(depth, hurst, seed):
+        drawn.append(hurst)
+        return envelope(depth, hurst, seed)
 
-    monkeypatch.setattr(traffic, "generate_composite", counted)
+    def counted(env, depth, spread, seed):
+        calls[(depth, drawn[-1], spread, seed)] += 1
+        return compose(env, depth, spread, seed)
+
+    monkeypatch.setattr(traffic, "_envelope", drawn_envelope)
+    monkeypatch.setattr(traffic, "_compose", counted)
     cfg = tmp_path / "pair.ini"
     cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.6:1.5 0.6:2.5\n")
     assert _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
+from mfload import traffic
 from mfload.errors import CalibrationError, ConfigError
 from mfload.fractal import mfdfa
 from mfload.traffic import (
@@ -120,6 +122,35 @@ def test_composite_width_responds_to_spread():
         if measure_scaling(narrow)[1] < measure_scaling(wide)[1]:
             ok += 1
     assert ok >= 2
+
+
+def _monolithic_composite(depth, hurst, spread, seed):
+    """The composite construction written out in one piece, segment by segment."""
+    n, block = 2**depth, 16
+    env = traffic._fgn_increments(hurst, n, default_rng(SeedSequence([seed, 1])))
+    mass = traffic._cascade_mass(depth - 4, spread, default_rng(SeedSequence([seed, 2])))
+    nblocks = n // block
+    block_means = env.reshape(nblocks, block).mean(axis=1)
+    segs = min(16, nblocks)
+    per = nblocks // segs
+    smass = np.sort(mass)
+    placed = np.empty(nblocks)
+    for s in range(segs):
+        ranks = np.argsort(np.argsort(block_means[s * per : (s + 1) * per]))
+        placed[s * per : (s + 1) * per] = smass[s::segs][ranks]
+    placed *= nblocks
+    v = np.repeat(placed, block) * np.exp(1.5 * env)
+    return 0.35 + 0.65 * (v / v.mean())
+
+
+@pytest.mark.parametrize("depth", (5, 9, 14))
+def test_composite_matches_the_monolithic_construction(depth):
+    # spread 1e-10 takes the point-mass w = 0.5 branch of the cascade
+    for hurst in (0.55, 0.75, 0.95):
+        for spread in (1e-10, 0.35, 2.0):
+            for seed in (0, 167):
+                got = generate_composite(depth, hurst, spread, seed).values
+                assert np.array_equal(got, _monolithic_composite(depth, hurst, spread, seed))
 
 
 # ------------------------------------------------------------ series object
@@ -255,12 +286,43 @@ def test_warm_probe_memo_still_counts_against_the_budget():
     assert warm.value.residuals == cold.value.residuals
 
 
+def test_calibrate_draws_one_envelope_per_run_of_equal_hurst(monkeypatch):
+    draws = []
+    original = traffic._fgn_increments
+
+    def counted(hurst, n, rng):
+        draws.append(hurst)
+        return original(hurst, n, rng)
+
+    monkeypatch.setattr(traffic, "_fgn_increments", counted)
+    probes = {}
+    meta = calibrate(0.9, 2.5, probes=probes)
+    hursts = [knobs[0] for knobs in probes]
+    runs = 1 + sum(a != b for a, b in zip(hursts, hursts[1:]))
+    assert len(probes) == 64
+    assert len(draws) == runs == 19
+    assert meta == GeneratorMeta(
+        kind=GeneratorKind.COMPOSITE,
+        seed=167,
+        depth=14,
+        target_hurst=0.975,
+        target_delta_h=2.5,
+        multiplier_spread=0.592128,
+    )
+
+
 def test_measure_scaling_matches_mfdfa():
-    series = generate_cascade(depth=12, multiplier_spread=0.6, seed=11)
-    h, dh = measure_scaling(series)
-    spec = mfdfa(series.values)
-    assert h == spec.h_at(2.0)
-    assert dh == spec.delta_h
+    for values in (
+        generate_cascade(depth=12, multiplier_spread=0.6, seed=11).values,
+        generate_composite(depth=14, hurst=0.8, multiplier_spread=0.7, seed=4).values,
+        generate_fgn(hurst=0.7, length=3000, seed=2).values,  # scales that do not divide n
+        # 32 ticks, repeated up to MF-DFA's 1024-sample minimum
+        np.tile(generate_composite(depth=5, hurst=0.6, multiplier_spread=0.5, seed=1).values, 32),
+    ):
+        h, dh = measure_scaling(values)
+        spec = mfdfa(values)
+        assert h == spec.h_at(2.0)
+        assert dh == spec.delta_h
 
 
 # -------------------------------------------------------------------- csv
