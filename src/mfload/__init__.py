@@ -6,6 +6,8 @@ discrete-time cluster simulator (`simulation`), and the config/CLI shell
 (`config`, `cli`). The most used names are re-exported here.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -30,7 +32,6 @@ from .metrics import (
     ServerSpec,
     SystemAverages,
     WeightTriple,
-    average_utilization,
     composite_load,
     default_weights,
     efficiency,
@@ -74,61 +75,8 @@ from .traffic import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; submodules bound by the imports are not exports
 __all__ = [
-    "CalibrationError",
-    "ConfigError",
-    "DegenerateSeriesError",
-    "DomainError",
-    "EstimationError",
-    "InsufficientDataError",
-    "DEFAULT_Q_GRID",
-    "HurstEstimate",
-    "HurstMethod",
-    "MultifractalSpectrum",
-    "estimate_hurst_dfa",
-    "estimate_hurst_rs",
-    "mfdfa",
-    "structure_function",
-    "ImbalanceReport",
-    "ResourceUtilization",
-    "ServerSpec",
-    "SystemAverages",
-    "WeightTriple",
-    "average_utilization",
-    "composite_load",
-    "default_weights",
-    "efficiency",
-    "full_report",
-    "resource_imbalance",
-    "server_sil",
-    "system_averages",
-    "system_sil",
-    "total_imbalance",
-    "CalibrationTarget",
-    "ClusterState",
-    "DemandParams",
-    "Policy",
-    "PolicyKind",
-    "ScenarioConfig",
-    "ServiceClass",
-    "Task",
-    "arrivals_from_traffic",
-    "dispatch",
-    "homogeneous_cluster",
-    "reference_cluster",
-    "rebalance",
-    "run_scenario",
-    "step",
-    "GeneratorKind",
-    "GeneratorMeta",
-    "TrafficSeries",
-    "calibrate",
-    "generate_cascade",
-    "generate_composite",
-    "generate_fgn",
-    "generate_from_meta",
-    "measure_scaling",
-    "read_series_csv",
-    "write_series_csv",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -71,10 +71,6 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -111,7 +107,7 @@ def _q_grid(args) -> tuple[float, ...]:
 def cmd_generate(args) -> int:
     if args.length < 64:
         raise ConfigError("--length must be at least 64")
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     if args.delta_h <= 0.0:
         series = traffic.generate_fgn(args.hurst, args.length, args.seed)
     else:
@@ -126,7 +122,7 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     values = traffic.read_series_csv(args.series)
     spectrum = fractal.mfdfa(values, _q_grid(args))
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "spectrum.csv")
     fractal.write_spectrum_csv(path, spectrum)
     print(f"# H={spectrum.h_at(2.0):.12g} dH={spectrum.delta_h:.12g}")
@@ -153,7 +149,7 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
 
     `probes` is the calibration probe memo, shared by the cells of a sweep.
     """
-    _ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     started = _now()
 
     # one realization feeds both the measurement and the run
@@ -218,7 +214,7 @@ def cmd_sweep(args) -> int:
                 f"both write {name}"
             )
         named[name] = (hurst, delta_h)
-    _ensure_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
 
     # one probe memo per sweep: the cells' calibrations revisit the same probes
     probes = {}
@@ -272,10 +268,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

@@ -124,30 +124,38 @@ def _as_values(series) -> np.ndarray:
     return x
 
 
-def default_scales(length: int, lo: int = 16, count: int = 20) -> np.ndarray:
-    """~`count` log-spaced integer scales in [lo, length/4], deduplicated."""
-    hi = length // 4
-    if hi <= lo:
-        raise InsufficientDataError(
-            f"series length {length} leaves no scales in [{lo}, length/4]"
-        )
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), count))
-    return np.unique(np.round(grid).astype(int))
+def _log_scales(lo: int, hi: int) -> np.ndarray:
+    """20 log-spaced integer scales in [lo, hi], deduplicated."""
+    return np.unique(np.round(np.exp(np.linspace(np.log(lo), np.log(hi), 20))).astype(int))
 
 
-def _resolve_scales(n: int, scale_range, lo_floor: int) -> np.ndarray:
+def default_scales(length: int) -> np.ndarray:
+    """~20 log-spaced integer scales in [16, length/4], deduplicated."""
+    if length // 4 <= 16:
+        raise InsufficientDataError(f"series length {length} leaves no scales in [16, length/4]")
+    return _log_scales(16, length // 4)
+
+
+def _resolve_scales(n: int, scale_range) -> np.ndarray:
     if scale_range is None:
         return default_scales(n)
     lo, hi = int(scale_range[0]), int(scale_range[1])
-    if lo < lo_floor or hi > n // 4 or lo >= hi:
-        raise ConfigError(
-            f"scale_range ({lo}, {hi}) must satisfy {lo_floor} <= min < max <= length/4 = {n // 4}"
-        )
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), 20))
-    scales = np.unique(np.round(grid).astype(int))
+    if lo < 8 or hi > n // 4 or lo >= hi:
+        raise ConfigError(f"scale_range ({lo}, {hi}) must satisfy 8 <= min < max <= length/4 = {n // 4}")
+    scales = _log_scales(lo, hi)
     if scales.size < 4:
         raise ConfigError(f"scale_range ({lo}, {hi}) yields fewer than 4 distinct scales")
     return scales
+
+
+def _checked(series, min_samples: int, method: str, scale_range) -> tuple[np.ndarray, np.ndarray]:
+    """Shared estimator prologue: a non-constant float vector and its scale grid."""
+    x = _as_values(series)
+    if x.size < min_samples:
+        raise InsufficientDataError(f"{method} needs at least {min_samples} samples, got {x.size}")
+    if np.ptp(x) == 0.0:
+        raise DegenerateSeriesError("constant series has zero fluctuation at all scales")
+    return x, _resolve_scales(x.size, scale_range)
 
 
 def _segment_f2(profile: np.ndarray, scale: int) -> np.ndarray:
@@ -231,12 +239,7 @@ def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> Hu
     DegenerateSeriesError
         If the series has no fluctuation structure (constant input).
     """
-    x = _as_values(series)
-    if x.size < 256:
-        raise InsufficientDataError(f"DFA needs at least 256 samples, got {x.size}")
-    if np.ptp(x) == 0.0:
-        raise DegenerateSeriesError("constant series has zero fluctuation at all scales")
-    scales = _resolve_scales(x.size, scale_range, lo_floor=8)
+    x, scales = _checked(series, 256, "DFA", scale_range)
     f2_per_scale = _fluctuation_matrix(x, scales)
     f = np.array([_fq(f2, 2.0) for f2 in f2_per_scale])
     if np.max(f) < _MASS_FLOOR:
@@ -256,13 +259,7 @@ def estimate_hurst_rs(series, scale_range: tuple[int, int] | None = None) -> Hur
     Coarser than DFA (no detrending beyond the segment mean) but useful as
     an independent sanity check on persistence.
     """
-    x = _as_values(series)
-    if x.size < 256:
-        raise InsufficientDataError(f"R/S needs at least 256 samples, got {x.size}")
-    if np.ptp(x) == 0.0:
-        raise DegenerateSeriesError("constant series has zero range at all scales")
-    scales = _resolve_scales(x.size, scale_range, lo_floor=8)
-
+    x, scales = _checked(series, 256, "R/S", scale_range)
     rs = np.empty(scales.size)
     for j, s in enumerate(scales):
         ns = x.size // int(s)
@@ -306,20 +303,13 @@ def mfdfa(
     MultifractalSpectrum
         h(q), per-q intercepts, and delta_h = h(q_min) - h(q_max).
     """
-    x = _as_values(series)
-    if x.size < MFDFA_MIN_SAMPLES:
-        raise InsufficientDataError(f"MF-DFA needs at least {MFDFA_MIN_SAMPLES} samples, got {x.size}")
+    x, scales = _checked(series, MFDFA_MIN_SAMPLES, "MF-DFA", scale_range)
     q = tuple(float(v) for v in q_grid)
+    # MultifractalSpectrum checks that the grid ascends
     if len(q) == 0:
         raise ConfigError("q_grid is empty")
-    if any(b <= a for a, b in zip(q, q[1:])):
-        raise ConfigError("q_grid must be strictly ascending")
     if 2.0 not in q:
         raise ConfigError("q_grid must contain q=2 (h(2) anchors the spectrum)")
-    if np.ptp(x) == 0.0:
-        raise DegenerateSeriesError("constant series has zero fluctuation at all scales")
-
-    scales = _resolve_scales(x.size, scale_range, lo_floor=8)
     f2_per_scale = _fluctuation_matrix(x, scales)
     if max(float(np.max(f2)) for f2 in f2_per_scale) < _F2_FLOOR * 10:
         raise DegenerateSeriesError("fluctuations vanish at every scale")

@@ -25,7 +25,6 @@ __all__ = [
     "SystemAverages",
     "WeightTriple",
     "ImbalanceReport",
-    "average_utilization",
     "system_averages",
     "resource_imbalance",
     "total_imbalance",
@@ -139,25 +138,6 @@ class ImbalanceReport:
             raise ConfigError("isl_tot must equal mean(sil)")
 
 
-def average_utilization(
-    samples: Sequence[tuple[float, float, float]], window: int
-) -> ResourceUtilization:
-    """Arithmetic mean of instantaneous (cpu, ram, net) triples over a window."""
-    if len(samples) == 0:
-        raise InsufficientDataError("cannot average an empty sample window")
-    if window != len(samples):
-        raise ConfigError(f"window {window} != number of samples {len(samples)}")
-    acc = [0.0, 0.0, 0.0]
-    for s in samples:
-        for j in range(3):
-            v = s[j]
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"instantaneous utilization {v} outside [0,1]")
-            acc[j] += v
-    n = float(len(samples))
-    return ResourceUtilization(cpu=acc[0] / n, ram=acc[1] / n, net=acc[2] / n, window=window)
-
-
 def _check_aligned(utils: Sequence[ResourceUtilization], specs: Sequence[ServerSpec]) -> None:
     if len(utils) == 0 or len(specs) == 0:
         raise InsufficientDataError("need at least one server")
@@ -172,6 +152,8 @@ def system_averages(
     utils: Sequence[ResourceUtilization], specs: Sequence[ServerSpec]
 ) -> SystemAverages:
     """Capacity-weighted cluster averages: CPUs weight cpu, capacities weight ram/net."""
+    # the same quantity as simulation._system_averages_now, summed in another float order;
+    # kept apart because one shared sum would move the bits of the outputs
     _check_aligned(utils, specs)
     cpu_w = sum(s.cpu_count for s in specs)
     ram_w = sum(s.ram_capacity for s in specs)
@@ -239,7 +221,6 @@ def full_report(
     w: WeightTriple,
 ) -> ImbalanceReport:
     """Compose all the metrics above into one report for a window."""
-    _check_aligned(utils, specs)
     avgs = system_averages(utils, specs)
     isl_cpu = resource_imbalance((u.cpu for u in utils), avgs.cpu_all)
     isl_ram = resource_imbalance((u.ram for u in utils), avgs.ram_all)

@@ -102,13 +102,18 @@ class Policy:
 
     ThresholdMigration dispatches like LeastComposite and additionally runs
     a migration pass each tick while the maximum per-server SIL exceeds
-    ``migration_threshold``.
+    ``migration_threshold``. ``kind`` may be given as its string value.
     """
 
     kind: PolicyKind
     migration_threshold: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", PolicyKind(self.kind))
+        except ValueError:
+            names = sorted(k.value for k in PolicyKind)
+            raise ConfigError(f"policy.kind: expected one of {names}, got {self.kind!r}") from None
         if not (math.isfinite(self.migration_threshold) and self.migration_threshold >= 0.0):
             raise ConfigError(f"migration_threshold must be finite and non-negative, got {self.migration_threshold}")
 
@@ -476,6 +481,8 @@ class ClusterState:
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
     """Capacity-weighted instantaneous averages over the cluster."""
+    # the same quantity as metrics.system_averages, summed in another float order;
+    # kept apart because one shared sum would move the bits of the outputs
     net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
     return (sum(state.cpu_sum) / sum(state.cpu_cap), sum(state.ram_sum) / sum(state.ram_cap),
             net / sum(state.net_cap))
@@ -593,21 +600,19 @@ def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -
     if kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.THRESHOLD_MIGRATION):
         return min(admissible, key=lambda i: composite_load(*state.utilization(i), w), default=None)
 
-    if kind is PolicyKind.LEAST_SIL:
-        if not admissible:
-            return None
-        avgs = _system_averages_now(state)
+    # least_sil
+    if not admissible:
+        return None
+    avgs = _system_averages_now(state)
 
-        def post_place_sil(i):
-            cu, ru, nu = state.utilization(i)
-            cu += task.cpu_demand / state.cpu_cap[i]
-            ru += task.ram_demand / state.ram_cap[i]
-            nu += task.net_demand / state.net_cap[i]
-            return sil_value(cu, ru, nu, *avgs, w)
+    def post_place_sil(i):
+        cu, ru, nu = state.utilization(i)
+        cu += task.cpu_demand / state.cpu_cap[i]
+        ru += task.ram_demand / state.ram_cap[i]
+        nu += task.net_demand / state.net_cap[i]
+        return sil_value(cu, ru, nu, *avgs, w)
 
-        return min(admissible, key=post_place_sil)
-
-    raise ConfigError(f"unknown policy kind {kind!r}")
+    return min(admissible, key=post_place_sil)
 
 
 def _post_move_max_sils(state: ClusterState, utils, avgs, net_total: float,

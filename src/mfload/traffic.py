@@ -98,7 +98,8 @@ class GeneratorMeta:
     ``target_hurst`` is the exponent handed to the generator (for the
     composite kind that is the envelope exponent, not a promise about the
     measured value); ``multiplier_spread`` and ``depth`` apply to the
-    cascade-bearing kinds only.
+    cascade-bearing kinds only. Each generator builds its record before it
+    draws, so these checks are also its argument checks.
     """
 
     kind: GeneratorKind
@@ -133,7 +134,6 @@ class TrafficSeries:
     """A finite non-negative load-intensity series with its generation record."""
 
     values: np.ndarray
-    tick_count: int
     meta: GeneratorMeta | None
 
     def __post_init__(self):
@@ -145,8 +145,6 @@ class TrafficSeries:
             raise ConfigError("values must be finite")
         if np.min(x) < 0.0:
             raise ConfigError("load intensities must be non-negative")
-        if self.tick_count != x.size:
-            raise ConfigError(f"tick_count {self.tick_count} != len(values) {x.size}")
         if (
             self.meta is not None
             and self.meta.kind is GeneratorKind.CASCADE
@@ -158,11 +156,7 @@ class TrafficSeries:
         object.__setattr__(self, "values", x)
 
     def __len__(self) -> int:
-        return self.tick_count
-
-
-def _series(values: np.ndarray, meta: GeneratorMeta | None) -> TrafficSeries:
-    return TrafficSeries(values=values, tick_count=int(np.asarray(values).size), meta=meta)
+        return self.values.size
 
 
 def _fgn_increments(hurst: float, n: int, rng) -> np.ndarray:
@@ -224,19 +218,14 @@ def generate_cascade(depth: int, multiplier_spread: float, seed: int) -> Traffic
     """
     if not (1 <= depth <= 24):
         raise ConfigError(f"depth must lie in [1, 24], got {depth}")
-    if multiplier_spread <= 0.0:
-        raise ConfigError(f"multiplier_spread must be positive, got {multiplier_spread}")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    rng = default_rng(SeedSequence([int(seed), _STREAM_CASCADE]))
-    mass = _cascade_mass(depth, multiplier_spread, rng)
     meta = GeneratorMeta(
         kind=GeneratorKind.CASCADE,
         seed=int(seed),
         depth=depth,
         multiplier_spread=float(multiplier_spread),
     )
-    return _series(mass, meta)
+    rng = default_rng(SeedSequence([int(seed), _STREAM_CASCADE]))
+    return TrafficSeries(values=_cascade_mass(depth, multiplier_spread, rng), meta=meta)
 
 
 def generate_fgn(hurst: float, length: int, seed: int) -> TrafficSeries:
@@ -246,20 +235,16 @@ def generate_fgn(hurst: float, length: int, seed: int) -> TrafficSeries:
     mean; affine maps preserve the scaling exponents, so a DFA estimate on
     the output recovers `hurst`.
     """
-    if not (0.0 < hurst < 1.0):
-        raise ConfigError(f"hurst must lie strictly in (0,1), got {hurst}")
     if length < 64:
         raise ConfigError(f"length must be >= 64, got {length}")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=int(seed), target_hurst=float(hurst))
     rng = default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
     x = _fgn_increments(float(hurst), int(length), rng)
     x = x - x.min()
     mean = x.mean()
     if mean <= 0.0:
         raise EstimationError("degenerate fGn draw: zero mean after shift")
-    meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=int(seed), target_hurst=float(hurst))
-    return _series(x / mean, meta)
+    return TrafficSeries(values=x / mean, meta=meta)
 
 
 def generate_composite(
@@ -283,14 +268,6 @@ def generate_composite(
     """
     if not (5 <= depth <= 24):
         raise ConfigError(f"composite depth must lie in [5, 24], got {depth}")
-    if not (0.0 < hurst < 1.0):
-        raise ConfigError(f"hurst must lie strictly in (0,1), got {hurst}")
-    if multiplier_spread <= 0.0:
-        raise ConfigError(f"multiplier_spread must be positive, got {multiplier_spread}")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-
-    v = _compose(_envelope(depth, hurst, seed), depth, multiplier_spread, seed)
     meta = GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
         seed=int(seed),
@@ -298,7 +275,8 @@ def generate_composite(
         target_hurst=float(hurst),
         multiplier_spread=float(multiplier_spread),
     )
-    return _series(v, meta)
+    v = _compose(_envelope(depth, hurst, seed), depth, multiplier_spread, seed)
+    return TrafficSeries(values=v, meta=meta)
 
 
 def _envelope(depth: int, hurst: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -539,22 +517,15 @@ def calibrate(
 
     measured = probes[best]
     residuals = (measured[0] - target_hurst, measured[1] - target_delta_h)
-    if len(best) == 1:
-        meta = GeneratorMeta(
-            kind=GeneratorKind.FGN,
-            seed=_PROBE_SEED,
-            target_hurst=float(best[0]),
-            target_delta_h=float(target_delta_h),
-        )
-    else:
-        meta = GeneratorMeta(
-            kind=GeneratorKind.COMPOSITE,
-            seed=_PROBE_SEED,
-            depth=_PROBE_DEPTH,
-            target_hurst=float(best[0]),
-            target_delta_h=float(target_delta_h),
-            multiplier_spread=float(best[1]),
-        )
+    composite = len(best) == 2
+    meta = GeneratorMeta(
+        kind=GeneratorKind.COMPOSITE if composite else GeneratorKind.FGN,
+        seed=_PROBE_SEED,
+        depth=_PROBE_DEPTH if composite else None,
+        target_hurst=float(best[0]),
+        target_delta_h=float(target_delta_h),
+        multiplier_spread=float(best[1]) if composite else None,
+    )
     if score(measured) > 1.0:
         raise CalibrationError(
             f"calibration exhausted budget {budget}: best measured "

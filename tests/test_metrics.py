@@ -16,7 +16,6 @@ from mfload.metrics import (
     ServerSpec,
     SystemAverages,
     WeightTriple,
-    average_utilization,
     default_weights,
     efficiency,
     full_report,
@@ -63,35 +62,6 @@ def _brute_report(utils, specs, w):
         "isl_tot": float(sil.mean()),
         "efficiency": eff,
     }
-
-
-# ---------------------------------------------------------------- averaging
-
-
-def test_average_utilization_constant_input():
-    got = average_utilization([(0.5, 0.5, 0.5)] * 4, window=4)
-    assert (got.cpu, got.ram, got.net) == (0.5, 0.5, 0.5)
-
-
-def test_average_utilization_arithmetic_mean():
-    got = average_utilization([(0.2, 0.0, 1.0), (0.4, 0.0, 1.0), (0.6, 0.0, 1.0)], window=3)
-    assert got.cpu == pytest.approx(0.4, abs=1e-15)
-    assert got.ram == 0.0
-    assert got.net == 1.0
-
-
-def test_average_utilization_single_sample_identity():
-    got = average_utilization([(0.3, 0.7, 0.1)], window=1)
-    assert (got.cpu, got.ram, got.net, got.window) == (0.3, 0.7, 0.1, 1)
-
-
-def test_average_utilization_rejects_bad_input():
-    with pytest.raises(InsufficientDataError):
-        average_utilization([], window=0)
-    with pytest.raises(ConfigError):
-        average_utilization([(0.5, 0.5, 1.2)], window=1)
-    with pytest.raises(ConfigError):
-        average_utilization([(0.5, 0.5, 0.5)] * 3, window=4)
 
 
 # ---------------------------------------------------------- system averages

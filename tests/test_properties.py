@@ -352,7 +352,7 @@ def test_run_scenario_equals_the_per_tick_reference(sc, extra_ticks, window, qui
     horizon = 256 + extra_ticks
     rng = default_rng(sc["seed"])
     values = np.where(rng.random(horizon) < quiet_share, 0.0, rng.random(horizon) * 2.0)
-    series = TrafficSeries(values=values, tick_count=horizon, meta=None)
+    series = TrafficSeries(values=values, meta=None)
     config = sim.ScenarioConfig(
         traffic=_UNUSED_TRAFFIC, cluster=sc["specs"], weights=sc["w"], policy=sc["policy"],
         horizon=horizon, window=window, arrival_scale=sc["arrival_scale"],
@@ -368,7 +368,7 @@ def test_a_move_lets_a_queued_task_in_on_the_next_tick_without_other_events():
     engine that skipped it would place the task a tick late.
     """
     values = np.where(np.arange(256) % 7 == 0, 1.0, 0.0)
-    series = TrafficSeries(values=values, tick_count=256, meta=None)
+    series = TrafficSeries(values=values, meta=None)
     config = sim.ScenarioConfig(
         traffic=_UNUSED_TRAFFIC,
         cluster=tuple(ServerSpec(i, 1, 8.0, 4.0) for i in range(3)),

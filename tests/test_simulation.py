@@ -309,6 +309,24 @@ def test_every_committed_move_lowers_max_sil():
     assert violations == []
 
 
+def test_policy_kind_given_as_a_string():
+    pol = Policy(kind="threshold_migration", migration_threshold=0.001)
+    assert pol.kind is PolicyKind.THRESHOLD_MIGRATION
+    assert pol == Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.001)
+    meta = GeneratorMeta(kind=GeneratorKind.COMPOSITE, seed=1, depth=12,
+                         target_hurst=0.85, multiplier_spread=0.8)
+    runs = []
+    for policy in (pol, Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.001)):
+        config = ScenarioConfig(traffic=meta, policy=policy, horizon=4096, arrival_scale=1.0, seed=1)
+        with mock.patch.object(ClusterState, "migrate", autospec=True,
+                               side_effect=ClusterState.migrate) as moves:
+            runs.append((run_scenario(config), moves.call_count))
+    assert runs[0][1] > 0
+    assert runs[0] == runs[1]
+    with pytest.raises(ConfigError, match="policy.kind"):
+        Policy(kind="bogus")
+
+
 # -------------------------------------------------------------------- step
 
 
@@ -490,14 +508,14 @@ def test_run_scenario_accepts_the_resolved_series():
     _, series = resolve_traffic(cfg)
     assert run_scenario(cfg, series) == run_scenario(cfg)
     # the given series is the one simulated: no traffic, no load
-    idle = TrafficSeries(values=np.zeros(1024), tick_count=1024, meta=None)
+    idle = TrafficSeries(values=np.zeros(1024), meta=None)
     assert all(r.efficiency == 0.0 for r in run_scenario(cfg, idle))
 
 
 def _spiked(n, spike_at):
     values = np.full(n, 0.05)
     values[spike_at] = values[spike_at + 50] = 0.2
-    return TrafficSeries(values=values, tick_count=n, meta=None)
+    return TrafficSeries(values=values, meta=None)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +523,7 @@ def _spiked(n, spike_at):
     [
         # 1e7 * 0.2 = 2e6 is over the 1e6 cap at ticks 300 and 350; 5e5 elsewhere is not
         (_spiked(1024, 300), 1e7, r"arrival_scale 1e\+07 puts tick 300's"),
-        (TrafficSeries(values=np.ones(1000), tick_count=1000, meta=None), 0.3,
+        (TrafficSeries(values=np.ones(1000), meta=None), 0.3,
          "series has 1000 ticks, fewer than the horizon 1024"),
     ],
     ids=["mean_over_cap", "series_too_short"],

@@ -66,6 +66,20 @@ def test_cascade_argument_validation():
         generate_cascade(depth=8, multiplier_spread=0.5, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "generate, args",
+    [
+        (generate_cascade, (8, float("inf"), 0)),
+        (generate_composite, (10, 0.7, float("inf"), 0)),
+        (generate_composite, (10, 0.7, float("nan"), 0)),
+    ],
+    ids=["cascade-inf", "composite-inf", "composite-nan"],
+)
+def test_non_finite_spread_is_a_config_error(generate, args):
+    with pytest.raises(ConfigError, match="multiplier_spread"):
+        generate(*args)
+
+
 def test_cascade_width_grows_with_spread():
     # wider multiplier distributions concentrate more mass, which shows up
     # as a wider range of local exponents; demand a seed majority
@@ -158,12 +172,10 @@ def test_composite_matches_the_monolithic_construction(depth):
 
 def test_series_invariants():
     with pytest.raises(ConfigError):
-        TrafficSeries(values=np.array([1.0, -0.5]), tick_count=2, meta=None)
-    with pytest.raises(ConfigError):
-        TrafficSeries(values=np.ones(4), tick_count=3, meta=None)
+        TrafficSeries(values=np.array([1.0, -0.5]), meta=None)
     meta = GeneratorMeta(kind=GeneratorKind.CASCADE, seed=0, depth=3, multiplier_spread=0.5)
     with pytest.raises(ConfigError):
-        TrafficSeries(values=np.ones(4), tick_count=4, meta=meta)  # 2**3 != 4
+        TrafficSeries(values=np.ones(4), meta=meta)  # 2**3 != 4
 
 
 def test_series_values_read_only():
@@ -172,7 +184,7 @@ def test_series_values_read_only():
         series.values[0] = 9.0
     # the series freezes its own copy, not the caller's array
     own = np.ones(4)
-    wrapped = TrafficSeries(values=own, tick_count=4, meta=None)
+    wrapped = TrafficSeries(values=own, meta=None)
     assert own.flags.writeable
     own[0] = 2.0
     assert wrapped.values[0] == 1.0
