@@ -32,7 +32,7 @@ from .simulation import (
     homogeneous_cluster,
     reference_cluster,
 )
-from .traffic import GeneratorKind, GeneratorMeta
+from .traffic import GeneratorKind, GeneratorMeta, check_calibration_targets
 
 __all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_config_text"]
 
@@ -101,11 +101,9 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
     if kind == "calibrate":
         if "hurst" not in sec or "delta_h" not in sec:
             raise ConfigError("traffic.kind=calibrate requires traffic.hurst and traffic.delta_h")
-        return CalibrationTarget(
-            hurst=_get(sec, "traffic", "hurst", 0.0),
-            delta_h=_get(sec, "traffic", "delta_h", 0.0),
-            budget=_get_budget(sec, "traffic"),
-        )
+        hurst, delta_h = _get(sec, "traffic", "hurst", 0.0), _get(sec, "traffic", "delta_h", 0.0)
+        check_calibration_targets(hurst, delta_h, "traffic.hurst", "traffic.delta_h")
+        return CalibrationTarget(hurst=hurst, delta_h=delta_h, budget=_get_budget(sec, "traffic"))
     if kind == "fgn":
         return GeneratorMeta(
             kind=GeneratorKind.FGN,
@@ -264,9 +262,12 @@ def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
         if len(parts) != 2:
             raise ConfigError(f"sweep.grid: expected H:delta_h, got {token!r}")
         try:
-            cells.append((float(parts[0]), float(parts[1])))
+            hurst, delta_h = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"sweep.grid: {exc}") from exc
+        where = f"sweep.grid: cell {token!r}:"
+        check_calibration_targets(hurst, delta_h, f"{where} H", f"{where} delta_h")
+        cells.append((hurst, delta_h))
     if not cells:
         raise ConfigError("sweep.grid: no cells given")
     return cells, _get_budget(sec, "sweep")

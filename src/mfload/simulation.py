@@ -15,7 +15,8 @@ other (quiet) tick nothing can change: every queued task failed to fit at
 the end of the tick before and no capacity has been freed since, and the
 migration pass found no move in the same state. So a quiet tick only
 repeats the last utilization sample, which the window keeps as a
-(row, span) segment.
+(row, span) segment. The loop jumps from event tick to event tick, holding
+each quiet run at once, and averages closed windows in batches.
 
 Capacity is hard: a task is admitted only if it fits every resource, else
 it waits in the queue. Because admission compares and then stores the same
@@ -30,11 +31,12 @@ regardless of host scheduling.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -87,6 +89,9 @@ _HEADROOM_SLACK = 1.0 + 1e-12
 
 # cap on one tick's Poisson arrival mean, far past any cluster's capacity
 MAX_TICK_ARRIVAL_MEAN = 1e6
+
+# closed windows averaged per numpy call; more saves little and costs memory
+_SCORE_BATCH = 4
 
 
 class PolicyKind(str, Enum):
@@ -200,10 +205,7 @@ class CalibrationTarget:
     budget: int = 64
 
     def __post_init__(self):
-        if not (0.5 < self.hurst < 1.0):
-            raise ConfigError("calibration hurst target must lie in (0.5, 1)")
-        if not (0.0 <= self.delta_h <= 4.0):
-            raise ConfigError("calibration delta_h target must lie in [0, 4]")
+        traffic.check_calibration_targets(self.hurst, self.delta_h, "hurst", "delta_h")
         if self.budget < 1:
             raise ConfigError("calibration budget must be positive")
 
@@ -284,10 +286,7 @@ class ClusterState:
     The current window's samples are (row, span) segments: a row holds
     every server's utilization triple as :meth:`snapshot` took it, and
     its span counts the ticks it held. :meth:`hold` lengthens the last
-    span by a quiet tick instead of sampling again. :meth:`drain_window`
-    expands the segments to one row per tick and sums them in tick order
-    from a zero row, the same float additions as a per-tick running sum,
-    so window means do not depend on which ticks were skipped.
+    span by a run of quiet ticks instead of sampling again.
     """
 
     def __init__(self, specs):
@@ -307,11 +306,13 @@ class ClusterState:
         self.cpu_cap = [float(s.cpu_count) for s in specs]
         self.ram_cap = [float(s.ram_capacity) for s in specs]
         self.net_cap = [float(s.net_capacity) for s in specs]
+        self.cpu_total, self.ram_total, self.net_total = map(sum, (self.cpu_cap, self.ram_cap, self.net_cap))
         self._util = [(0.0, 0.0, 0.0)] * n
         # servers whose triple changed since the last snapshot
         self._changed: set[int] = set()
         self._freed: set[int] = set()
         self._completion_buckets: dict[int, list[int]] = {}
+        self._completion_ticks: list[int] = []  # min-heap of the buckets' ticks
         self._task_server: dict[int, int] = {}
         self._rows: list[list[tuple[float, float, float]]] = []
         self._spans: list[int] = []
@@ -372,12 +373,19 @@ class ClusterState:
         )
         self._changed.add(i)
 
+    def admissible(self, task: Task) -> list[int]:
+        """The servers that can admit `task` now, ascending: the one admission test."""
+        dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
+        cs, rs, ns, sur = self.cpu_sum, self.ram_sum, self.net_sum, self.net_surcharge
+        cc, rc, nc = self.cpu_cap, self.ram_cap, self.net_cap
+        admissible = []
+        for i in range(self.n):
+            if cs[i] + dc <= cc[i] and rs[i] + dr <= rc[i] and ns[i] + sur[i] + dn <= nc[i]:
+                admissible.append(i)
+        return admissible
+
     def fits(self, i: int, task: Task) -> bool:
-        return (
-            self.cpu_sum[i] + task.cpu_demand <= self.cpu_cap[i]
-            and self.ram_sum[i] + task.ram_demand <= self.ram_cap[i]
-            and self.net_sum[i] + self.net_surcharge[i] + task.net_demand <= self.net_cap[i]
-        )
+        return i in self.admissible(task)
 
     def _add(self, i: int, task: Task) -> None:
         self._version += 1
@@ -390,7 +398,10 @@ class ClusterState:
 
     def place(self, i: int, task: Task, completes_at: int) -> None:
         self._add(i, task)
-        self._completion_buckets.setdefault(completes_at, []).append(task.id)
+        bucket = self._completion_buckets.setdefault(completes_at, [])
+        if not bucket:
+            heapq.heappush(self._completion_ticks, completes_at)
+        bucket.append(task.id)
 
     def _remove(self, i: int, task: Task) -> None:
         self._version += 1
@@ -406,6 +417,8 @@ class ClusterState:
         ids = self._completion_buckets.pop(self.tick, None)
         if not ids:
             return 0
+        # every earlier bucket was popped on its own tick, so this one is the top
+        heapq.heappop(self._completion_ticks)
         for tid in ids:
             i = self._task_server.pop(tid)
             task = self.running[i][tid]
@@ -450,33 +463,47 @@ class ClusterState:
         self._rows.append(self._util[:])
         self._spans.append(1)
 
-    def hold(self) -> None:
-        """Pass a quiet tick: the last sample holds one tick longer.
+    def hold(self, m: int) -> None:
+        """Pass `m` quiet ticks: the last sample holds m ticks longer.
 
-        Only exact when the tick changes nothing and the last sample carries
+        Only exact when the ticks change nothing and the last sample carries
         no migration surcharge; :func:`run_scenario` calls it under those
-        conditions. The first tick of a window samples afresh.
+        conditions, within one window. The first tick of a window samples afresh.
         """
-        if self._spans:
-            self._spans[-1] += 1
-        else:
+        if not self._spans:
             self.snapshot()
-        self.tick += 1
+            self._spans[-1] = 0
+        self._spans[-1] += m
+        self.tick += m
+
+    def _take_window(self) -> tuple[list, list[int]]:
+        """The current window's (rows, spans) segments; the samples restart."""
+        if not self._spans:
+            raise ConfigError("no samples accumulated in the current window")
+        window, self._rows, self._spans = (self._rows, self._spans), [], []
+        return window
 
     def drain_window(self) -> list[ResourceUtilization]:
         """Mean utilizations since the last drain; resets the samples."""
-        if not self._spans:
-            raise ConfigError("no samples accumulated in the current window")
-        count = sum(self._spans)
-        per_tick = np.repeat(np.array(self._rows), self._spans, axis=0)
-        # cumsum adds strictly in tick order; the zero row makes an all -0.0
-        # column sum to +0.0, as a running sum started at 0.0 does
-        sums = np.cumsum(np.concatenate([np.zeros((1, self.n, 3)), per_tick]), axis=0)[-1]
-        self._rows, self._spans = [], []
-        return [
-            ResourceUtilization(cpu=cpu, ram=ram, net=net, window=count)
-            for cpu, ram, net in np.minimum(sums / count, 1.0).tolist()
-        ]
+        return _window_means([self._take_window()])[0]
+
+
+def _window_means(windows) -> list[list[ResourceUtilization]]:
+    """Per-server mean utilizations of equally long windows, each given as (rows, spans).
+
+    One cumsum sums each window in tick order from a zero row: the float
+    additions of a per-tick running sum from 0.0 (an all -0.0 column sums to
+    +0.0), whichever ticks were held and however the windows are batched.
+    """
+    count = sum(windows[0][1])
+    rows, spans = (list(chain.from_iterable(part)) for part in zip(*windows))
+    n = len(rows[0])
+    # fromiter over the flattened triples converts several times faster than np.array
+    samples = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), float, len(rows) * n * 3)
+    per_tick = np.zeros((len(windows), count + 1, n, 3))
+    per_tick[:, 1:] = np.repeat(samples.reshape(-1, n, 3), spans, axis=0).reshape(-1, count, n, 3)
+    means = np.minimum(np.cumsum(per_tick, axis=1)[:, -1] / count, 1.0).tolist()
+    return [[ResourceUtilization(cpu, ram, net, count) for cpu, ram, net in window] for window in means]
 
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
@@ -484,8 +511,8 @@ def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
     # the same quantity as metrics.system_averages, summed in another float order;
     # kept apart because one shared sum would move the bits of the outputs
     net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
-    return (sum(state.cpu_sum) / sum(state.cpu_cap), sum(state.ram_sum) / sum(state.ram_cap),
-            net / sum(state.net_cap))
+    return (sum(state.cpu_sum) / state.cpu_total, sum(state.ram_sum) / state.ram_total,
+            net / state.net_total)
 
 
 def _arrival_means(values, arrival_scale: float, first_tick: int = 0) -> np.ndarray:
@@ -528,11 +555,23 @@ def arrivals_from_traffic(
         raise ConfigError(f"tick {tick} outside the series horizon {len(values)}")
     lam = float(_arrival_means(values[tick:tick + 1], arrival_scale, tick)[0])
     k = int(count_rng.poisson(lam)) if lam > 0.0 else 0
-    return _draw_tasks(k, tick, demand_params, demand_rng, id_start)
+    return _draw_tasks(k, tick, _demand_plan(demand_params), demand_rng, id_start)
 
 
-def _draw_tasks(k: int, tick: int, demand_params: DemandParams, demand_rng,
-                id_start: int) -> list[Task]:
+def _demand_plan(p: DemandParams) -> tuple:
+    """One run's demand constants: (p, lognormal mus, cumulative class probabilities, classes)."""
+    log_means = tuple(math.log(mean) - 0.5 * sigma**2 for mean, sigma in (
+        (p.cpu_mean, p.cpu_sigma), (p.ram_mean, p.ram_sigma), (p.net_mean, p.net_sigma)))
+    classes = []
+    for cls in p.classes:
+        # (demand_scale, log q): durations are geometric with mean mean_dur and
+        # q = 1 - 1/mean_dur; None stands for q = 0, 1-tick tasks
+        q = 1.0 - 1.0 / max(p.duration_mean * cls.duration_scale, 1.0)
+        classes.append((cls.demand_scale, math.log(q) if q > 0.0 else None))
+    return p, log_means, list(accumulate(c.probability for c in p.classes)), classes
+
+
+def _draw_tasks(k: int, tick: int, plan: tuple, demand_rng, id_start: int) -> list[Task]:
     """The tick's `k` tasks, with demands and durations drawn from `demand_rng`.
 
     Draws nothing when k is 0, so the demand stream advances only on ticks
@@ -541,36 +580,32 @@ def _draw_tasks(k: int, tick: int, demand_params: DemandParams, demand_rng,
     if k == 0:
         return []
 
-    p = demand_params
+    p, (mu_cpu, mu_ram, mu_net), cum, classes = plan
     # per-field vector draws keep the stream layout fixed given k
-    class_u = demand_rng.random(k)
-    cpu = demand_rng.lognormal(math.log(p.cpu_mean) - 0.5 * p.cpu_sigma**2, p.cpu_sigma, k)
-    ram = demand_rng.lognormal(math.log(p.ram_mean) - 0.5 * p.ram_sigma**2, p.ram_sigma, k)
-    net = demand_rng.lognormal(math.log(p.net_mean) - 0.5 * p.net_sigma**2, p.net_sigma, k)
-    dur_u = demand_rng.random(k)
-
-    cum = list(accumulate(c.probability for c in p.classes))
+    class_u = demand_rng.random(k).tolist()
+    cpu = demand_rng.lognormal(mu_cpu, p.cpu_sigma, k).tolist()
+    ram = demand_rng.lognormal(mu_ram, p.ram_sigma, k).tolist()
+    net = demand_rng.lognormal(mu_net, p.net_sigma, k).tolist()
+    dur_u = demand_rng.random(k).tolist()
 
     tasks = []
     for j in range(k):
         ci = 0
         while ci < len(cum) - 1 and class_u[j] > cum[ci]:
             ci += 1
-        cls = p.classes[ci]
-        mean_dur = max(p.duration_mean * cls.duration_scale, 1.0)
+        scale, log_q = classes[ci]
         # geometric via inverse CDF so the draw count per task is fixed
-        q = 1.0 - 1.0 / mean_dur
-        if q <= 0.0:
+        if log_q is None:
             duration = 1
         else:
-            duration = max(1, int(math.ceil(math.log(max(1.0 - dur_u[j], 1e-300)) / math.log(q))))
+            duration = max(1, math.ceil(math.log(max(1.0 - dur_u[j], 1e-300)) / log_q))
         tasks.append(
             Task(
                 id=id_start + j,
                 arrival_tick=tick,
-                cpu_demand=float(min(max(cpu[j] * cls.demand_scale, _DEMAND_FLOOR), p.cpu_max)),
-                ram_demand=float(min(max(ram[j] * cls.demand_scale, _DEMAND_FLOOR), p.ram_max)),
-                net_demand=float(min(max(net[j] * cls.demand_scale, _DEMAND_FLOOR), p.net_max)),
+                cpu_demand=float(min(max(cpu[j] * scale, _DEMAND_FLOOR), p.cpu_max)),
+                ram_demand=float(min(max(ram[j] * scale, _DEMAND_FLOOR), p.ram_max)),
+                net_demand=float(min(max(net[j] * scale, _DEMAND_FLOOR), p.net_max)),
                 duration=duration,
                 service_class=ci,
             )
@@ -585,34 +620,31 @@ def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -
     toward the lowest server id. ThresholdMigration places like
     LeastComposite; its corrective behavior lives in :func:`rebalance`.
     """
-    n = state.n
-    kind = policy.kind
-    if kind is PolicyKind.ROUND_ROBIN:
-        for off in range(1, n + 1):
-            i = (state._rr_cursor + off) % n
-            if state.fits(i, task):
-                state._rr_cursor = i
-                return i
-        return None
-
-    # min keeps the first minimum, so ties go to the lowest id
-    admissible = [i for i in range(n) if state.fits(i, task)]
-    if kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.THRESHOLD_MIGRATION):
-        return min(admissible, key=lambda i: composite_load(*state.utilization(i), w), default=None)
-
-    # least_sil
+    admissible = state.admissible(task)
     if not admissible:
         return None
-    avgs = _system_averages_now(state)
+    kind = policy.kind
+    if kind is PolicyKind.ROUND_ROBIN:
+        # the first admissible server after the cursor, cyclically
+        i = next((i for i in admissible if i > state._rr_cursor), admissible[0])
+        state._rr_cursor = i
+        return i
 
-    def post_place_sil(i):
-        cu, ru, nu = state.utilization(i)
-        cu += task.cpu_demand / state.cpu_cap[i]
-        ru += task.ram_demand / state.ram_cap[i]
-        nu += task.net_demand / state.net_cap[i]
-        return sil_value(cu, ru, nu, *avgs, w)
+    # min and the strict < below keep the first minimum, so ties go to the lowest id
+    if kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.THRESHOLD_MIGRATION):
+        return min(admissible, key=lambda i: composite_load(*state.utilization(i), w))
 
-    return min(admissible, key=post_place_sil)
+    # least_sil: the server with the lowest post-placement SIL
+    avg_c, avg_r, avg_n = _system_averages_now(state)
+    dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
+    utils, cc, rc, nc = state._util, state.cpu_cap, state.ram_cap, state.net_cap
+    best, best_sil = None, math.inf
+    for i in admissible:
+        cu, ru, nu = utils[i]
+        sil = sil_value(cu + dc / cc[i], ru + dr / rc[i], nu + dn / nc[i], avg_c, avg_r, avg_n, w)
+        if sil < best_sil:
+            best, best_sil = i, sil
+    return best
 
 
 def _post_move_max_sils(state: ClusterState, utils, avgs, net_total: float,
@@ -626,7 +658,7 @@ def _post_move_max_sils(state: ClusterState, utils, avgs, net_total: float,
     destination's score is the max of its own post-move SIL and the other
     servers' SILs as non-destinations, each computed once per candidate.
     """
-    dests = [j for j in range(state.n) if j != src and state.fits(j, task)]
+    dests = [j for j in state.admissible(task) if j != src]
     if not dests:
         return {}
     dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
@@ -672,7 +704,6 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     n = state.n
     if n < 2:
         return []
-    net_total = sum(state.net_cap)
     moves: list[tuple[int, int, int]] = []
 
     for _ in range(_MAX_MOVES_PER_TICK):
@@ -689,7 +720,7 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
             key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id),
         )
         for task in candidates:
-            post_max = _post_move_max_sils(state, utils, avgs, net_total, src, task, w)
+            post_max = _post_move_max_sils(state, utils, avgs, state.net_total, src, task, w)
             if post_max:
                 dst = min(post_max, key=post_max.get)
                 if post_max[dst] < max_sil:
@@ -794,36 +825,53 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     are drawn up front in one Poisson call, the same draws as per tick
     (a zero mean draws nothing), after every tick's mean is checked
     against MAX_TICK_ARRIVAL_MEAN. Demands are drawn on each tick with
-    arrivals. :func:`step` runs only on event ticks (an arrival, a
-    completion, or a migration on the tick before); a quiet tick holds the
-    last utilization sample (:meth:`ClusterState.hold`). The reports equal
+    arrivals, from constants derived once per run. :func:`step` runs only
+    on event ticks (an arrival, a completion, or a migration on the tick
+    before); the quiet run up to the next event or window end passes in
+    one :meth:`ClusterState.hold`. Closed windows are averaged
+    `_SCORE_BATCH` at a time (:func:`_window_means`). The reports equal
     those of calling :func:`arrivals_from_traffic` and :func:`step` on
     every tick.
     """
     if series is None:
         _, series = resolve_traffic(config)
-    if len(series.values) < config.horizon:
+    horizon, window = config.horizon, config.window
+    if len(series.values) < horizon:
         raise ConfigError(
-            f"series has {len(series.values)} ticks, fewer than the horizon {config.horizon}"
+            f"series has {len(series.values)} ticks, fewer than the horizon {horizon}"
         )
-    lam = _arrival_means(series.values[:config.horizon], config.arrival_scale)
+    lam = _arrival_means(series.values[:horizon], config.arrival_scale)
     count_rng = default_rng(SeedSequence([int(config.seed), _STREAM_ARRIVALS]))
     demand_rng = default_rng(SeedSequence([int(config.seed), _STREAM_DEMANDS]))
-    counts = np.zeros(config.horizon, dtype=np.int64)
+    counts = np.zeros(horizon, dtype=np.int64)
     drawn = lam > 0.0
     counts[drawn] = count_rng.poisson(lam[drawn])
+    arrival_ticks = np.flatnonzero(counts)
+    arrivals = zip(arrival_ticks.tolist(), counts[arrival_ticks].tolist())
 
+    plan = _demand_plan(config.demand_params)
     state = ClusterState(config.cluster)
-    reports: list[ImbalanceReport] = []
-    for t, k in enumerate(counts.tolist()):
-        if k or state.last_move_tick == t - 1 or state.completes_at(t):
-            arrivals = _draw_tasks(k, t, config.demand_params, demand_rng, state.arrived)
-            step(state, arrivals, config.policy, config.weights)
+    completions = state._completion_ticks
+    next_arrival, k = next(arrivals, (horizon, 0))
+    reports, closed, t = [], [], 0
+    while t < horizon:
+        tasks = []
+        if t == next_arrival:
+            tasks = _draw_tasks(k, t, plan, demand_rng, state.arrived)
+            next_arrival, k = next(arrivals, (horizon, 0))
+        if tasks or state.last_move_tick == t - 1 or (completions and completions[0] == t):
+            step(state, tasks, config.policy, config.weights)
+            t += 1
         else:
-            state.hold()
-        if (t + 1) % config.window == 0:
-            utils = state.drain_window()
-            reports.append(metrics.full_report(utils, config.cluster, config.weights))
+            # a quiet run, up to the next arrival, completion or window end
+            quiet_end = min(next_arrival, completions[0] if completions else horizon, t - t % window + window)
+            state.hold(quiet_end - t)
+            t = quiet_end
+        if t % window == 0:
+            closed.append(state._take_window())
+            if len(closed) == _SCORE_BATCH or t + window > horizon:
+                reports.extend(metrics.full_report(u, config.cluster, config.weights) for u in _window_means(closed))
+                closed = []
 
     in_flight = state.running_count() + state.queue_len()
     if state.arrived != state.completed + in_flight:

@@ -52,6 +52,7 @@ __all__ = [
     "generate_from_meta",
     "generate_calibrated",
     "calibrate",
+    "check_calibration_targets",
     "measure_scaling",
     "write_series_csv",
     "read_series_csv",
@@ -99,7 +100,8 @@ class GeneratorMeta:
     composite kind that is the envelope exponent, not a promise about the
     measured value); ``multiplier_spread`` and ``depth`` apply to the
     cascade-bearing kinds only. Each generator builds its record before it
-    draws, so these checks are also its argument checks.
+    draws, so these checks are also its argument checks. ``kind`` may be
+    given as its string value.
     """
 
     kind: GeneratorKind
@@ -110,6 +112,11 @@ class GeneratorMeta:
     multiplier_spread: float | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        except ValueError:
+            names = sorted(k.value for k in GeneratorKind)
+            raise ConfigError(f"traffic.kind: expected one of {names}, got {self.kind!r}") from None
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
@@ -342,11 +349,9 @@ def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None
         if meta.multiplier_spread is None:
             raise ConfigError("cascade meta needs multiplier_spread")
         return generate_cascade(depth, meta.multiplier_spread, use_seed)
-    if meta.kind is GeneratorKind.COMPOSITE:
-        if meta.target_hurst is None or meta.multiplier_spread is None:
-            raise ConfigError("composite meta needs target_hurst and multiplier_spread")
-        return generate_composite(max(depth, 5), meta.target_hurst, meta.multiplier_spread, use_seed)
-    raise ConfigError(f"unknown generator kind {meta.kind!r}")
+    if meta.target_hurst is None or meta.multiplier_spread is None:
+        raise ConfigError("composite meta needs target_hurst and multiplier_spread")
+    return generate_composite(max(depth, 5), meta.target_hurst, meta.multiplier_spread, use_seed)
 
 
 def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficSeries:
@@ -384,6 +389,15 @@ _FGN_FAMILY_THRESHOLD = 0.2
 
 _COARSE_H = (0.55, 0.65, 0.75, 0.85, 0.95)
 _COARSE_SPREAD = (0.08, 0.18, 0.35, 0.7, 1.2, 2.0)
+
+
+def check_calibration_targets(hurst: float, delta_h: float, hurst_key: str = "target_hurst",
+                              delta_h_key: str = "target_delta_h") -> None:
+    """Reject targets outside hurst (0.5, 1) or delta_h [0, 4], naming the given key and value."""
+    if not (0.5 < hurst < 1.0):
+        raise ConfigError(f"{hurst_key} must lie in (0.5, 1), got {hurst}")
+    if not (0.0 <= delta_h <= 4.0):
+        raise ConfigError(f"{delta_h_key} must lie in [0, 4], got {delta_h}")
 
 
 def calibrate(
@@ -434,10 +448,7 @@ def calibrate(
         If the budget is exhausted outside tolerance; carries the best
         candidate meta, its measured pair and the residuals.
     """
-    if not (0.5 < target_hurst < 1.0):
-        raise ConfigError(f"target_hurst must lie in (0.5, 1), got {target_hurst}")
-    if not (0.0 <= target_delta_h <= 4.0):
-        raise ConfigError(f"target_delta_h must lie in [0, 4], got {target_delta_h}")
+    check_calibration_targets(target_hurst, target_delta_h)
     if budget < 1:
         raise ConfigError("budget must be a positive integer")
 
@@ -545,10 +556,10 @@ class _BudgetExhausted(Exception):
 def write_series_csv(path, series) -> None:
     """Write `tick,value` rows, values at 12 significant digits."""
     values = np.asarray(getattr(series, "values", series), dtype=float)
-    lines = ["tick,value"]
-    lines.extend(f"{t},{v:.12g}" for t, v in enumerate(values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("tick,value\n")
+        for start in range(0, values.size, 4096):  # in chunks, so no list of all rows is held
+            fh.write("".join(f"{t},{v:.12g}\n" for t, v in enumerate(values[start:start + 4096].tolist(), start)))
 
 
 def read_series_csv(path) -> np.ndarray:

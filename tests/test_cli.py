@@ -219,6 +219,20 @@ def test_simulate_zero_calibration_budget_names_its_key(tmp_path, capsys):
     assert "traffic.budget: must be a positive integer, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("hurst", "1.2", "traffic.hurst must lie in (0.5, 1), got 1.2"),
+    ("delta_h", "4.5", "traffic.delta_h must lie in [0, 4], got 4.5"),
+])
+def test_simulate_out_of_range_calibration_target_names_its_key(tmp_path, capsys, key, value,
+                                                                message):
+    targets = {"hurst": "0.7", "delta_h": "1.5", key: value}
+    cfg = tmp_path / "target.ini"
+    cfg.write_text("[traffic]\nkind = calibrate\n"
+                   + "".join(f"{k} = {v}\n" for k, v in targets.items()))
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -271,6 +285,19 @@ def test_sweep_rejects_cells_whose_names_collide(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep.grid" in err and "0.6:1.5" in err and "0.6000001:1.5" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.6:1.5 0.4:1.5", "sweep.grid: cell '0.4:1.5': H must lie in (0.5, 1), got 0.4"),
+    ("0.6:9", "sweep.grid: cell '0.6:9': delta_h must lie in [0, 4], got 9.0"),
+])
+def test_sweep_out_of_range_cell_names_the_cell(tmp_path, capsys, grid, message):
+    cfg = tmp_path / "range.ini"
+    cfg.write_text(FAST_SIM + f"\n[sweep]\ngrid = {grid}\n")
+    out = tmp_path / "s"
+    assert _run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before any cell runs
 
 
 def test_sweep_zero_budget_names_its_key(tmp_path, capsys):

@@ -13,7 +13,7 @@ from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation
 from mfload.errors import ConfigError
-from mfload.metrics import ServerSpec, default_weights
+from mfload.metrics import ServerSpec, default_weights, full_report
 from mfload.simulation import (
     CalibrationTarget,
     ClusterState,
@@ -510,6 +510,97 @@ def test_run_scenario_accepts_the_resolved_series():
     # the given series is the one simulated: no traffic, no load
     idle = TrafficSeries(values=np.zeros(1024), meta=None)
     assert all(r.efficiency == 0.0 for r in run_scenario(cfg, idle))
+
+
+def _gappy_config(policy):
+    """1000 ticks in 16-tick windows: 62 windows and 8 ticks over, with zero-traffic
+    stretches of 100 and 90 ticks (both longer than two windows)."""
+    values = default_rng(4).random(1000) * 2.0
+    values[100:200] = values[520:610] = 0.0
+    config = ScenarioConfig(
+        traffic=GeneratorMeta(kind=GeneratorKind.FGN, seed=0, target_hurst=0.7),
+        cluster=homogeneous_cluster(3, cpu_count=1, ram_capacity=6.0, net_capacity=3.0),
+        policy=policy, horizon=1000, window=16, arrival_scale=0.5,
+        demand_params=DemandParams(duration_mean=12.0), seed=11,
+    )
+    return config, TrafficSeries(values=values, meta=None)
+
+
+def _per_tick(config, series, on_tick=None):
+    """Reports of arrivals_from_traffic and step on every tick; on_tick(t, arrivals, state)
+    runs before each step."""
+    count_rng = default_rng(SeedSequence([config.seed, simulation._STREAM_ARRIVALS]))
+    demand_rng = default_rng(SeedSequence([config.seed, simulation._STREAM_DEMANDS]))
+    state = ClusterState(config.cluster)
+    reports = []
+    for t in range(config.horizon):
+        arrivals = arrivals_from_traffic(series, t, config.arrival_scale, config.demand_params,
+                                         count_rng, demand_rng, id_start=state.arrived)
+        if on_tick is not None:
+            on_tick(t, arrivals, state)
+        step(state, arrivals, config.policy, config.weights)
+        if (t + 1) % config.window == 0:
+            reports.append(full_report(state.drain_window(), config.cluster, config.weights))
+    return reports
+
+
+_GAPPY_POLICIES = [Policy(PolicyKind.LEAST_SIL), Policy(PolicyKind.ROUND_ROBIN),
+                   Policy(PolicyKind.THRESHOLD_MIGRATION, 0.001)]
+
+
+@pytest.mark.parametrize("policy", _GAPPY_POLICIES, ids=lambda p: p.kind.value)
+def test_event_loop_reports_equal_the_per_tick_loop(policy):
+    config, series = _gappy_config(policy)
+    assert config.horizon % config.window and config.horizon // config.window > simulation._SCORE_BATCH
+    reports = run_scenario(config, series)
+    assert len(reports) == 62
+    assert reports == _per_tick(config, series)
+
+
+@pytest.mark.parametrize("policy", _GAPPY_POLICIES, ids=lambda p: p.kind.value)
+def test_step_runs_exactly_on_event_ticks(policy):
+    config, series = _gappy_config(policy)
+    expected, move_only = [], []
+
+    def note(t, arrivals, state):
+        # last_move_tick starts at -1, so tick 0 counts as following a move
+        if arrivals or state.completes_at(t) or state.last_move_tick == t - 1:
+            expected.append(t)
+            if not (arrivals or state.completes_at(t)):
+                move_only.append(t)
+
+    _per_tick(config, series, on_tick=note)
+    stepped = []
+
+    def recording_step(state, arrivals, policy, w):
+        stepped.append(state.tick)
+        return step(state, arrivals, policy, w)
+
+    with mock.patch.object(simulation, "step", recording_step):
+        run_scenario(config, series)
+    assert stepped == expected
+    assert 0 < len(expected) < config.horizon  # some ticks are held
+    if policy.kind is PolicyKind.THRESHOLD_MIGRATION:
+        assert [t for t in move_only if t > 0]  # a move alone makes the next tick an event
+
+
+def test_hold_of_m_ticks_equals_m_single_holds():
+    pol = Policy(kind=PolicyKind.LEAST_SIL)
+    states = [ClusterState(homogeneous_cluster(2)) for _ in range(2)]
+    for state in states:
+        step(state, [_task(0, cpu=1.5, duration=30)], pol, default_weights())
+    held, single = states
+    held.hold(7)
+    for _ in range(7):
+        single.hold(1)
+    assert held.tick == single.tick == 8
+    assert held.drain_window() == single.drain_window()
+    # a window that starts with a quiet run samples afresh
+    held.hold(5)
+    for _ in range(5):
+        single.hold(1)
+    assert held.tick == single.tick == 13
+    assert held.drain_window() == single.drain_window()
 
 
 def _spiked(n, spike_at):

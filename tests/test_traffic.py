@@ -210,6 +210,19 @@ def test_meta_validation():
         )
 
 
+def test_meta_kind_given_as_a_string():
+    meta = GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7)
+    assert meta == GeneratorMeta(kind=GeneratorKind.FGN, seed=0, target_hurst=0.7)
+    assert meta.kind is GeneratorKind.FGN
+    series = generate_from_meta(meta, length=256)
+    assert len(series) == 256 and series.meta == meta
+
+
+def test_meta_unknown_kind_fails_at_construction():
+    with pytest.raises(ConfigError, match=r"expected one of \['cascade', 'composite', 'fgn'\]"):
+        GeneratorMeta(kind="bogus", seed=0)
+
+
 # ----------------------------------------------------------- regeneration
 
 
@@ -349,6 +362,15 @@ def test_series_csv_round_trip(tmp_path):
     assert len(lines) == len(series) + 1
     values = read_series_csv(path)
     assert np.allclose(values, series.values, rtol=1e-11, atol=0.0)
+
+
+def test_series_csv_rows_span_write_chunks(tmp_path):
+    # 9000 rows are written in several chunks; every row appears once, in order
+    values = generate_fgn(hurst=0.7, length=9000, seed=13).values
+    path = tmp_path / "series.csv"
+    write_series_csv(path, values)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [f"{t},{v:.12g}" for t, v in enumerate(values)]
 
 
 def test_series_csv_rejects_malformed_input(tmp_path):
