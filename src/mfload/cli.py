@@ -75,19 +75,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_manifest(path, name, digest, outputs, measured, started, ended) -> None:
-    manifest = {
-        "scenario": name,
-        "config_digest": digest,
-        "outputs": sorted(outputs),
-        "measured": {"hurst": measured[0], "delta_h": measured[1]},
-        "timestamps": {"start": started, "end": ended},
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _q_grid(args) -> tuple[float, ...]:
     flags = (args.q_min, args.q_max, args.q_steps)
     if all(v is None for v in flags):
@@ -107,12 +94,16 @@ def _q_grid(args) -> tuple[float, ...]:
 def cmd_generate(args) -> int:
     if args.length < 64:
         raise ConfigError("--length must be at least 64")
-    os.makedirs(args.out, exist_ok=True)
-    if args.delta_h <= 0.0:
+    if args.delta_h == 0.0:
+        # fGn's own range; a calibrated series checks the narrower target range
+        if not 0.0 < args.hurst < 1.0:
+            raise ConfigError(f"--hurst must lie in (0, 1), got {args.hurst}")
         series = traffic.generate_fgn(args.hurst, args.length, args.seed)
     else:
+        traffic.check_calibration_targets(args.hurst, args.delta_h, "--hurst", "--delta-h")
         meta = traffic.calibrate(args.hurst, args.delta_h)
         series = traffic.generate_calibrated(meta, args.length, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "series.csv")
     traffic.write_series_csv(path, series.values[: args.length])
     print(f"wrote {path} ({args.length} ticks)")
@@ -144,10 +135,12 @@ def _final_half_cv(reports) -> float:
     return float(np.std(tail) / mean)
 
 
-def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -> dict:
-    """Simulate one scenario into `out_dir`; returns its summary numbers.
+def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -> tuple:
+    """Simulate one scenario into `out_dir`.
 
-    `probes` is the calibration probe memo, shared by the cells of a sweep.
+    Returns its summary (H, delta_h measured, mean isl_tot over the final
+    quarter, cv of isl_tot over the final half). `probes` is the
+    calibration probe memo, shared by the cells of a sweep.
     """
     os.makedirs(out_dir, exist_ok=True)
     started = _now()
@@ -155,47 +148,36 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
     # one realization feeds both the measurement and the run
     _, series = resolve_traffic(config, probes)
     used = series.values[: config.horizon]
-    measured = traffic.measure_scaling(used)
+    hurst, delta_h = traffic.measure_scaling(used)
     reports = run_scenario(config, series)
-
+    mean = _final_quarter_mean(reports)
     series_path = os.path.join(out_dir, "series.csv")
     report_path = os.path.join(out_dir, "report.csv")
     sil_path = os.path.join(out_dir, "sil.csv")
     traffic.write_series_csv(series_path, used)
-    summary = (
-        f"scenario={config.name} H={measured[0]:.12g} dH={measured[1]:.12g} "
-        f"mean_isl_tot={_final_quarter_mean(reports):.12g}"
-    )
+    summary = f"scenario={config.name} H={hurst:.12g} dH={delta_h:.12g} mean_isl_tot={mean:.12g}"
     metrics.write_report_csv(report_path, reports, config.window, summary=summary)
     metrics.write_sil_csv(sil_path, reports, config.window, [s.id for s in config.cluster])
 
-    _write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        config.name,
-        config_digest(config),
-        [os.path.basename(p) for p in (series_path, report_path, sil_path)],
-        measured,
-        started,
-        _now(),
-    )
-    return {
-        "name": config.name,
-        "measured": measured,
-        "mean_isl_tot_final_quarter": _final_quarter_mean(reports),
-        "cv_isl_tot_final_half": _final_half_cv(reports),
+    manifest = {
+        "scenario": config.name,
+        "config_digest": config_digest(config),
+        "outputs": sorted(os.path.basename(p) for p in (series_path, report_path, sil_path)),
+        "measured": {"hurst": hurst, "delta_h": delta_h},
+        "timestamps": {"start": started, "end": _now()},
     }
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return hurst, delta_h, mean, _final_half_cv(reports)
 
 
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    result = _run_one(config, args.out)
-    print(
-        f"scenario={result['name']} H={result['measured'][0]:.4g} "
-        f"dH={result['measured'][1]:.4g} "
-        f"mean_isl_tot={result['mean_isl_tot_final_quarter']:.4g}"
-    )
+    hurst, delta_h, mean, _ = _run_one(config, args.out)
+    print(f"scenario={config.name} H={hurst:.4g} dH={delta_h:.4g} mean_isl_tot={mean:.4g}")
     return 0
 
 
@@ -218,39 +200,23 @@ def cmd_sweep(args) -> int:
 
     # one probe memo per sweep: the cells' calibrations revisit the same probes
     probes = {}
-    rows = []
+    rows = {}
     for name, (hurst, delta_h) in named.items():
         cell_config = dataclasses.replace(
             base,
             name=name,
             traffic=CalibrationTarget(hurst=hurst, delta_h=delta_h, budget=budget),
         )
-        result = _run_one(cell_config, os.path.join(args.out, name), probes)
-        rows.append(
-            (
-                name,
-                hurst,
-                delta_h,
-                result["measured"][0],
-                result["measured"][1],
-                result["mean_isl_tot_final_quarter"],
-                result["cv_isl_tot_final_half"],
-            )
-        )
+        summary = _run_one(cell_config, os.path.join(args.out, name), probes)
+        rows[name] = ",".join([name] + [f"{v:.12g}" for v in (hurst, delta_h, *summary)])
 
-    rows.sort(key=lambda r: r[0])
-    lines = [
+    header = (
         "scenario,H_target,dH_target,H_measured,dH_measured,"
         "mean_isl_tot_final_quarter,cv_isl_tot_final_half"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row[0]},{row[1]:.12g},{row[2]:.12g},{row[3]:.12g},"
-            f"{row[4]:.12g},{row[5]:.12g},{row[6]:.12g}"
-        )
+    )
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header] + [rows[name] for name in sorted(rows)]) + "\n")
     print(f"wrote {summary_path} ({len(rows)} scenarios)")
     return 0
 

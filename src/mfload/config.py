@@ -3,9 +3,9 @@
 Sections: [traffic], [cluster], [weights], [policy], [sim], [demand],
 [sweep]. Every key is optional; an empty file yields the documented
 defaults (window 64, equal weights, LeastSIL policy, the mixed-size
-reference cluster, composite traffic). Unknown sections or keys are
-rejected with the offending key path so typos cannot silently change an
-experiment.
+reference cluster, composite traffic). Unknown sections or keys, and
+bad values even of keys the run ignores, are rejected with the
+offending key path so typos cannot silently change an experiment.
 
 See configs/example.ini for a fully annotated file.
 """
@@ -13,6 +13,7 @@ See configs/example.ini for a fully annotated file.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -26,165 +27,41 @@ from .simulation import (
     CalibrationTarget,
     DemandParams,
     Policy,
-    PolicyKind,
     ScenarioConfig,
     ServiceClass,
     homogeneous_cluster,
     reference_cluster,
 )
-from .traffic import GeneratorKind, GeneratorMeta, check_calibration_targets
+from .traffic import GeneratorKind, GeneratorMeta, check_calibration_targets, check_probe_budget
 
 __all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_config_text"]
 
-_KNOWN_KEYS = {
-    "traffic": {"kind", "hurst", "delta_h", "budget", "depth", "spread"},
-    "cluster": {"servers", "cpu_count", "ram_capacity", "net_capacity"},
-    "weights": {f.name for f in fields(WeightTriple)},
-    "policy": {f.name for f in fields(Policy)},
-    "sim": {"name", "horizon", "window", "arrival_scale", "seed"},
-    "demand": {f.name for f in fields(DemandParams)},
-    "sweep": {"grid", "budget"},
-}
 
-
-def _load(path) -> configparser.ConfigParser:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    for section in parser.sections():
-        known = _KNOWN_KEYS.get(section)
-        if known is None:
-            raise ConfigError(f"{section}: unknown section")
-        for key in parser[section]:
-            if key.startswith("server_"):
-                if section != "cluster":
-                    raise ConfigError(f"{section}.{key}: unknown key")
-                continue
-            if key not in known:
-                raise ConfigError(f"{section}.{key}: unknown key")
-    return parser
-
-
-def _section(parser, name) -> dict:
-    return dict(parser[name]) if parser.has_section(name) else {}
-
-
-def _get(sec: dict, section: str, key: str, default, kind=float):
-    """`sec[key]` parsed as `kind` (float or int), or `default` when absent."""
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{section}.{key}: expected {noun}, got {raw!r}") from exc
-
-
-def _get_budget(sec: dict, section: str) -> int:
-    """`sec["budget"]`, a calibration probe budget (default 64), checked positive."""
-    budget = _get(sec, section, "budget", 64, int)
-    if budget < 1:
-        raise ConfigError(f"{section}.budget: must be a positive integer, got {budget}")
+def _budget(key: str, raw: str) -> int:
+    """A calibration probe budget, checked by the one budget rule under `key`."""
+    budget = int(raw)
+    check_probe_budget(budget, key)
     return budget
 
 
-def _parse_traffic(sec: dict, seed: int, horizon: int):
-    kind = sec.get("kind", "composite").strip().lower()
-    depth_default = max(5, math.ceil(math.log2(horizon)))
-    if kind == "calibrate":
-        if "hurst" not in sec or "delta_h" not in sec:
-            raise ConfigError("traffic.kind=calibrate requires traffic.hurst and traffic.delta_h")
-        hurst, delta_h = _get(sec, "traffic", "hurst", 0.0), _get(sec, "traffic", "delta_h", 0.0)
-        check_calibration_targets(hurst, delta_h, "traffic.hurst", "traffic.delta_h")
-        return CalibrationTarget(hurst=hurst, delta_h=delta_h, budget=_get_budget(sec, "traffic"))
-    if kind == "fgn":
-        return GeneratorMeta(
-            kind=GeneratorKind.FGN,
-            seed=seed,
-            target_hurst=_get(sec, "traffic", "hurst", 0.7),
+def _parse_server(key: str, raw: str) -> ServerSpec:
+    """`cluster.server_<id> = cpu_count, ram_capacity, net_capacity`."""
+    try:
+        sid = int(key.split("_", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"cluster.{key}: malformed server id") from exc
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 3:
+        raise ConfigError(f"cluster.{key}: expected 'cpu_count,ram_capacity,net_capacity'")
+    try:
+        return ServerSpec(
+            id=sid,
+            cpu_count=int(parts[0]),
+            ram_capacity=float(parts[1]),
+            net_capacity=float(parts[2]),
         )
-    if kind == "cascade":
-        return GeneratorMeta(
-            kind=GeneratorKind.CASCADE,
-            seed=seed,
-            depth=_get(sec, "traffic", "depth", depth_default, int),
-            multiplier_spread=_get(sec, "traffic", "spread", 0.5),
-        )
-    if kind == "composite":
-        return GeneratorMeta(
-            kind=GeneratorKind.COMPOSITE,
-            seed=seed,
-            depth=_get(sec, "traffic", "depth", depth_default, int),
-            target_hurst=_get(sec, "traffic", "hurst", 0.7),
-            multiplier_spread=_get(sec, "traffic", "spread", 0.5),
-        )
-    raise ConfigError(
-        f"traffic.kind: expected one of calibrate/fgn/cascade/composite, got {kind!r}"
-    )
-
-
-def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
-    explicit = {k: v for k, v in sec.items() if k.startswith("server_")}
-    shorthand = {k for k in ("servers",) if k in sec}
-    if explicit and shorthand:
-        raise ConfigError("cluster: give either per-server lines or the homogeneous shorthand")
-
-    if explicit:
-        specs = []
-        for key, raw in explicit.items():
-            try:
-                sid = int(key.split("_", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"cluster.{key}: malformed server id") from exc
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"cluster.{key}: expected 'cpu_count,ram_capacity,net_capacity'"
-                )
-            try:
-                specs.append(
-                    ServerSpec(
-                        id=sid,
-                        cpu_count=int(parts[0]),
-                        ram_capacity=float(parts[1]),
-                        net_capacity=float(parts[2]),
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"cluster.{key}: {exc}") from exc
-        # duplicate ids are rejected by ScenarioConfig
-        return tuple(sorted(specs, key=lambda s: s.id))
-
-    if not sec:
-        return reference_cluster()
-    return homogeneous_cluster(
-        n=_get(sec, "cluster", "servers", 8, int),
-        cpu_count=_get(sec, "cluster", "cpu_count", 4, int),
-        ram_capacity=_get(sec, "cluster", "ram_capacity", 32.0),
-        net_capacity=_get(sec, "cluster", "net_capacity", 16.0),
-    )
-
-
-def _parse_weights(sec: dict) -> WeightTriple:
-    a = _get(sec, "weights", "a", 1.0 / 3.0)
-    b = _get(sec, "weights", "b", 1.0 / 3.0)
-    c = _get(sec, "weights", "c", 1.0 / 3.0)
-    return WeightTriple(a=a, b=b, c=c)
-
-
-def _parse_policy(sec: dict) -> Policy:
-    # Policy rejects an unknown kind, naming policy.kind
-    return Policy(
-        kind=sec.get("kind", PolicyKind.LEAST_SIL.value).strip().lower(),
-        migration_threshold=_get(sec, "policy", "migration_threshold", 0.0),
-    )
+    except ValueError as exc:
+        raise ConfigError(f"cluster.{key}: {exc}") from exc
 
 
 def _parse_classes(raw: str) -> tuple[ServiceClass, ...]:
@@ -211,53 +88,10 @@ def _parse_classes(raw: str) -> tuple[ServiceClass, ...]:
     return tuple(classes)
 
 
-def _parse_demand(sec: dict) -> DemandParams:
-    # every field but the class list is a plain number with a default
-    kwargs = {
-        f.name: _get(sec, "demand", f.name, f.default)
-        for f in fields(DemandParams)
-        if f.name != "classes"
-    }
-    if "classes" in sec:
-        kwargs["classes"] = _parse_classes(sec["classes"])
-    return DemandParams(**kwargs)
-
-
-def parse_config(path) -> ScenarioConfig:
-    """Read and fully validate a scenario configuration file."""
-    parser = _load(path)
-    sim = _section(parser, "sim")
-    seed = _get(sim, "sim", "seed", 1, int)
-    horizon = _get(sim, "sim", "horizon", 16384, int)
-    if horizon < MFDFA_MIN_SAMPLES:
-        # every CLI run measures its traffic with MF-DFA
-        raise ConfigError(f"sim.horizon: must be >= {MFDFA_MIN_SAMPLES} ticks, got {horizon}")
-    return ScenarioConfig(
-        traffic=_parse_traffic(_section(parser, "traffic"), seed, horizon),
-        cluster=_parse_cluster(_section(parser, "cluster")),
-        weights=_parse_weights(_section(parser, "weights")),
-        policy=_parse_policy(_section(parser, "policy")),
-        horizon=horizon,
-        window=_get(sim, "sim", "window", 64, int),
-        arrival_scale=_get(sim, "sim", "arrival_scale", 0.1),
-        demand_params=_parse_demand(_section(parser, "demand")),
-        seed=seed,
-        name=sim.get("name", "scenario").strip(),
-    )
-
-
-def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
-    """Read the [sweep] section: (H, delta_h) cells plus a calibration budget.
-
-    Grid format: whitespace- or comma-separated `H:delta_h` pairs, e.g.
-    ``grid = 0.6:1.5 0.6:2.5 0.9:2.5``.
-    """
-    parser = _load(path)
-    if not parser.has_section("sweep"):
-        raise ConfigError("sweep: section missing (required by the sweep command)")
-    sec = _section(parser, "sweep")
+def _parse_grid(raw: str) -> list[tuple[float, float]]:
+    """Whitespace- or comma-separated `H:delta_h` cells, e.g. ``0.6:1.5 0.9:2.5``."""
     cells = []
-    for token in sec.get("grid", "").replace(",", " ").split():
+    for token in raw.replace(",", " ").split():
         parts = token.split(":")
         if len(parts) != 2:
             raise ConfigError(f"sweep.grid: expected H:delta_h, got {token!r}")
@@ -268,9 +102,138 @@ def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
         where = f"sweep.grid: cell {token!r}:"
         check_calibration_targets(hurst, delta_h, f"{where} H", f"{where} delta_h")
         cells.append((hurst, delta_h))
-    if not cells:
+    return cells
+
+
+# every accepted key and the parser of its value; `cluster.server_<id>`
+# lines are the one key pattern and go to _parse_server
+_KEYS = {
+    "traffic": {
+        "kind": str.lower,
+        "hurst": float,
+        "delta_h": float,
+        "budget": functools.partial(_budget, "traffic.budget"),
+        "depth": int,
+        "spread": float,
+    },
+    "cluster": {"servers": int, "cpu_count": int, "ram_capacity": float, "net_capacity": float},
+    "weights": {f.name: float for f in fields(WeightTriple)},
+    "policy": {"kind": str.lower, "migration_threshold": float},
+    "sim": {"name": str, "horizon": int, "window": int, "arrival_scale": float, "seed": int},
+    # every DemandParams field is a number but the class list
+    "demand": {**{f.name: float for f in fields(DemandParams)}, "classes": _parse_classes},
+    "sweep": {"grid": _parse_grid, "budget": functools.partial(_budget, "sweep.budget")},
+}
+
+
+def _load(path) -> dict[str, dict]:
+    """Every value in the file at `path`, parsed: {section: {key: value}}.
+
+    Values are parsed whether or not the run reads them, so a bad value
+    is rejected even under a kind that ignores it.
+    """
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+    sections = {}
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{section}: unknown section")
+        values = sections[section] = {}
+        for key, raw in parser[section].items():
+            parse = _KEYS[section].get(key)
+            if section == "cluster" and key.startswith("server_"):
+                parse = functools.partial(_parse_server, key)
+            if parse is None:
+                raise ConfigError(f"{section}.{key}: unknown key")
+            try:
+                values[key] = parse(raw)
+            except ConfigError:
+                raise
+            except ValueError as exc:  # from int() or float(); the other parsers raise ConfigError
+                noun = "a number" if parse is float else "an integer"
+                raise ConfigError(f"{section}.{key}: expected {noun}, got {raw!r}") from exc
+    return sections
+
+
+def _parse_traffic(sec: dict, seed: int, horizon: int):
+    kind = sec.get("kind", "composite")
+    if kind == "calibrate":
+        if "hurst" not in sec or "delta_h" not in sec:
+            raise ConfigError("traffic.kind=calibrate requires traffic.hurst and traffic.delta_h")
+        hurst, delta_h = sec["hurst"], sec["delta_h"]
+        check_calibration_targets(hurst, delta_h, "traffic.hurst", "traffic.delta_h")
+        return CalibrationTarget(hurst, delta_h, sec.get("budget", CalibrationTarget.budget))
+    hurst, spread = sec.get("hurst", 0.7), sec.get("spread", 0.5)
+    depth = sec.get("depth", max(5, math.ceil(math.log2(horizon))))
+    if kind == "fgn":
+        return GeneratorMeta(kind=GeneratorKind.FGN, seed=seed, target_hurst=hurst)
+    if kind == "cascade":
+        return GeneratorMeta(
+            kind=GeneratorKind.CASCADE,
+            seed=seed,
+            depth=depth,
+            multiplier_spread=spread,
+        )
+    if kind == "composite":
+        return GeneratorMeta(
+            kind=GeneratorKind.COMPOSITE,
+            seed=seed,
+            depth=depth,
+            target_hurst=hurst,
+            multiplier_spread=spread,
+        )
+    raise ConfigError(
+        f"traffic.kind: expected one of calibrate/fgn/cascade/composite, got {kind!r}"
+    )
+
+
+def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
+    explicit = [sec.pop(key) for key in list(sec) if key.startswith("server_")]
+    if explicit and sec:
+        raise ConfigError("cluster: give either per-server lines or the homogeneous shorthand")
+    if explicit:
+        # duplicate ids are rejected by ScenarioConfig
+        return tuple(sorted(explicit, key=lambda s: s.id))
+    if not sec:
+        return reference_cluster()
+    return homogeneous_cluster(sec.pop("servers", 8), **sec)
+
+
+def parse_config(path) -> ScenarioConfig:
+    """Read and fully validate a scenario configuration file."""
+    sections = _load(path)
+    sim = sections.get("sim", {})
+    horizon = sim.get("horizon", ScenarioConfig.horizon)
+    if horizon < MFDFA_MIN_SAMPLES:
+        # every CLI run measures its traffic with MF-DFA
+        raise ConfigError(f"sim.horizon: must be >= {MFDFA_MIN_SAMPLES} ticks, got {horizon}")
+    seed = sim.get("seed", ScenarioConfig.seed)
+    return ScenarioConfig(
+        traffic=_parse_traffic(sections.get("traffic", {}), seed, horizon),
+        cluster=_parse_cluster(sections.get("cluster", {})),
+        weights=WeightTriple(**sections.get("weights", {})),
+        policy=Policy(**sections.get("policy", {})),
+        demand_params=DemandParams(**sections.get("demand", {})),
+        **sim,
+    )
+
+
+def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
+    """Read the [sweep] section: (H, delta_h) cells plus a calibration budget."""
+    sections = _load(path)
+    if "sweep" not in sections:
+        raise ConfigError("sweep: section missing (required by the sweep command)")
+    sweep = sections["sweep"]
+    if not sweep.get("grid"):
         raise ConfigError("sweep.grid: no cells given")
-    return cells, _get_budget(sec, "sweep")
+    return sweep["grid"], sweep.get("budget", CalibrationTarget.budget)
 
 
 def canonical_config_text(config: ScenarioConfig) -> str:

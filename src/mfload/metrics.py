@@ -90,11 +90,11 @@ class SystemAverages:
 
 @dataclass(frozen=True)
 class WeightTriple:
-    """Resource weights (a, b, c); non-negative, summing to 1."""
+    """Resource weights (a, b, c); non-negative, summing to 1. Equal by default."""
 
-    a: float
-    b: float
-    c: float
+    a: float = 1.0 / 3.0
+    b: float = 1.0 / 3.0
+    c: float = 1.0 / 3.0
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -108,7 +108,7 @@ class WeightTriple:
 
 
 def default_weights() -> WeightTriple:
-    return WeightTriple(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+    return WeightTriple()
 
 
 @dataclass(frozen=True)

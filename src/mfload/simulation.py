@@ -49,7 +49,6 @@ from .metrics import (
     ServerSpec,
     WeightTriple,
     composite_load,
-    default_weights,
     sil_value,
 )
 from .traffic import GeneratorMeta, TrafficSeries
@@ -107,10 +106,11 @@ class Policy:
 
     ThresholdMigration dispatches like LeastComposite and additionally runs
     a migration pass each tick while the maximum per-server SIL exceeds
-    ``migration_threshold``. ``kind`` may be given as its string value.
+    ``migration_threshold``. ``kind`` (default least_sil) may be given as
+    its string value.
     """
 
-    kind: PolicyKind
+    kind: PolicyKind = PolicyKind.LEAST_SIL
     migration_threshold: float = 0.0
 
     def __post_init__(self):
@@ -206,8 +206,7 @@ class CalibrationTarget:
 
     def __post_init__(self):
         traffic.check_calibration_targets(self.hurst, self.delta_h, "hurst", "delta_h")
-        if self.budget < 1:
-            raise ConfigError("calibration budget must be positive")
+        traffic.check_probe_budget(self.budget)
 
 
 def homogeneous_cluster(
@@ -244,8 +243,8 @@ class ScenarioConfig:
 
     traffic: GeneratorMeta | CalibrationTarget
     cluster: tuple[ServerSpec, ...] = field(default_factory=reference_cluster)
-    weights: WeightTriple = field(default_factory=default_weights)
-    policy: Policy = field(default_factory=lambda: Policy(kind=PolicyKind.LEAST_SIL))
+    weights: WeightTriple = field(default_factory=WeightTriple)
+    policy: Policy = field(default_factory=Policy)
     horizon: int = 16384
     window: int = 64
     arrival_scale: float = 0.1

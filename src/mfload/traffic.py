@@ -53,6 +53,7 @@ __all__ = [
     "generate_calibrated",
     "calibrate",
     "check_calibration_targets",
+    "check_probe_budget",
     "measure_scaling",
     "write_series_csv",
     "read_series_csv",
@@ -400,6 +401,12 @@ def check_calibration_targets(hurst: float, delta_h: float, hurst_key: str = "ta
         raise ConfigError(f"{delta_h_key} must lie in [0, 4], got {delta_h}")
 
 
+def check_probe_budget(budget: int, key: str = "budget") -> None:
+    """Reject a calibration probe budget below 1, naming the given key and value."""
+    if budget < 1:
+        raise ConfigError(f"{key}: must be a positive integer, got {budget}")
+
+
 def calibrate(
     target_hurst: float,
     target_delta_h: float,
@@ -449,8 +456,7 @@ def calibrate(
         candidate meta, its measured pair and the residuals.
     """
     check_calibration_targets(target_hurst, target_delta_h)
-    if budget < 1:
-        raise ConfigError("budget must be a positive integer")
+    check_probe_budget(budget)
 
     if probes is None:
         probes = {}

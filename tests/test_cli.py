@@ -69,6 +69,19 @@ def test_generate_calibrated_series_past_the_probe_depth(tmp_path):
     assert len((out / "series.csv").read_text().splitlines()) == 32769
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--hurst", "1.2", "--delta-h", "1.0"], "--hurst must lie in (0.5, 1), got 1.2"),
+    (["--hurst", "1.2"], "--hurst must lie in (0, 1), got 1.2"),
+    (["--hurst", "0.7", "--delta-h", "5"], "--delta-h must lie in [0, 4], got 5.0"),
+    (["--hurst", "0.7", "--delta-h", "-1"], "--delta-h must lie in [0, 4], got -1.0"),
+], ids=["calibrated-hurst", "fgn-hurst", "delta-h-above", "delta-h-negative"])
+def test_generate_out_of_range_target_names_its_option(tmp_path, capsys, argv, named):
+    out = tmp_path / "g"
+    assert _run(["generate", *argv, "--length", "1024", "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -231,6 +244,23 @@ def test_simulate_out_of_range_calibration_target_names_its_key(tmp_path, capsys
                    + "".join(f"{k} = {v}\n" for k, v in targets.items()))
     assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    # values the chosen kind or command does not read are still parsed and checked
+    ("[traffic]\nkind = cascade\nhurst = abc\n", "traffic.hurst: expected a number, got 'abc'"),
+    ("[traffic]\nkind = fgn\nbudget = 0\n", "traffic.budget: must be a positive integer, got 0"),
+    ("[sweep]\nbudget = zero\n", "sweep.budget: expected an integer, got 'zero'"),
+    ("[sweep]\ngrid = 0.6:9\n", "sweep.grid: cell '0.6:9': delta_h must lie in [0, 4]"),
+    ("[cluster]\nserver_0 = 8, 64, 32\ncpu_count = 2\n",
+     "cluster: give either per-server lines or the homogeneous shorthand"),
+], ids=["cascade-hurst", "fgn-budget", "sweep-budget", "sweep-grid", "server-and-shorthand"])
+def test_simulate_rejects_bad_values_its_run_ignores(tmp_path, capsys, text, named):
+    cfg = tmp_path / "ignored.ini"
+    cfg.write_text(text)
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------------------- sweep

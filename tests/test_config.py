@@ -1,8 +1,11 @@
 """Scenario file parsing: defaults, overrides, and failure messages."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from mfload.config import canonical_config_text, config_digest, parse_config, parse_sweep_grid
+from mfload.config import _KEYS, canonical_config_text, config_digest, parse_config, parse_sweep_grid
 from mfload.errors import ConfigError
 from mfload.metrics import WeightTriple
 from mfload.simulation import (
@@ -180,3 +183,23 @@ def test_canonical_text_and_digest(tmp_path):
     text = canonical_config_text(a)
     assert "seed=3" in text
     assert text == "\n".join(sorted(text.splitlines())) + "\n"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_shipped_configs_parse_and_document_every_key():
+    parse_config(CONFIGS / "example.ini")
+    parse_config(CONFIGS / "grid.ini")
+    assert parse_sweep_grid(CONFIGS / "grid.ini") == ([(0.6, 1.5), (0.6, 2.5), (0.9, 2.5)], 64)
+    # every accepted key appears in its section of the annotated file, commented or not
+    documented, section = set(), None
+    for line in (CONFIGS / "example.ini").read_text().splitlines():
+        line = line.lstrip("# ")
+        header, key = re.match(r"\[(\w+)\]$", line), re.match(r"(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+        elif key:
+            documented.add((section, key.group(1)))
+    expected = {(section, key) for section, keys in _KEYS.items() for key in keys}
+    assert expected - documented == set()

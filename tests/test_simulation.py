@@ -688,3 +688,8 @@ def test_adaptive_policy_dominates_round_robin():
         if np.mean([r.isl_tot for r in sil_run]) <= np.mean([r.isl_tot for r in rr_run]):
             wins += 1
     assert wins >= 90
+
+
+def test_calibration_target_rejects_a_zero_budget_naming_it():
+    with pytest.raises(ConfigError, match="budget: must be a positive integer, got 0"):
+        CalibrationTarget(hurst=0.7, delta_h=1.0, budget=0)
