@@ -30,17 +30,12 @@ from .metrics import (
     ImbalanceReport,
     ResourceUtilization,
     ServerSpec,
-    SystemAverages,
     WeightTriple,
     composite_load,
-    default_weights,
-    efficiency,
     full_report,
     resource_imbalance,
-    server_sil,
-    system_averages,
-    system_sil,
-    total_imbalance,
+    score_windows,
+    sil_value,
 )
 from .simulation import (
     CalibrationTarget,

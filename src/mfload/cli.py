@@ -233,6 +233,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None:
+            traffic.check_seed(args.seed, "--seed")
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

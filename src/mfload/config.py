@@ -29,10 +29,11 @@ from .simulation import (
     Policy,
     ScenarioConfig,
     ServiceClass,
+    check_window,
     homogeneous_cluster,
     reference_cluster,
 )
-from .traffic import GeneratorKind, GeneratorMeta, check_calibration_targets, check_probe_budget
+from .traffic import GeneratorKind, GeneratorMeta, check_calibration_targets, check_probe_budget, check_seed
 
 __all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_config_text"]
 
@@ -134,7 +135,9 @@ def _load(path) -> dict[str, dict]:
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can hold a newline, so a [DEFAULT] section is not
+    # copied into every section but rejected as an unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -144,7 +147,8 @@ def _load(path) -> dict[str, dict]:
     sections = {}
     for section in parser.sections():
         if section not in _KEYS:
-            raise ConfigError(f"{section}: unknown section")
+            keys = ", ".join(parser[section])
+            raise ConfigError(f"{section}: unknown section" + (f" (keys: {keys})" if keys else ""))
         values = sections[section] = {}
         for key, raw in parser[section].items():
             parse = _KEYS[section].get(key)
@@ -214,7 +218,9 @@ def parse_config(path) -> ScenarioConfig:
     if horizon < MFDFA_MIN_SAMPLES:
         # every CLI run measures its traffic with MF-DFA
         raise ConfigError(f"sim.horizon: must be >= {MFDFA_MIN_SAMPLES} ticks, got {horizon}")
+    check_window(sim.get("window", ScenarioConfig.window), horizon, "sim.window")
     seed = sim.get("seed", ScenarioConfig.seed)
+    check_seed(seed, "sim.seed")
     return ScenarioConfig(
         traffic=_parse_traffic(sections.get("traffic", {}), seed, horizon),
         cluster=_parse_cluster(sections.get("cluster", {})),

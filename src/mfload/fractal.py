@@ -126,7 +126,10 @@ def _as_values(series) -> np.ndarray:
 
 def _log_scales(lo: int, hi: int) -> np.ndarray:
     """20 log-spaced integer scales in [lo, hi], deduplicated."""
-    return np.unique(np.round(np.exp(np.linspace(np.log(lo), np.log(hi), 20))).astype(int))
+    # sorted and adjacent-distinct, as np.unique returns them; np.unique
+    # imports numpy.ma on its first call, a fixed cost on every CLI run
+    scales = np.sort(np.round(np.exp(np.linspace(np.log(lo), np.log(hi), 20))).astype(int))
+    return scales[np.concatenate(([True], scales[1:] != scales[:-1]))]
 
 
 def default_scales(length: int) -> np.ndarray:

@@ -9,6 +9,13 @@ scores (ISL_tot), and a composite efficiency.
 Conventions that matter when comparing numbers across cluster sizes:
 per-resource imbalance is a raw sum over servers, not divided by N, while
 ISL_tot is a mean over servers. Both are kept as-is deliberately.
+
+Squares are written as products (``d * d``), never ``d ** 2``: CPython's
+float power calls the C library's ``pow``, which can differ from the
+correctly rounded product in the last bit, while numpy's product is that
+same rounded product. So each formula below gives bitwise the same result
+on a float and on a numpy column of floats, which lets :func:`score_windows`
+score many windows at once with the bits of one window at a time.
 """
 
 from __future__ import annotations
@@ -17,26 +24,25 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, InsufficientDataError
 
 __all__ = [
     "ServerSpec",
     "ResourceUtilization",
-    "SystemAverages",
     "WeightTriple",
     "ImbalanceReport",
-    "system_averages",
     "resource_imbalance",
-    "total_imbalance",
-    "server_sil",
     "sil_value",
     "composite_load",
-    "system_sil",
-    "efficiency",
+    "score_windows",
     "full_report",
     "write_report_csv",
     "write_sil_csv",
 ]
+
+_RESOURCES = ("cpu", "ram", "net")
 
 
 @dataclass(frozen=True)
@@ -65,27 +71,12 @@ class ResourceUtilization:
     window: int
 
     def __post_init__(self):
-        for name in ("cpu", "ram", "net"):
+        for name in _RESOURCES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} utilization {v} outside [0,1]")
         if self.window < 1:
             raise ConfigError("window must be a positive tick count")
-
-
-@dataclass(frozen=True)
-class SystemAverages:
-    """Capacity-weighted mean utilization across the whole cluster."""
-
-    cpu_all: float
-    ram_all: float
-    net_all: float
-
-    def __post_init__(self):
-        for name in ("cpu_all", "ram_all", "net_all"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} = {v} outside [0,1]")
 
 
 @dataclass(frozen=True)
@@ -105,10 +96,6 @@ class WeightTriple:
             raise ConfigError("weights must be non-negative")
         if abs(self.a + self.b + self.c - 1.0) > 1e-9:
             raise ConfigError(f"weights: invariant a + b + c = 1 violated (got {self.a + self.b + self.c})")
-
-
-def default_weights() -> WeightTriple:
-    return WeightTriple()
 
 
 @dataclass(frozen=True)
@@ -138,55 +125,35 @@ class ImbalanceReport:
             raise ConfigError("isl_tot must equal mean(sil)")
 
 
-def _check_aligned(utils: Sequence[ResourceUtilization], specs: Sequence[ServerSpec]) -> None:
-    if len(utils) == 0 or len(specs) == 0:
+def _check_aligned(n: int, specs: Sequence[ServerSpec]) -> None:
+    if n == 0 or len(specs) == 0:
         raise InsufficientDataError("need at least one server")
-    if len(utils) != len(specs):
-        raise ConfigError(f"{len(utils)} utilizations for {len(specs)} servers")
+    if n != len(specs):
+        raise ConfigError(f"{n} utilizations for {len(specs)} servers")
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):
         raise ConfigError("server ids must be unique within a cluster")
 
 
-def system_averages(
-    utils: Sequence[ResourceUtilization], specs: Sequence[ServerSpec]
-) -> SystemAverages:
-    """Capacity-weighted cluster averages: CPUs weight cpu, capacities weight ram/net."""
-    # the same quantity as simulation._system_averages_now, summed in another float order;
-    # kept apart because one shared sum would move the bits of the outputs
-    _check_aligned(utils, specs)
-    cpu_w = sum(s.cpu_count for s in specs)
-    ram_w = sum(s.ram_capacity for s in specs)
-    net_w = sum(s.net_capacity for s in specs)
-    return SystemAverages(
-        cpu_all=sum(u.cpu * s.cpu_count for u, s in zip(utils, specs)) / cpu_w,
-        ram_all=sum(u.ram * s.ram_capacity for u, s in zip(utils, specs)) / ram_w,
-        net_all=sum(u.net * s.net_capacity for u, s in zip(utils, specs)) / net_w,
-    )
+def resource_imbalance(values: Iterable, system_avg) -> float:
+    """Raw sum of squared deviations from the system average (not per-server).
 
-
-def resource_imbalance(values: Iterable[float], system_avg: float) -> float:
-    """Raw sum of squared deviations from the system average (not per-server)."""
-    vals = list(values)
-    if not vals:
+    `values` holds one entry per server: a float, or a column of windows.
+    """
+    devs = [v - system_avg for v in values]
+    if not devs:
         raise InsufficientDataError("cannot measure imbalance of zero servers")
-    return sum((v - system_avg) ** 2 for v in vals)
-
-
-def total_imbalance(isl_cpu: float, isl_ram: float, isl_net: float) -> float:
-    """Combined imbalance across the three resources."""
-    if min(isl_cpu, isl_ram, isl_net) < 0.0:
-        raise ConfigError("per-resource imbalance cannot be negative")
-    return isl_cpu + isl_ram + isl_net
+    return sum(d * d for d in devs)
 
 
 def sil_value(cpu, ram, net, cpu_all, ram_all, net_all, w: WeightTriple) -> float:
-    """The SIL formula on plain floats: the one place it is written down.
+    """The SIL formula on floats or numpy columns: the one place it is written down.
 
     Placement, migration scoring and window reports all call this, so a
     decision and the score it is judged by can never disagree.
     """
-    return w.a * (cpu - cpu_all) ** 2 + w.b * (ram - ram_all) ** 2 + w.c * (net - net_all) ** 2
+    dc, dr, dn = cpu - cpu_all, ram - ram_all, net - net_all
+    return w.a * (dc * dc) + w.b * (dr * dr) + w.c * (dn * dn)
 
 
 def composite_load(cpu, ram, net, w: WeightTriple) -> float:
@@ -194,25 +161,44 @@ def composite_load(cpu, ram, net, w: WeightTriple) -> float:
     return w.a * cpu + w.b * ram + w.c * net
 
 
-def server_sil(util: ResourceUtilization, avgs: SystemAverages, w: WeightTriple) -> float:
-    """Weighted squared deviation of one server from the system averages."""
-    return sil_value(util.cpu, util.ram, util.net, avgs.cpu_all, avgs.ram_all, avgs.net_all, w)
+def score_windows(means, specs: Sequence[ServerSpec], w: WeightTriple) -> list[ImbalanceReport]:
+    """One report per window from mean utilizations shaped (W, n, 3).
 
-
-def system_sil(sils: Sequence[float]) -> float:
-    """Mean per-server imbalance score across the cluster."""
-    if len(sils) == 0:
-        raise InsufficientDataError("cannot average zero SIL values")
-    if any(s < 0.0 for s in sils):
-        raise ConfigError("SIL values cannot be negative")
-    return sum(sils) / len(sils)
-
-
-def efficiency(utils: Sequence[ResourceUtilization], w: WeightTriple) -> float:
-    """Mean composite load a*cpu + b*ram + c*net over all servers."""
-    if len(utils) == 0:
-        raise InsufficientDataError("need at least one server")
-    return sum(composite_load(u.cpu, u.ram, u.net, w) for u in utils) / len(utils)
+    `means[k, i]` is server i's (cpu, ram, net) over window k, in the order
+    of `specs`. The loops run over servers in cluster order, each step
+    vectorized across the W windows, so every window's floats are added
+    in the order of a plain float loop over its servers: sums start from
+    0 and add one server at a time, averages are capacity-weighted sums
+    over capacity totals, and ISL_tot and efficiency are sums over n.
+    A window's report is thus the same whichever windows share the call.
+    """
+    means = np.asarray(means, dtype=float)
+    _check_aligned(means.shape[1], specs)
+    n = len(specs)
+    cpu, ram, net = columns = [[means[:, i, r] for i in range(n)] for r in range(3)]
+    caps = [[s.cpu_count for s in specs], [s.ram_capacity for s in specs], [s.net_capacity for s in specs]]
+    # capacity-weighted averages: the same quantity as simulation._system_averages_now,
+    # summed in another float order; kept apart because one shared sum would move the bits
+    avgs = [sum(col * c for col, c in zip(cols, cap)) / sum(cap) for cols, cap in zip(columns, caps)]
+    for label, values in (("utilization", means), ("average", np.stack(avgs, axis=-1))):
+        bad = ~((values >= 0.0) & (values <= 1.0))  # NaN included
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise ConfigError(f"{_RESOURCES[at[-1]]} {label} {values[at]} outside [0,1]")
+    isl = [resource_imbalance(cols, avg) for cols, avg in zip(columns, avgs)]
+    sils = [sil_value(*u, *avgs, w) for u in zip(cpu, ram, net)]
+    scalars = (
+        *isl,
+        isl[0] + isl[1] + isl[2],
+        sum(sils) / n,
+        sum(composite_load(*u, w) for u in zip(cpu, ram, net)) / n,
+    )
+    rows = zip(*(f.tolist() for f in scalars), np.stack(sils, axis=1).tolist())
+    return [
+        ImbalanceReport(isl_cpu=ic, isl_ram=ir, isl_net=inet, ibl_tot=ibl, sil=tuple(sil),
+                        isl_tot=isl_tot, efficiency=eff)
+        for ic, ir, inet, ibl, isl_tot, eff, sil in rows
+    ]
 
 
 def full_report(
@@ -220,21 +206,9 @@ def full_report(
     specs: Sequence[ServerSpec],
     w: WeightTriple,
 ) -> ImbalanceReport:
-    """Compose all the metrics above into one report for a window."""
-    avgs = system_averages(utils, specs)
-    isl_cpu = resource_imbalance((u.cpu for u in utils), avgs.cpu_all)
-    isl_ram = resource_imbalance((u.ram for u in utils), avgs.ram_all)
-    isl_net = resource_imbalance((u.net for u in utils), avgs.net_all)
-    sils = tuple(server_sil(u, avgs, w) for u in utils)
-    return ImbalanceReport(
-        isl_cpu=isl_cpu,
-        isl_ram=isl_ram,
-        isl_net=isl_net,
-        ibl_tot=total_imbalance(isl_cpu, isl_ram, isl_net),
-        sil=sils,
-        isl_tot=system_sil(sils),
-        efficiency=efficiency(utils, w),
-    )
+    """Every metric for one window: the one-window case of :func:`score_windows`."""
+    means = np.array([[(u.cpu, u.ram, u.net) for u in utils]], dtype=float).reshape(1, -1, 3)
+    return score_windows(means, specs, w)[0]
 
 
 def write_report_csv(path, reports: Sequence[ImbalanceReport], window: int, summary: str | None = None) -> None:

@@ -51,7 +51,7 @@ from .metrics import (
     composite_load,
     sil_value,
 )
-from .traffic import GeneratorMeta, TrafficSeries
+from .traffic import GeneratorMeta, TrafficSeries, check_seed
 
 __all__ = [
     "MAX_TICK_ARRIVAL_MEAN",
@@ -62,6 +62,7 @@ __all__ = [
     "DemandParams",
     "CalibrationTarget",
     "ScenarioConfig",
+    "check_window",
     "ClusterState",
     "homogeneous_cluster",
     "reference_cluster",
@@ -237,6 +238,12 @@ def reference_cluster() -> tuple[ServerSpec, ...]:
     )
 
 
+def check_window(window: int, horizon: int, key: str = "window") -> None:
+    """Reject a report window outside [1, horizon], naming the given key and value."""
+    if not (1 <= window <= horizon):
+        raise ConfigError(f"{key}: must satisfy 1 <= window <= horizon = {horizon}, got {window}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run depends on."""
@@ -255,12 +262,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.horizon < 256:
             raise ConfigError(f"horizon must be >= 256 ticks, got {self.horizon}")
-        if not (1 <= self.window <= self.horizon):
-            raise ConfigError("window must satisfy 1 <= window <= horizon")
+        check_window(self.window, self.horizon)
         if not (math.isfinite(self.arrival_scale) and self.arrival_scale > 0.0):
             raise ConfigError(f"arrival_scale must be finite and positive, got {self.arrival_scale}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        check_seed(self.seed)
         if len(self.cluster) < 1:
             raise ConfigError("cluster needs at least one server")
         ids = [s.id for s in self.cluster]
@@ -337,7 +342,7 @@ class ClusterState:
         does not hold (the headroom may be spread across servers), so this
         is only a cheap rejection filter in front of :func:`dispatch`.
         :func:`step` passes the freed set: by the freed-set invariant of
-        this class, a queued task fits no other server. :meth:`fits` rounds
+        this class, a queued task fits no other server. :meth:`admissible` rounds
         sum + demand before comparing it with the capacity, so it can admit
         a demand a few ulps above cap - sum; a slack of 1e-12 of the
         capacity keeps the filter from rejecting it.
@@ -382,9 +387,6 @@ class ClusterState:
             if cs[i] + dc <= cc[i] and rs[i] + dr <= rc[i] and ns[i] + sur[i] + dn <= nc[i]:
                 admissible.append(i)
         return admissible
-
-    def fits(self, i: int, task: Task) -> bool:
-        return i in self.admissible(task)
 
     def _add(self, i: int, task: Task) -> None:
         self._version += 1
@@ -484,15 +486,20 @@ class ClusterState:
 
     def drain_window(self) -> list[ResourceUtilization]:
         """Mean utilizations since the last drain; resets the samples."""
-        return _window_means([self._take_window()])[0]
+        window = self._take_window()
+        means = _window_means([window])[0].tolist()
+        return [ResourceUtilization(*u, sum(window[1])) for u in means]
 
 
-def _window_means(windows) -> list[list[ResourceUtilization]]:
+def _window_means(windows) -> np.ndarray:
     """Per-server mean utilizations of equally long windows, each given as (rows, spans).
 
-    One cumsum sums each window in tick order from a zero row: the float
-    additions of a per-tick running sum from 0.0 (an all -0.0 column sums to
-    +0.0), whichever ticks were held and however the windows are batched.
+    Returns an array shaped (windows, servers, 3) of (cpu, ram, net) means,
+    which :func:`run_scenario` collects to score every window of a run in
+    one :func:`metrics.score_windows` call. One cumsum sums each window in
+    tick order from a zero row: the float additions of a per-tick running
+    sum from 0.0 (an all -0.0 column sums to +0.0), whichever ticks were
+    held and however the windows are batched.
     """
     count = sum(windows[0][1])
     rows, spans = (list(chain.from_iterable(part)) for part in zip(*windows))
@@ -501,13 +508,12 @@ def _window_means(windows) -> list[list[ResourceUtilization]]:
     samples = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), float, len(rows) * n * 3)
     per_tick = np.zeros((len(windows), count + 1, n, 3))
     per_tick[:, 1:] = np.repeat(samples.reshape(-1, n, 3), spans, axis=0).reshape(-1, count, n, 3)
-    means = np.minimum(np.cumsum(per_tick, axis=1)[:, -1] / count, 1.0).tolist()
-    return [[ResourceUtilization(cpu, ram, net, count) for cpu, ram, net in window] for window in means]
+    return np.minimum(np.cumsum(per_tick, axis=1)[:, -1] / count, 1.0)
 
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
     """Capacity-weighted instantaneous averages over the cluster."""
-    # the same quantity as metrics.system_averages, summed in another float order;
+    # the same quantity as metrics.score_windows' averages, summed in another float order;
     # kept apart because one shared sum would move the bits of the outputs
     net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
     return (sum(state.cpu_sum) / state.cpu_total, sum(state.ram_sum) / state.ram_total,
@@ -828,9 +834,11 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     on event ticks (an arrival, a completion, or a migration on the tick
     before); the quiet run up to the next event or window end passes in
     one :meth:`ClusterState.hold`. Closed windows are averaged
-    `_SCORE_BATCH` at a time (:func:`_window_means`). The reports equal
-    those of calling :func:`arrivals_from_traffic` and :func:`step` on
-    every tick.
+    `_SCORE_BATCH` at a time (:func:`_window_means`), and the run's
+    (windows, servers, 3) means are scored once, after the last tick, by
+    :func:`metrics.score_windows`. The reports equal those of calling
+    :func:`arrivals_from_traffic` and :func:`step` on every tick and
+    :func:`metrics.full_report` on every window.
     """
     if series is None:
         _, series = resolve_traffic(config)
@@ -852,7 +860,7 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     state = ClusterState(config.cluster)
     completions = state._completion_ticks
     next_arrival, k = next(arrivals, (horizon, 0))
-    reports, closed, t = [], [], 0
+    means, closed, t = [], [], 0
     while t < horizon:
         tasks = []
         if t == next_arrival:
@@ -869,7 +877,7 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
         if t % window == 0:
             closed.append(state._take_window())
             if len(closed) == _SCORE_BATCH or t + window > horizon:
-                reports.extend(metrics.full_report(u, config.cluster, config.weights) for u in _window_means(closed))
+                means.append(_window_means(closed))
                 closed = []
 
     in_flight = state.running_count() + state.queue_len()
@@ -878,4 +886,4 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
             f"task conservation violated: arrived {state.arrived} != "
             f"completed {state.completed} + in flight {in_flight}"
         )
-    return reports
+    return metrics.score_windows(np.concatenate(means), config.cluster, config.weights)

@@ -54,6 +54,7 @@ __all__ = [
     "calibrate",
     "check_calibration_targets",
     "check_probe_budget",
+    "check_seed",
     "measure_scaling",
     "write_series_csv",
     "read_series_csv",
@@ -118,8 +119,7 @@ class GeneratorMeta:
         except ValueError:
             names = sorted(k.value for k in GeneratorKind)
             raise ConfigError(f"traffic.kind: expected one of {names}, got {self.kind!r}") from None
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        check_seed(self.seed)
         if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
             raise ConfigError(f"target_hurst must lie in (0,1), got {self.target_hurst}")
         if self.target_delta_h is not None and not (
@@ -399,6 +399,12 @@ def check_calibration_targets(hurst: float, delta_h: float, hurst_key: str = "ta
         raise ConfigError(f"{hurst_key} must lie in (0.5, 1), got {hurst}")
     if not (0.0 <= delta_h <= 4.0):
         raise ConfigError(f"{delta_h_key} must lie in [0, 4], got {delta_h}")
+
+
+def check_seed(seed: int, key: str = "seed") -> None:
+    """Reject a negative RNG seed, naming the given key and value."""
+    if seed < 0:
+        raise ConfigError(f"{key}: must be a non-negative integer, got {seed}")
 
 
 def check_probe_budget(budget: int, key: str = "budget") -> None:

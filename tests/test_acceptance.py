@@ -13,7 +13,7 @@ from numpy.random import default_rng
 
 from mfload.cli import main as cli_main
 from mfload.fractal import estimate_hurst_dfa, mfdfa
-from mfload.metrics import ServerSpec, WeightTriple, default_weights, full_report
+from mfload.metrics import ServerSpec, WeightTriple, full_report
 from mfload.metrics import ResourceUtilization
 from mfload.simulation import (
     ClusterState,
@@ -134,7 +134,7 @@ def test_criterion_1_metric_exactness():
 
 
 def test_criterion_2_trivial_zero_and_perturbation():
-    w = default_weights()
+    w = WeightTriple()
     specs = reference_cluster()
     uniform = [ResourceUtilization(0.5, 0.25, 0.75, window=64) for _ in specs]
     r0 = full_report(uniform, specs, w)
@@ -281,7 +281,7 @@ def test_criterion_9_safety(grid_runs):
         arrivals = arrivals_from_traffic(
             series, t, 3.0, DemandParams(), c_rng, d_rng, id_start=state.arrived
         )
-        step(state, arrivals, pol, default_weights())
+        step(state, arrivals, pol, WeightTriple())
         for i in range(state.n):
             peak = max(peak, *state.utilization(i))
             if max(state.utilization(i)) > 1.0:

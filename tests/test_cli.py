@@ -263,6 +263,33 @@ def test_simulate_rejects_bad_values_its_run_ignores(tmp_path, capsys, text, nam
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, text, named", [
+    (["simulate"], "[sim]\nseed = -1\n", "sim.seed: must be a non-negative integer, got -1"),
+    (["simulate", "--seed", "-2"], "", "--seed: must be a non-negative integer, got -2"),
+    (["generate", "--hurst", "0.7", "--seed", "-1"], None,
+     "--seed: must be a non-negative integer, got -1"),
+    (["simulate"], "[sim]\nwindow = 0\n", "sim.window: must satisfy 1 <= window <= horizon"),
+], ids=["config-seed", "simulate-seed", "generate-seed", "config-window"])
+def test_out_of_range_run_value_names_its_key_or_option(tmp_path, capsys, argv, text, named):
+    if text is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        argv = [*argv, "--config", str(cfg)]
+    assert _run([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_default_section_is_rejected_by_its_own_name(tmp_path, capsys):
+    # configparser would copy [DEFAULT] keys into [traffic] and blame traffic.seed
+    cfg = tmp_path / "defaults.ini"
+    cfg.write_text("[DEFAULT]\nseed = 3\n[traffic]\nkind = fgn\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "DEFAULT: unknown section (keys: seed)" in err
+    assert "traffic.seed" not in err
+
+
 # -------------------------------------------------------------------- sweep
 
 

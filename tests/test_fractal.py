@@ -1,9 +1,15 @@
 """Estimator checks against series with known scaling behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import mfload
 from mfload.errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -236,6 +242,24 @@ def test_default_scales_shape():
     assert scales[0] == 16
     assert scales[-1] <= 2**14 // 4
     assert np.all(np.diff(scales) > 0)
+
+
+@pytest.mark.parametrize("length", [1024, 1041, 3000] + [2**k for k in range(7, 17)])
+def test_default_scales_equal_np_unique(length):
+    grid = np.round(np.exp(np.linspace(np.log(16), np.log(length // 4), 20))).astype(int)
+    scales = default_scales(length)
+    assert scales.dtype == np.unique(grid).dtype
+    assert np.array_equal(scales, np.unique(grid))
+
+
+def test_default_scales_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, a cost every CLI process would pay
+    code = ("import sys; from mfload.fractal import default_scales; "
+            "default_scales(16384); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(mfload.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_spectrum_csv_format(tmp_path):

@@ -5,6 +5,9 @@ independent numpy implementation; the scalar tests pin down each operation
 with values small enough to check by hand.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -14,16 +17,11 @@ from mfload.metrics import (
     ImbalanceReport,
     ResourceUtilization,
     ServerSpec,
-    SystemAverages,
     WeightTriple,
-    default_weights,
-    efficiency,
     full_report,
     resource_imbalance,
-    server_sil,
-    system_averages,
-    system_sil,
-    total_imbalance,
+    score_windows,
+    sil_value,
     write_report_csv,
     write_sil_csv,
 )
@@ -65,33 +63,37 @@ def _brute_report(utils, specs, w):
 
 
 # ---------------------------------------------------------- system averages
+# the averages are not report fields; a deviation of exactly zero shows an
+# exact average, and under cpu-only weights a server's SIL is its squared
+# deviation from the cluster cpu average
+
+CPU_ONLY = WeightTriple(a=1.0, b=0.0, c=0.0)
 
 
 def test_system_averages_symmetric():
     utils = [_u(0.5, 0.5, 0.5), _u(0.5, 0.5, 0.5)]
-    avgs = system_averages(utils, [_spec(0), _spec(1)])
-    assert avgs.cpu_all == 0.5
-    assert avgs.ram_all == 0.5
-    assert avgs.net_all == 0.5
+    r = full_report(utils, [_spec(0), _spec(1)], WeightTriple())
+    assert (r.isl_cpu, r.isl_ram, r.isl_net) == (0.0, 0.0, 0.0)
 
 
 def test_system_averages_capacity_weighted():
     # cpu (0.2*1 + 0.8*3) / 4 = 0.65
     utils = [_u(0.2, 0.0, 0.0), _u(0.8, 0.0, 0.0)]
     specs = [_spec(0, cpu=1), _spec(1, cpu=3)]
-    assert system_averages(utils, specs).cpu_all == pytest.approx(0.65, abs=1e-15)
+    cpu_all = 0.8 - math.sqrt(full_report(utils, specs, CPU_ONLY).sil[1])
+    assert cpu_all == pytest.approx(0.65, abs=1e-15)
 
 
 def test_system_averages_single_server_identity():
-    avgs = system_averages([_u(0.3, 0.6, 0.9)], [_spec(0)])
-    assert (avgs.cpu_all, avgs.ram_all, avgs.net_all) == (0.3, 0.6, 0.9)
+    r = full_report([_u(0.3, 0.6, 0.9)], [_spec(0)], WeightTriple())
+    assert (r.isl_cpu, r.isl_ram, r.isl_net, r.sil) == (0.0, 0.0, 0.0, (0.0,))
 
 
 def test_system_averages_rejects_misaligned_input():
     with pytest.raises(ConfigError):
-        system_averages([_u(0.5, 0.5, 0.5)], [_spec(0), _spec(1)])
+        full_report([_u(0.5, 0.5, 0.5)], [_spec(0), _spec(1)], WeightTriple())
     with pytest.raises(InsufficientDataError):
-        system_averages([], [])
+        full_report([], [], WeightTriple())
 
 
 # ------------------------------------------------------ per-resource / sums
@@ -106,39 +108,69 @@ def test_resource_imbalance_oracles():
 
 
 def test_total_imbalance_oracles():
-    assert total_imbalance(0.0, 0.0, 0.0) == 0.0
-    assert total_imbalance(0.02, 0.01, 0.03) == pytest.approx(0.06, abs=1e-15)
-    assert total_imbalance(0.37, 0.0, 0.0) == 0.37
+    # six servers around an exact 0.5 average: deviations of 0.1 on two
+    # servers give 0.02, of 0.05 on four give 0.01, and both together 0.03
+    cpu = (0.4, 0.6, 0.5, 0.5, 0.5, 0.5)
+    ram = (0.5, 0.5, 0.45, 0.55, 0.45, 0.55)
+    net = (0.4, 0.6, 0.45, 0.55, 0.45, 0.55)
+    specs = [_spec(i) for i in range(6)]
+    r = full_report([_u(*u) for u in zip(cpu, ram, net)], specs, WeightTriple())
+    assert r.ibl_tot == pytest.approx(0.06, abs=1e-15)
+    assert r.ibl_tot == r.isl_cpu + r.isl_ram + r.isl_net
+    balanced = full_report([_u(0.2, 0.5, 0.5), _u(0.8, 0.5, 0.5)], [_spec(0), _spec(1)], WeightTriple())
+    assert balanced.ibl_tot == balanced.isl_cpu == pytest.approx(0.18, abs=1e-15)
+    assert full_report([_u(0.0, 0.0, 0.0)] * 2, [_spec(0), _spec(1)], WeightTriple()).ibl_tot == 0.0
     with pytest.raises(ConfigError):
-        total_imbalance(-0.01, 0.0, 0.0)
+        ImbalanceReport(isl_cpu=-0.01, isl_ram=0.0, isl_net=0.0, ibl_tot=-0.01,
+                        sil=(0.0,), isl_tot=0.0, efficiency=0.5)
 
 
 def test_server_sil_oracles():
-    avgs = SystemAverages(cpu_all=0.4, ram_all=0.4, net_all=0.4)
-    assert server_sil(_u(0.4, 0.4, 0.4), avgs, default_weights()) == 0.0
+    w = WeightTriple()
+    assert sil_value(0.4, 0.4, 0.4, 0.4, 0.4, 0.4, w) == 0.0
     # three deviations of 0.3 under equal weights: 3 * (1/3) * 0.09
-    got = server_sil(_u(0.7, 0.7, 0.7), avgs, default_weights())
+    got = sil_value(0.7, 0.7, 0.7, 0.4, 0.4, 0.4, w)
     assert got == pytest.approx(0.09, abs=1e-15)
-    cpu_only = WeightTriple(a=1.0, b=0.0, c=0.0)
-    assert server_sil(_u(0.6, 0.9, 0.1), avgs, cpu_only) == pytest.approx(0.04, abs=1e-15)
+    assert sil_value(0.6, 0.9, 0.1, 0.4, 0.4, 0.4, CPU_ONLY) == pytest.approx(0.04, abs=1e-15)
 
 
 def test_system_sil_oracles():
-    assert system_sil([0.0, 0.0, 0.0]) == 0.0
-    assert system_sil([0.09, 0.01]) == pytest.approx(0.05, abs=1e-15)
-    assert system_sil([0.123]) == 0.123
+    specs = [_spec(0), _spec(1), _spec(2)]
+    assert full_report([_u(0.3, 0.3, 0.3)] * 3, specs, WeightTriple()).isl_tot == 0.0
+    # cpu (0.2*1 + 0.6*3) / 4 = 0.5: SILs 0.09 and 0.01 under cpu-only weights
+    skewed = [_spec(0, cpu=1), _spec(1, cpu=3)]
+    r = full_report([_u(0.2, 0.0, 0.0), _u(0.6, 0.0, 0.0)], skewed, CPU_ONLY)
+    assert r.isl_tot == pytest.approx(0.05, abs=1e-15)
+    assert ImbalanceReport(0.0, 0.0, 0.0, 0.0, sil=(0.123,), isl_tot=0.123, efficiency=0.5).isl_tot == 0.123
     with pytest.raises(InsufficientDataError):
-        system_sil([])
+        full_report([], [], WeightTriple())
     with pytest.raises(ConfigError):
-        system_sil([0.1, -0.1])
+        ImbalanceReport(0.0, 0.0, 0.0, 0.0, sil=(0.1, -0.1), isl_tot=0.0, efficiency=0.5)
 
 
 def test_efficiency_bounds_and_mean():
-    w = default_weights()
-    assert efficiency([_u(1.0, 1.0, 1.0)] * 3, w) == pytest.approx(1.0, abs=1e-15)
-    assert efficiency([_u(0.0, 0.0, 0.0)] * 3, w) == 0.0
-    got = efficiency([_u(0.2, 0.2, 0.2), _u(0.6, 0.6, 0.6)], w)
+    w = WeightTriple()
+    specs = [_spec(0), _spec(1), _spec(2)]
+    assert full_report([_u(1.0, 1.0, 1.0)] * 3, specs, w).efficiency == pytest.approx(1.0, abs=1e-15)
+    assert full_report([_u(0.0, 0.0, 0.0)] * 3, specs, w).efficiency == 0.0
+    got = full_report([_u(0.2, 0.2, 0.2), _u(0.6, 0.6, 0.6)], specs[:2], w).efficiency
     assert got == pytest.approx(0.4, abs=1e-15)
+
+
+def test_formulas_give_the_same_bits_on_a_column_as_on_each_float():
+    # libm pow(d, 2) and the rounded d * d part in about 1 of 1000 squares
+    m = 20_000
+    rng = default_rng(23)
+    cols = rng.random((6, 3, m))
+    cols[0, :, :100] = 0.0
+    cols[1, :, 100:200] = 1.0
+    avgs = rng.random((3, m))
+    raw = rng.random(3)
+    w = WeightTriple(*(raw / raw.sum()))
+    sils = [sil_value(*u, *a, w) for u, a in zip(cols[0].T.tolist(), avgs.T.tolist())]
+    assert np.array_equal(sil_value(*cols[0], *avgs, w), sils)
+    imbs = [resource_imbalance(u, a) for u, a in zip(cols[:, 0].T.tolist(), avgs[0].tolist())]
+    assert np.array_equal(resource_imbalance(cols[:, 0], avgs[0]), imbs)
 
 
 # ------------------------------------------------------------- composition
@@ -149,7 +181,7 @@ def test_full_report_uniform_cluster_is_exactly_zero():
     # so the zero must be exact, not approximate
     specs = [_spec(i, cpu=c, ram=8.0 * c, net=4.0 * c) for i, c in enumerate((8, 4, 2, 1))]
     utils = [_u(0.5, 0.25, 0.75)] * 4
-    r = full_report(utils, specs, default_weights())
+    r = full_report(utils, specs, WeightTriple())
     assert r.isl_cpu == 0.0
     assert r.isl_ram == 0.0
     assert r.isl_net == 0.0
@@ -161,7 +193,7 @@ def test_full_report_uniform_cluster_is_exactly_zero():
 
 
 def test_full_report_single_server_degenerate():
-    r = full_report([_u(0.9, 0.2, 0.6)], [_spec(0)], default_weights())
+    r = full_report([_u(0.9, 0.2, 0.6)], [_spec(0)], WeightTriple())
     assert r.isl_cpu == 0.0 and r.isl_ram == 0.0 and r.isl_net == 0.0
     assert r.isl_tot == 0.0
 
@@ -170,7 +202,7 @@ def test_perturbation_quadratic_hand_oracle():
     """Bumping one server's cpu by delta moves isl_tot by a known quadratic."""
     n = 4
     specs = [_spec(i, cpu=2) for i in range(n)]
-    w = default_weights()
+    w = WeightTriple()
     base = 0.5
     wj = 2.0 / (2.0 * n)  # perturbed server's share of cpu weight
     for delta in (0.01, 0.05, 0.2):
@@ -185,7 +217,7 @@ def test_perturbation_quadratic_hand_oracle():
 
 def test_perturbation_scales_quadratically():
     specs = [_spec(i) for i in range(5)]
-    w = default_weights()
+    w = WeightTriple()
 
     def bumped(delta):
         utils = [_u(0.4, 0.4, 0.4) for _ in range(5)]
@@ -234,7 +266,7 @@ def test_translation_leaves_isl_cpu_unchanged():
         cpu = rng.uniform(0.2, 0.6, size=4)
         utils = [_u(float(v), 0.5, 0.5) for v in cpu]
         shifted = [_u(float(v) + 0.2, 0.5, 0.5) for v in cpu]
-        w = default_weights()
+        w = WeightTriple()
         a = full_report(utils, specs, w).isl_cpu
         b = full_report(shifted, specs, w).isl_cpu
         assert abs(a - b) <= 1e-12
@@ -244,7 +276,7 @@ def test_scaling_multiplies_imbalance_by_alpha_squared():
     rng = default_rng(11)
     specs = [_spec(i, cpu=int(c)) for i, c in enumerate((2, 3, 5))]
     utils = [_u(*rng.random(3)) for _ in range(3)]
-    w = default_weights()
+    w = WeightTriple()
     base = full_report(utils, specs, w)
     for alpha in (0.5, 0.25, 1.0):
         scaled = [_u(u.cpu * alpha, u.ram * alpha, u.net * alpha) for u in utils]
@@ -259,7 +291,7 @@ def test_permutation_invariance():
     rng = default_rng(13)
     specs = [_spec(i, cpu=int(c), ram=10.0 * c, net=5.0 * c) for i, c in enumerate((1, 2, 4, 8))]
     utils = [_u(*rng.random(3)) for _ in range(4)]
-    w = default_weights()
+    w = WeightTriple()
     base = full_report(utils, specs, w)
     perm = [2, 0, 3, 1]
     r = full_report([utils[j] for j in perm], [specs[j] for j in perm], w)
@@ -318,10 +350,22 @@ def test_report_internal_consistency_enforced():
         )
 
 
+@pytest.mark.parametrize("value, message", [
+    (1.5, "ram utilization 1.5 outside [0,1]"),
+    (-0.25, "ram utilization -0.25 outside [0,1]"),
+    (float("nan"), "ram utilization nan outside [0,1]"),
+])
+def test_score_windows_names_the_bad_utilization_in_any_window(value, message):
+    means = np.full((3, 2, 3), 0.5)
+    means[2, 1, 1] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        score_windows(means, [_spec(0), _spec(1)], WeightTriple())
+
+
 def test_full_report_rejects_duplicate_ids():
     utils = [_u(0.5, 0.5, 0.5), _u(0.5, 0.5, 0.5)]
     with pytest.raises(ConfigError):
-        full_report(utils, [_spec(3), _spec(3)], default_weights())
+        full_report(utils, [_spec(3), _spec(3)], WeightTriple())
 
 
 # ---------------------------------------------------------------- csv shape
@@ -329,7 +373,7 @@ def test_full_report_rejects_duplicate_ids():
 
 def test_report_csv_round_shape(tmp_path):
     specs = [_spec(0), _spec(1)]
-    w = default_weights()
+    w = WeightTriple()
     reports = [
         full_report([_u(0.2, 0.3, 0.4), _u(0.6, 0.5, 0.4)], specs, w),
         full_report([_u(0.5, 0.5, 0.5), _u(0.5, 0.5, 0.5)], specs, w),
@@ -347,7 +391,7 @@ def test_report_csv_round_shape(tmp_path):
 
 def test_sil_csv_long_form(tmp_path):
     specs = [_spec(0), _spec(7)]
-    w = default_weights()
+    w = WeightTriple()
     reports = [full_report([_u(0.2, 0.3, 0.4), _u(0.6, 0.5, 0.4)], specs, w)]
     path = tmp_path / "sil.csv"
     write_sil_csv(path, reports, window=32, server_ids=[0, 7])

@@ -12,10 +12,9 @@ EXPORTED = {
     "EstimationError", "InsufficientDataError",
     "DEFAULT_Q_GRID", "HurstEstimate", "HurstMethod", "MultifractalSpectrum",
     "estimate_hurst_dfa", "estimate_hurst_rs", "mfdfa", "structure_function",
-    "ImbalanceReport", "ResourceUtilization", "ServerSpec", "SystemAverages",
-    "WeightTriple", "composite_load", "default_weights", "efficiency",
-    "full_report", "resource_imbalance", "server_sil", "system_averages",
-    "system_sil", "total_imbalance",
+    "ImbalanceReport", "ResourceUtilization", "ServerSpec", "WeightTriple",
+    "composite_load", "full_report", "resource_imbalance", "score_windows",
+    "sil_value",
     "CalibrationTarget", "ClusterState", "DemandParams", "Policy", "PolicyKind",
     "ScenarioConfig", "ServiceClass", "Task", "arrivals_from_traffic",
     "dispatch", "homogeneous_cluster", "rebalance", "reference_cluster",

@@ -7,10 +7,12 @@ order unless the earlier task fits nowhere, and repeat itself under the
 same seed; under threshold migration, each committed move's predicted
 post-move max SIL must equal the max SIL measured once it is applied.
 `run_scenario`, which skips quiet ticks, must report exactly what calling
-`arrivals_from_traffic` and `step` on every tick reports. Two test-local
-oracles keep the engine's earlier, simpler forms: a step that retries the
-whole queue on every tick, and a move scorer that scores one
-(candidate, destination) pair at a time.
+`arrivals_from_traffic` and `step` on every tick reports. `score_windows`
+must report for each of up to 64 windows exactly what `full_report` gives
+for that window alone. Three test-local oracles keep earlier, simpler
+forms: a step that retries the whole queue on every tick, a move scorer
+that scores one (candidate, destination) pair at a time, and a window
+scorer on plain floats.
 """
 
 from collections import deque
@@ -19,10 +21,20 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation as sim
-from mfload.metrics import ServerSpec, WeightTriple, full_report, sil_value
+from mfload.metrics import (
+    ImbalanceReport,
+    ResourceUtilization,
+    ServerSpec,
+    WeightTriple,
+    composite_load,
+    full_report,
+    score_windows,
+    sil_value,
+)
 from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
@@ -146,7 +158,7 @@ class _FifoChecked(sim.ClusterState):
         # ids count arrivals, so a smaller id arrived earlier (or earlier in its batch)
         passed_over = [q for q in self.queue if q.id < task.id and q.id not in self.placed]
         for q in passed_over:
-            assert not any(self.fits(j, q) for j in range(self.n)), (q.id, task.id)
+            assert not self.admissible(q), (q.id, task.id)
         self.placed.add(task.id)
         super().place(i, task, completes_at)
 
@@ -247,14 +259,14 @@ def test_move_scores_equal_the_per_move_oracle(specs, w, placements, moved, prob
     state = sim.ClusterState(specs)
     for tid, (i, (c, r, n)) in enumerate(placements):
         task = sim.Task(tid, 0, c, r, n, 1)
-        if state.fits(i % state.n, task):
+        if i % state.n in state.admissible(task):
             state.place(i % state.n, task, completes_at=100)
     # migrations leave net surcharges on their sources
     for tid in moved:
         src = state._task_server.get(tid)
         if src is not None:
             dst = (src + 1) % state.n
-            if state.fits(dst, state.running[src][tid]):
+            if dst in state.admissible(state.running[src][tid]):
                 state.migrate(tid, dst)
     utils = [state.utilization(i) for i in range(state.n)]
     avgs = sim._system_averages_now(state)
@@ -265,7 +277,7 @@ def test_move_scores_equal_the_per_move_oracle(specs, w, placements, moved, prob
             expected = {
                 j: _post_move_max_sil(state, utils, avgs, net_total, src, j, task, w)
                 for j in range(state.n)
-                if j != src and state.fits(j, task)
+                if j != src and j in state.admissible(task)
             }
             assert sim._post_move_max_sils(state, utils, avgs, net_total, src, task, w) == expected
 
@@ -391,3 +403,48 @@ def test_a_move_lets_a_queued_task_in_on_the_next_tick_without_other_events():
     assert (arrivals, completes, moved_before) == (0, False, True)
     assert events[49][3] < queued  # the queue shrank on tick 48
     assert sim.run_scenario(config, series) == reference
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _scalar_report(rows, specs, w):
+    """Test-local oracle: one window scored on plain floats, one server at a time.
+
+    The earlier form of `full_report`. Every sum runs in server order from
+    zero, the float order that `score_windows` keeps across windows.
+    """
+    cols = list(zip(*rows))
+    caps = [[s.cpu_count for s in specs], [s.ram_capacity for s in specs],
+            [s.net_capacity for s in specs]]
+    avgs = [_sequential_sum(u * c for u, c in zip(col, cap)) / _sequential_sum(cap)
+            for col, cap in zip(cols, caps)]
+    isl = [_sequential_sum((v - a) * (v - a) for v in col) for col, a in zip(cols, avgs)]
+    sils = tuple(sil_value(*u, *avgs, w) for u in rows)
+    return ImbalanceReport(
+        isl_cpu=isl[0], isl_ram=isl[1], isl_net=isl[2], ibl_tot=isl[0] + isl[1] + isl[2],
+        sil=sils, isl_tot=_sequential_sum(sils) / len(rows),
+        efficiency=_sequential_sum(composite_load(*u, w) for u in rows) / len(rows),
+    )
+
+
+unit_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.integers(1, 16), st.floats(1.0, 64.0), st.floats(1.0, 32.0)),
+                min_size=1, max_size=12),
+       weights(), st.integers(1, 64), st.data())
+def test_score_windows_equals_full_report_per_window(caps, w, n_windows, data):
+    specs = tuple(ServerSpec(i, c, r, n) for i, (c, r, n) in enumerate(caps))
+    means = data.draw(hnp.arrays(np.float64, (n_windows, len(specs), 3), elements=unit_values))
+    reports = score_windows(means, specs, w)
+    assert len(reports) == n_windows
+    for k, report in enumerate(reports):
+        rows = means[k].tolist()
+        utils = [ResourceUtilization(*u, window=1) for u in rows]
+        assert report == full_report(utils, specs, w) == _scalar_report(rows, specs, w)

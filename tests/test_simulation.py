@@ -13,7 +13,7 @@ from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation
 from mfload.errors import ConfigError
-from mfload.metrics import ServerSpec, default_weights, full_report
+from mfload.metrics import ServerSpec, WeightTriple, full_report
 from mfload.simulation import (
     CalibrationTarget,
     ClusterState,
@@ -150,13 +150,13 @@ def test_least_composite_picks_lightest_server():
     state.place(0, _task(0, cpu=3.6, ram=28.0, net=14.0), completes_at=100)
     state.place(1, _task(1, cpu=0.4, ram=3.0, net=1.0), completes_at=100)
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    assert dispatch(_task(2, cpu=0.2), state, pol, default_weights()) == 1
+    assert dispatch(_task(2, cpu=0.2), state, pol, WeightTriple()) == 1
 
 
 def test_dispatch_ties_break_to_lowest_id():
     state = ClusterState(homogeneous_cluster(3))
     for kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.LEAST_SIL):
-        assert dispatch(_task(9), state, Policy(kind=kind), default_weights()) == 0
+        assert dispatch(_task(9), state, Policy(kind=kind), WeightTriple()) == 0
 
 
 def test_round_robin_cycles():
@@ -164,7 +164,7 @@ def test_round_robin_cycles():
     pol = Policy(kind=PolicyKind.ROUND_ROBIN)
     picks = []
     for tid in range(6):
-        i = dispatch(_task(tid, cpu=0.1, ram=0.1, net=0.1), state, pol, default_weights())
+        i = dispatch(_task(tid, cpu=0.1, ram=0.1, net=0.1), state, pol, WeightTriple())
         state.place(i, _task(100 + tid, cpu=0.1, ram=0.1, net=0.1), completes_at=1000)
         picks.append(i)
     assert picks == [0, 1, 2, 0, 1, 2]
@@ -175,7 +175,7 @@ def test_dispatch_returns_none_when_saturated():
     for i in range(2):
         state.place(i, _task(i, cpu=1.0, ram=0.5, net=0.5), completes_at=100)
     for kind in PolicyKind:
-        assert dispatch(_task(9, cpu=0.5), state, Policy(kind=kind), default_weights()) is None
+        assert dispatch(_task(9, cpu=0.5), state, Policy(kind=kind), WeightTriple()) is None
 
 
 def test_least_sil_is_argmin_over_admissible_servers():
@@ -204,12 +204,12 @@ def test_least_sil_is_argmin_over_admissible_servers():
                     ram=float(rng.uniform(0.05, 0.3) * specs[i].ram_capacity),
                     net=float(rng.uniform(0.05, 0.3) * specs[i].net_capacity),
                 )
-                if state.fits(i, t):
+                if i in state.admissible(t):
                     state.place(i, t, completes_at=10_000)
                     tid += 1
         probe = _task(tid, cpu=float(rng.uniform(0.05, 0.8)),
                       ram=float(rng.uniform(0.1, 4.0)), net=float(rng.uniform(0.05, 2.0)))
-        w = default_weights()
+        w = WeightTriple()
         got = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL), w)
 
         caps = [(s.cpu_count, s.ram_capacity, s.net_capacity) for s in specs]
@@ -218,7 +218,7 @@ def test_least_sil_is_argmin_over_admissible_servers():
         avg = [sum(u[k] * caps[i][k] for i, u in enumerate(utils)) / tot[k] for k in range(3)]
         best, best_sil = None, None
         for i in range(n):
-            if not state.fits(i, probe):
+            if i not in state.admissible(probe):
                 continue
             u = utils[i]
             cu = u[0] + probe.cpu_demand / caps[i][0]
@@ -240,8 +240,8 @@ def test_least_sil_matches_least_composite_on_uniform_state():
         state.place(i, _task(i, cpu=1.0, ram=8.0, net=4.0), completes_at=10_000)
     for cpu in (0.2, 0.7, 1.5):
         probe = _task(99, cpu=cpu)
-        a = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL), default_weights())
-        b = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_COMPOSITE), default_weights())
+        a = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_SIL), WeightTriple())
+        b = dispatch(probe, state, Policy(kind=PolicyKind.LEAST_COMPOSITE), WeightTriple())
         assert a == b
 
 
@@ -251,19 +251,19 @@ def test_least_sil_matches_least_composite_on_uniform_state():
 def test_rebalance_noop_cases():
     pol = Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.5)
     single = ClusterState(homogeneous_cluster(1))
-    assert rebalance(single, pol, default_weights()) == []
+    assert rebalance(single, pol, WeightTriple()) == []
     balanced = ClusterState(homogeneous_cluster(3))
-    assert rebalance(balanced, pol, default_weights()) == []
+    assert rebalance(balanced, pol, WeightTriple()) == []
     loaded = ClusterState(homogeneous_cluster(3))
     loaded.place(0, _task(0, cpu=2.0), completes_at=100)
-    assert rebalance(loaded, Policy(kind=PolicyKind.LEAST_SIL), default_weights()) == []
+    assert rebalance(loaded, Policy(kind=PolicyKind.LEAST_SIL), WeightTriple()) == []
 
 
 def test_rebalance_drains_overloaded_server():
     state = ClusterState(homogeneous_cluster(2))
     for tid in range(4):
         state.place(0, _task(tid, cpu=0.8, ram=4.0, net=2.0), completes_at=100)
-    w = default_weights()
+    w = WeightTriple()
     before = max(_cluster_sils(state, w))
     moves = rebalance(state, Policy(kind=PolicyKind.THRESHOLD_MIGRATION, migration_threshold=0.0), w)
     assert len(moves) >= 1
@@ -287,7 +287,7 @@ def test_migration_keeps_net_charge_on_source():
 
 def test_every_committed_move_lowers_max_sil():
     """Instrumented run: each migration strictly reduces the worst score."""
-    w = default_weights()
+    w = WeightTriple()
     checks = []
 
     class Tracked(ClusterState):
@@ -333,10 +333,10 @@ def test_policy_kind_given_as_a_string():
 def test_task_occupies_exactly_its_duration():
     state = ClusterState(homogeneous_cluster(1))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    step(state, [_task(0, cpu=1.0, duration=3)], pol, default_weights())
+    step(state, [_task(0, cpu=1.0, duration=3)], pol, WeightTriple())
     cpu_trace = [state.utilization(0)[0]]
     for _ in range(4):
-        step(state, [], pol, default_weights())
+        step(state, [], pol, WeightTriple())
         cpu_trace.append(state.utilization(0)[0])
     assert cpu_trace == [0.25, 0.25, 0.25, 0.0, 0.0]
     assert state.completed == 1
@@ -347,13 +347,13 @@ def test_queue_is_fifo_and_served_before_new_arrivals():
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
     big = _task(1, cpu=4.0, ram=1.0, net=1.0, duration=2)
     small = _task(2, cpu=1.0, ram=0.5, net=0.5, duration=5)
-    step(state, [big, small], pol, default_weights())
+    step(state, [big, small], pol, WeightTriple())
     assert state.queue_len() == 1 and state.running_count() == 1
-    step(state, [], pol, default_weights())
+    step(state, [], pol, WeightTriple())
     # the blocker finishes now; the queued task must win the freed slot
     # over the simultaneously arriving second blocker
     big2 = _task(3, cpu=4.0, ram=1.0, net=1.0, duration=2)
-    step(state, [big2], pol, default_weights())
+    step(state, [big2], pol, WeightTriple())
     assert state.running_count() == 1
     assert state.utilization(0)[0] == 0.25
     assert [t.id for t in state.queue] == [3]
@@ -363,7 +363,7 @@ def test_queue_is_fifo_and_served_before_new_arrivals():
 def test_queue_retry_admits_a_task_that_fits_to_the_last_ulp():
     state = ClusterState(homogeneous_cluster(1, cpu_count=1))
     pol = Policy(kind=PolicyKind.ROUND_ROBIN)
-    w = default_weights()
+    w = WeightTriple()
     small = [_task(0, cpu=0.2, duration=1), _task(1, cpu=0.6, duration=1)]
     step(state, [*small, _task(2, cpu=1.0)], pol, w)
     assert [t.id for t in state.queue] == [2]
@@ -382,7 +382,7 @@ def test_queue_retry_waits_for_a_freed_server():
     """
     state = ClusterState(homogeneous_cluster(2, cpu_count=1, ram_capacity=8.0, net_capacity=4.0))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    w = default_weights()
+    w = WeightTriple()
     step(state, [_task(0, cpu=0.5, ram=7.0, duration=2), _task(1, cpu=0.9, ram=1.0, duration=50),
                  _task(2, cpu=0.4, ram=4.0)], pol, w)
     assert [t.id for t in state.queue] == [2]
@@ -396,9 +396,9 @@ def test_queue_retry_waits_for_a_freed_server():
 def test_window_means_match_hand_average():
     state = ClusterState(homogeneous_cluster(1))
     pol = Policy(kind=PolicyKind.LEAST_COMPOSITE)
-    step(state, [_task(0, cpu=1.0, duration=2)], pol, default_weights())
+    step(state, [_task(0, cpu=1.0, duration=2)], pol, WeightTriple())
     for _ in range(3):
-        step(state, [], pol, default_weights())
+        step(state, [], pol, WeightTriple())
     utils = state.drain_window()
     assert utils[0].cpu == pytest.approx((0.25 + 0.25) / 4.0, abs=1e-15)
     assert utils[0].window == 4
@@ -413,7 +413,7 @@ def test_conservation_holds_every_tick():
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     for t in range(1024):
         arrivals = arrivals_from_traffic(series, t, 0.4, DemandParams(), c_rng, d_rng, id_start=state.arrived)
-        step(state, arrivals, pol, default_weights())
+        step(state, arrivals, pol, WeightTriple())
         assert state.arrived == state.completed + state.running_count() + state.queue_len()
 
 
@@ -426,7 +426,7 @@ def test_utilization_never_exceeds_capacity_under_pressure():
     saw_queue = False
     for t in range(768):
         arrivals = arrivals_from_traffic(series, t, 3.0, DemandParams(), c_rng, d_rng, id_start=state.arrived)
-        step(state, arrivals, pol, default_weights())
+        step(state, arrivals, pol, WeightTriple())
         saw_queue = saw_queue or state.queue_len() > 0
         for i in range(state.n):
             assert max(state.utilization(i)) <= 1.0
@@ -437,7 +437,7 @@ def test_idle_cluster_reports_all_zero():
     state = ClusterState(reference_cluster())
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     for _ in range(8):
-        step(state, [], pol, default_weights())
+        step(state, [], pol, WeightTriple())
     for u in state.drain_window():
         assert (u.cpu, u.ram, u.net) == (0.0, 0.0, 0.0)
 
@@ -588,7 +588,7 @@ def test_hold_of_m_ticks_equals_m_single_holds():
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     states = [ClusterState(homogeneous_cluster(2)) for _ in range(2)]
     for state in states:
-        step(state, [_task(0, cpu=1.5, duration=30)], pol, default_weights())
+        step(state, [_task(0, cpu=1.5, duration=30)], pol, WeightTriple())
     held, single = states
     held.hold(7)
     for _ in range(7):
