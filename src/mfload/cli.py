@@ -84,6 +84,9 @@ def _q_grid(args) -> tuple[float, ...]:
     steps = args.q_steps if args.q_steps is not None else 9
     if steps < 2:
         raise ConfigError("--q-steps must be at least 2")
+    for flag, v in (("--q-min", q_min), ("--q-max", q_max)):
+        if not np.isfinite(v):
+            raise ConfigError(f"{flag} must be finite, got {v}")
     if q_min >= q_max:
         raise ConfigError("--q-min must be below --q-max")
     grid = set(np.linspace(q_min, q_max, steps).tolist())

@@ -311,6 +311,8 @@ def mfdfa(
     # MultifractalSpectrum checks that the grid ascends
     if len(q) == 0:
         raise ConfigError("q_grid is empty")
+    if not np.isfinite(q).all():
+        raise ConfigError(f"q_grid must be finite, got {q}")
     if 2.0 not in q:
         raise ConfigError("q_grid must contain q=2 (h(2) anchors the spectrum)")
     f2_per_scale = _fluctuation_matrix(x, scales)

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _RESOURCES = ("cpu", "ram", "net")
+# weights may sum to 1 within this slack, so a window's efficiency may exceed 1 by it
+_WEIGHT_SUM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class WeightTriple:
                 raise ConfigError(f"weights.{name} must be a finite number, got {v}")
         if min(self.a, self.b, self.c) < 0.0:
             raise ConfigError("weights must be non-negative")
-        if abs(self.a + self.b + self.c - 1.0) > 1e-9:
+        if abs(self.a + self.b + self.c - 1.0) > _WEIGHT_SUM_SLACK:
             raise ConfigError(f"weights: invariant a + b + c = 1 violated (got {self.a + self.b + self.c})")
 
 
@@ -116,7 +118,7 @@ class ImbalanceReport:
             raise ConfigError("imbalance fields must be finite and non-negative")
         if any(s < 0.0 for s in self.sil):
             raise ConfigError("per-server SIL values must be non-negative")
-        if not (0.0 <= self.efficiency <= 1.0):
+        if not (0.0 <= self.efficiency <= 1.0 + _WEIGHT_SUM_SLACK):
             raise ConfigError(f"efficiency {self.efficiency} outside [0,1]")
         if abs(self.ibl_tot - (self.isl_cpu + self.isl_ram + self.isl_net)) > 1e-12:
             raise ConfigError("ibl_tot must equal isl_cpu + isl_ram + isl_net")

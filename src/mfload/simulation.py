@@ -26,7 +26,9 @@ exceed 1.
 A run is a pure function of its ScenarioConfig: all randomness flows from
 the config seed through three named substreams (traffic, arrival counts,
 demand draws), so identical configs give bitwise-identical outputs
-regardless of host scheduling.
+regardless of host scheduling. A tick with k arrivals draws k class
+uniforms, 3k normals and k duration uniforms from the demand stream; one
+call draws a tick's duration uniforms with the next arrival tick's class uniforms.
 """
 
 from __future__ import annotations
@@ -549,8 +551,10 @@ def arrivals_from_traffic(
 ) -> list[Task]:
     """Draw the tick's task batch from the traffic intensity.
 
-    The arrival count is Poisson with mean arrival_scale * series[tick];
-    demands and durations come from `demand_params` via `demand_rng`. Two
+    The arrival count k is Poisson with mean arrival_scale * series[tick];
+    demands and durations come from `demand_params` via `demand_rng`: k class
+    uniforms, 3k normals and k duration uniforms, the stream
+    :func:`run_scenario` draws with adjacent ticks' uniforms in one call. Two
     separate streams let callers vary the counting process while freezing
     the demand draws (and vice versa). A mean above MAX_TICK_ARRIVAL_MEAN
     (1e6) is rejected before the tick draws anything.
@@ -560,62 +564,63 @@ def arrivals_from_traffic(
         raise ConfigError(f"tick {tick} outside the series horizon {len(values)}")
     lam = float(_arrival_means(values[tick:tick + 1], arrival_scale, tick)[0])
     k = int(count_rng.poisson(lam)) if lam > 0.0 else 0
-    return _draw_tasks(k, tick, _demand_plan(demand_params), demand_rng, id_start)
+    if k == 0:
+        return []
+    return next(_draw_arrivals([tick], [k], _demand_plan(demand_params), demand_rng, id_start))[1]
 
 
 def _demand_plan(p: DemandParams) -> tuple:
-    """One run's demand constants: (p, lognormal mus, cumulative class probabilities, classes)."""
-    log_means = tuple(math.log(mean) - 0.5 * sigma**2 for mean, sigma in (
-        (p.cpu_mean, p.cpu_sigma), (p.ram_mean, p.ram_sigma), (p.net_mean, p.net_sigma)))
+    """One run's demand constants: per resource the lognormal (mu, sigma) and clip
+    maximum, cumulative class probabilities and per-class (demand_scale, log q)."""
+    resources = [(math.log(mean) - 0.5 * sigma**2, sigma, float(cap)) for mean, sigma, cap in (
+        (p.cpu_mean, p.cpu_sigma, p.cpu_max), (p.ram_mean, p.ram_sigma, p.ram_max),
+        (p.net_mean, p.net_sigma, p.net_max))]
     classes = []
     for cls in p.classes:
         # (demand_scale, log q): durations are geometric with mean mean_dur and
         # q = 1 - 1/mean_dur; None stands for q = 0, 1-tick tasks
         q = 1.0 - 1.0 / max(p.duration_mean * cls.duration_scale, 1.0)
         classes.append((cls.demand_scale, math.log(q) if q > 0.0 else None))
-    return p, log_means, list(accumulate(c.probability for c in p.classes)), classes
+    return resources, list(accumulate(c.probability for c in p.classes)), classes
 
 
-def _draw_tasks(k: int, tick: int, plan: tuple, demand_rng, id_start: int) -> list[Task]:
-    """The tick's `k` tasks, with demands and durations drawn from `demand_rng`.
+def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng, id_start: int = 0):
+    """Yield (tick, tasks) for each arrival tick and its count k >= 1, one tick at a time.
 
-    Draws nothing when k is 0, so the demand stream advances only on ticks
-    with arrivals.
+    A tick draws k class uniforms, 3k normals (cpu, ram, net) and k duration
+    uniforms in stream order; one ``random(k + k_next)`` call draws its
+    duration uniforms with the next tick's class uniforms. A demand is
+    ``math.exp(mu + sigma * z)``: bitwise ``Generator.lognormal`` while numpy
+    computes ``loc + scale * z`` without FMA contraction (a test pins this).
+    Tasks skip Task's keyword constructor, whose frozen setattr is slow, then
+    pass ``Task.__post_init__``: equal, hash-equal and frozen like ``Task(...)``.
     """
-    if k == 0:
-        return []
-
-    p, (mu_cpu, mu_ram, mu_net), cum, classes = plan
-    # per-field vector draws keep the stream layout fixed given k
-    class_u = demand_rng.random(k).tolist()
-    cpu = demand_rng.lognormal(mu_cpu, p.cpu_sigma, k).tolist()
-    ram = demand_rng.lognormal(mu_ram, p.ram_sigma, k).tolist()
-    net = demand_rng.lognormal(mu_net, p.net_sigma, k).tolist()
-    dur_u = demand_rng.random(k).tolist()
-
-    tasks = []
-    for j in range(k):
-        ci = 0
-        while ci < len(cum) - 1 and class_u[j] > cum[ci]:
-            ci += 1
-        scale, log_q = classes[ci]
-        # geometric via inverse CDF so the draw count per task is fixed
-        if log_q is None:
-            duration = 1
-        else:
-            duration = max(1, math.ceil(math.log(max(1.0 - dur_u[j], 1e-300)) / log_q))
-        tasks.append(
-            Task(
-                id=id_start + j,
-                arrival_tick=tick,
-                cpu_demand=float(min(max(cpu[j] * scale, _DEMAND_FLOOR), p.cpu_max)),
-                ram_demand=float(min(max(ram[j] * scale, _DEMAND_FLOOR), p.ram_max)),
-                net_demand=float(min(max(net[j] * scale, _DEMAND_FLOOR), p.net_max)),
-                duration=duration,
-                service_class=ci,
-            )
-        )
-    return tasks
+    ((mu_c, s_c, max_c), (mu_r, s_r, max_r), (mu_n, s_n, max_n)), cum, classes = plan
+    last = len(cum) - 1
+    class_u = demand_rng.random(counts[0]).tolist() if counts else []
+    for tick, k, k_next in zip(ticks, counts, counts[1:] + [0]):
+        z = demand_rng.standard_normal(3 * k).tolist()
+        u = demand_rng.random(k + k_next).tolist()
+        tasks = []
+        for j in range(k):
+            ci = 0
+            while ci < last and class_u[j] > cum[ci]:
+                ci += 1
+            scale, log_q = classes[ci]
+            # geometric via inverse CDF so the draw count per task is fixed;
+            # math.log, since numpy's log can differ in the last bit
+            duration = 1 if log_q is None else max(1, math.ceil(math.log(max(1.0 - u[j], 1e-300)) / log_q))
+            cpu = min(max(math.exp(mu_c + s_c * z[j]) * scale, _DEMAND_FLOOR), max_c)
+            ram = min(max(math.exp(mu_r + s_r * z[k + j]) * scale, _DEMAND_FLOOR), max_r)
+            net = min(max(math.exp(mu_n + s_n * z[2 * k + j]) * scale, _DEMAND_FLOOR), max_n)
+            task = object.__new__(Task)
+            task.__dict__.update(id=id_start + j, arrival_tick=tick, cpu_demand=cpu, ram_demand=ram,
+                                 net_demand=net, duration=duration, service_class=ci)
+            task.__post_init__()
+            tasks.append(task)
+        class_u = u[k:]
+        id_start += k
+        yield tick, tasks
 
 
 def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -> int | None:
@@ -829,16 +834,17 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     :func:`resolve_traffic`; it must cover the horizon. All arrival counts
     are drawn up front in one Poisson call, the same draws as per tick
     (a zero mean draws nothing), after every tick's mean is checked
-    against MAX_TICK_ARRIVAL_MEAN. Demands are drawn on each tick with
-    arrivals, from constants derived once per run. :func:`step` runs only
-    on event ticks (an arrival, a completion, or a migration on the tick
-    before); the quiet run up to the next event or window end passes in
-    one :meth:`ClusterState.hold`. Closed windows are averaged
-    `_SCORE_BATCH` at a time (:func:`_window_means`), and the run's
-    (windows, servers, 3) means are scored once, after the last tick, by
-    :func:`metrics.score_windows`. The reports equal those of calling
-    :func:`arrivals_from_traffic` and :func:`step` on every tick and
-    :func:`metrics.full_report` on every window.
+    against MAX_TICK_ARRIVAL_MEAN. Demands are drawn one arrival tick at a
+    time, from constants derived once per run, in two calls per tick: 3k
+    normals, then k duration uniforms with the next arrival tick's class
+    uniforms. :func:`step` runs only on event ticks (an arrival, a
+    completion, or a migration on the tick before); the quiet run up to the
+    next event or window end passes in one :meth:`ClusterState.hold`.
+    Closed windows are averaged `_SCORE_BATCH` at a time
+    (:func:`_window_means`), and the run's (windows, servers, 3) means are
+    scored once, after the last tick, by :func:`metrics.score_windows`. The
+    reports equal those of calling :func:`arrivals_from_traffic` and
+    :func:`step` on every tick and :func:`metrics.full_report` on every window.
     """
     if series is None:
         _, series = resolve_traffic(config)
@@ -854,18 +860,18 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     drawn = lam > 0.0
     counts[drawn] = count_rng.poisson(lam[drawn])
     arrival_ticks = np.flatnonzero(counts)
-    arrivals = zip(arrival_ticks.tolist(), counts[arrival_ticks].tolist())
+    draws = _draw_arrivals(arrival_ticks.tolist(), counts[arrival_ticks].tolist(),
+                           _demand_plan(config.demand_params), demand_rng)
 
-    plan = _demand_plan(config.demand_params)
     state = ClusterState(config.cluster)
     completions = state._completion_ticks
-    next_arrival, k = next(arrivals, (horizon, 0))
+    next_arrival, arriving = next(draws, (horizon, []))
     means, closed, t = [], [], 0
     while t < horizon:
         tasks = []
         if t == next_arrival:
-            tasks = _draw_tasks(k, t, plan, demand_rng, state.arrived)
-            next_arrival, k = next(arrivals, (horizon, 0))
+            tasks = arriving
+            next_arrival, arriving = next(draws, (horizon, []))
         if tasks or state.last_move_tick == t - 1 or (completions and completions[0] == t):
             step(state, tasks, config.policy, config.weights)
             t += 1

@@ -112,6 +112,17 @@ def test_analyze_custom_q_grid(tmp_path):
     assert len(lines) == 9
 
 
+@pytest.mark.parametrize("flag, value", [("--q-min", "nan"), ("--q-max", "inf"), ("--q-min", "-inf")])
+def test_analyze_rejects_a_non_finite_q_bound(tmp_path, capsys, flag, value):
+    gen_out = tmp_path / "g"
+    _run(["generate", "--hurst", "0.6", "--length", "2048", "--out", str(gen_out)])
+    capsys.readouterr()
+    ana_out = tmp_path / "a"
+    assert _run(["analyze", str(gen_out / "series.csv"), f"{flag}={value}", "--out", str(ana_out)]) == 1
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (ana_out / "spectrum.csv").exists()
+
+
 def test_analyze_error_codes(tmp_path, capsys):
     assert _run(["analyze", str(tmp_path / "missing.csv")]) == 1
     flat = tmp_path / "flat.csv"

@@ -140,6 +140,12 @@ def test_mfdfa_q_grid_validation():
     assert np.isfinite(spec.h_at(0.0))
 
 
+@pytest.mark.parametrize("q_grid", [(float("nan"), 2.0, 5.0), (-5.0, 2.0, float("inf"))])
+def test_mfdfa_rejects_a_non_finite_q(q_grid):
+    with pytest.raises(ConfigError, match="q_grid must be finite"):
+        mfdfa(generate_fgn(0.7, 2048, seed=6).values, q_grid=q_grid)
+
+
 def test_mfdfa_length_guard():
     with pytest.raises(InsufficientDataError):
         mfdfa(generate_fgn(0.7, 1024, seed=0).values[:1023])

@@ -157,6 +157,16 @@ def test_efficiency_bounds_and_mean():
     assert got == pytest.approx(0.4, abs=1e-15)
 
 
+def test_a_saturated_window_scores_under_weights_summing_just_above_one():
+    # accepted weights may sum to 1 + 2.2e-16; a full window's efficiency is then that sum
+    w = WeightTriple(0.7089432407594715, 0.25467466433546254, 0.03638209490506608)
+    assert w.a + w.b + w.c > 1.0
+    report, = score_windows(np.ones((1, 1, 3)), [_spec(0)], w)
+    assert report.efficiency == w.a + w.b + w.c
+    assert full_report([_u(1.0, 1.0, 1.0)], [_spec(0)], w) == report
+    with pytest.raises(ConfigError, match="efficiency"):
+        ImbalanceReport(0.0, 0.0, 0.0, 0.0, sil=(0.0,), isl_tot=0.0, efficiency=1.0 + 1e-8)
+
 def test_formulas_give_the_same_bits_on_a_column_as_on_each_float():
     # libm pow(d, 2) and the rounded d * d part in about 1 of 1000 squares
     m = 20_000

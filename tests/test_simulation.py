@@ -5,10 +5,15 @@ recomputations that use only the public state accessors, so a regression
 in the engine's incremental bookkeeping cannot hide inside the oracle.
 """
 
+import dataclasses
+import math
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation
@@ -140,6 +145,82 @@ def test_arrival_mean_above_cap_is_rejected_before_drawing():
     with pytest.raises(ConfigError, match="arrival_scale"):
         arrivals_from_traffic(np.ones(8), 0, 2e6, DemandParams(), count_rng, default_rng(1))
     assert count_rng.bit_generator.state == state
+
+
+def _five_call_draw(k, tick, p, rng, id_start):
+    """The demand stream layout, one generator call per field: k class uniforms,
+    k cpu, ram and net lognormals, k duration uniforms."""
+    cum = list(accumulate(c.probability for c in p.classes))
+    class_u = rng.random(k).tolist()
+    demands = [rng.lognormal(math.log(mean) - 0.5 * sigma**2, sigma, k).tolist()
+               for mean, sigma in ((p.cpu_mean, p.cpu_sigma), (p.ram_mean, p.ram_sigma),
+                                   (p.net_mean, p.net_sigma))]
+    dur_u = rng.random(k).tolist()
+    tasks = []
+    for j in range(k):
+        ci = 0
+        while ci < len(cum) - 1 and class_u[j] > cum[ci]:
+            ci += 1
+        cls = p.classes[ci]
+        q = 1.0 - 1.0 / max(p.duration_mean * cls.duration_scale, 1.0)
+        duration = 1 if q <= 0.0 else max(1, math.ceil(math.log(max(1.0 - dur_u[j], 1e-300)) / math.log(q)))
+        cpu, ram, net = (float(min(max(d[j] * cls.demand_scale, 1e-6), cap))
+                         for d, cap in zip(demands, (p.cpu_max, p.ram_max, p.net_max)))
+        tasks.append(Task(id=id_start + j, arrival_tick=tick, cpu_demand=cpu, ram_demand=ram,
+                          net_demand=net, duration=duration, service_class=ci))
+    return tasks
+
+
+_TWO_CLASSES = (ServiceClass(probability=0.3, demand_scale=0.5, duration_scale=0.25),
+                ServiceClass(probability=0.7, demand_scale=2.0, duration_scale=3.0))
+
+
+@pytest.mark.parametrize("params", [
+    DemandParams(),
+    DemandParams(classes=_TWO_CLASSES),
+    DemandParams(duration_mean=1.0),
+    DemandParams(cpu_sigma=0.0, net_sigma=0.0, classes=_TWO_CLASSES),
+], ids=["one_class", "two_classes", "one_tick_durations", "zero_sigma"])
+@pytest.mark.parametrize("counts", [[1], [6], [1, 1, 1], [3, 1, 6, 2, 5, 4, 1],
+                                    default_rng(9).integers(1, 7, 40).tolist()])
+def test_drawer_matches_the_five_call_stream_layout(params, counts):
+    ticks = np.cumsum(default_rng(len(counts)).integers(1, 5, len(counts))).tolist()
+    seed = SeedSequence([7, len(counts)])
+    oracle_rng, rng = default_rng(seed), default_rng(seed)
+    expected, id_start = [], 3
+    for tick, k in zip(ticks, counts):
+        expected.append((tick, _five_call_draw(k, tick, params, oracle_rng, id_start)))
+        id_start += k
+    draws = simulation._draw_arrivals(ticks, counts, simulation._demand_plan(params), rng, 3)
+    assert list(draws) == expected
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), mu=st.floats(-6.0, 6.0), sigma=st.floats(0.0, 3.0))
+def test_lognormal_is_exp_of_mu_plus_sigma_times_a_standard_normal(seed, mu, sigma):
+    # the drawer relies on it; a numpy build that contracts loc + scale * z to an FMA fails here
+    twin = default_rng(seed).standard_normal(500).tolist()
+    assert default_rng(seed).lognormal(mu, sigma, 500).tolist() == [math.exp(mu + sigma * z) for z in twin]
+
+
+def test_drawn_tasks_are_equal_frozen_tasks():
+    (_, tasks), = simulation._draw_arrivals([4], [5], simulation._demand_plan(DemandParams()), default_rng(1))
+    for t in tasks:
+        built = Task(**{f.name: getattr(t, f.name) for f in dataclasses.fields(Task)})
+        assert t == built and hash(t) == hash(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.cpu_demand = 0.5
+    # engine tasks pass the same rule
+    with mock.patch.object(Task, "__post_init__", side_effect=ConfigError("checked")), \
+            pytest.raises(ConfigError, match="checked"):
+        next(simulation._draw_arrivals([0], [1], simulation._demand_plan(DemandParams()), default_rng(1)))
+    with pytest.raises(ConfigError, match=r"^duration must be >= 1 tick$"):
+        _task(0, duration=0)
+    with pytest.raises(ConfigError, match=r"^task demands must be positive$"):
+        _task(0, ram=0.0)
+    with pytest.raises(ConfigError, match=r"^task demands must be positive$"):
+        _task(0, net=-1.0)
 
 
 # ----------------------------------------------------------------- dispatch
