@@ -145,7 +145,6 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
     quarter, cv of isl_tot over the final half). `probes` is the
     calibration probe memo, shared by the cells of a sweep.
     """
-    os.makedirs(out_dir, exist_ok=True)
     started = _now()
 
     # one realization feeds both the measurement and the run
@@ -154,6 +153,7 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
     hurst, delta_h = traffic.measure_scaling(used)
     reports = run_scenario(config, series)
     mean = _final_quarter_mean(reports)
+    os.makedirs(out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, "series.csv")
     report_path = os.path.join(out_dir, "report.csv")
     sil_path = os.path.join(out_dir, "sil.csv")
@@ -199,7 +199,6 @@ def cmd_sweep(args) -> int:
                 f"both write {name}"
             )
         named[name] = (hurst, delta_h)
-    os.makedirs(args.out, exist_ok=True)
 
     # one probe memo per sweep: the cells' calibrations revisit the same probes
     probes = {}

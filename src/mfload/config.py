@@ -174,28 +174,17 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
         hurst, delta_h = sec["hurst"], sec["delta_h"]
         check_calibration_targets(hurst, delta_h, "traffic.hurst", "traffic.delta_h")
         return CalibrationTarget(hurst, delta_h, sec.get("budget", CalibrationTarget.budget))
-    hurst, spread = sec.get("hurst", 0.7), sec.get("spread", 0.5)
-    depth = sec.get("depth", max(5, math.ceil(math.log2(horizon))))
-    if kind == "fgn":
-        return GeneratorMeta(kind=GeneratorKind.FGN, seed=seed, target_hurst=hurst)
-    if kind == "cascade":
-        return GeneratorMeta(
-            kind=GeneratorKind.CASCADE,
-            seed=seed,
-            depth=depth,
-            multiplier_spread=spread,
+    if kind not in {k.value for k in GeneratorKind}:
+        raise ConfigError(
+            f"traffic.kind: expected one of calibrate/fgn/cascade/composite, got {kind!r}"
         )
-    if kind == "composite":
-        return GeneratorMeta(
-            kind=GeneratorKind.COMPOSITE,
-            seed=seed,
-            depth=depth,
-            target_hurst=hurst,
-            multiplier_spread=spread,
-        )
-    raise ConfigError(
-        f"traffic.kind: expected one of calibrate/fgn/cascade/composite, got {kind!r}"
-    )
+    # the meta keeps the knobs its kind reads and checks them
+    knobs = {
+        "depth": sec.get("depth", math.ceil(math.log2(horizon))),
+        "target_hurst": sec.get("hurst", 0.7),
+        "multiplier_spread": sec.get("spread", 0.5),
+    }
+    return GeneratorMeta(kind=kind, seed=seed, **knobs)
 
 
 def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:

@@ -824,7 +824,7 @@ def resolve_traffic(
         series = traffic.generate_from_meta(config.traffic, config.horizon)
     else:
         raise ConfigError("traffic must be a GeneratorMeta or a CalibrationTarget")
-    return (series.meta if series.meta is not None else config.traffic), series
+    return series.meta, series
 
 
 def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) -> list[ImbalanceReport]:

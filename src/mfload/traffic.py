@@ -23,7 +23,7 @@ MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
 local grid around the best probe. A composite draw depends on its exponent
 only through the fGn envelope, so a call draws one envelope per run of
 probes with equal exponent and composes each probe of the run from it;
-probes are memoized and counted against the budget exactly as before.
+probes are memoized and counted against each call's budget.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -94,16 +94,26 @@ class GeneratorKind(str, Enum):
     COMPOSITE = "composite"
 
 
+# the knobs each kind's generator reads, all required but depth (inferred
+# when None), and its least depth: a composite needs a level above its bursts
+_KNOBS = {
+    GeneratorKind.CASCADE: ("depth", "multiplier_spread"),
+    GeneratorKind.FGN: ("target_hurst",),
+    GeneratorKind.COMPOSITE: ("depth", "target_hurst", "multiplier_spread"),
+}
+_MIN_DEPTH = {GeneratorKind.CASCADE: 1, GeneratorKind.COMPOSITE: _BURST_BLOCK_DEPTH + 1}
+
+
 @dataclass(frozen=True)
 class GeneratorMeta:
     """Parameters sufficient to regenerate a series.
 
     ``target_hurst`` is the exponent handed to the generator (for the
     composite kind that is the envelope exponent, not a promise about the
-    measured value); ``multiplier_spread`` and ``depth`` apply to the
-    cascade-bearing kinds only. Each generator builds its record before it
-    draws, so these checks are also its argument checks. ``kind`` may be
-    given as its string value.
+    measured value). A record keeps only the knobs its kind's generator
+    reads, requires all but depth, and checks their ranges; each generator
+    builds its record before it draws, so these are also its argument
+    checks. ``kind`` may be given as its string value.
     """
 
     kind: GeneratorKind
@@ -120,21 +130,25 @@ class GeneratorMeta:
             names = sorted(k.value for k in GeneratorKind)
             raise ConfigError(f"traffic.kind: expected one of {names}, got {self.kind!r}") from None
         check_seed(self.seed)
+        for name in ("depth", "target_hurst", "multiplier_spread"):
+            if name not in _KNOBS[self.kind]:
+                object.__setattr__(self, name, None)
+            elif name != "depth" and getattr(self, name) is None:
+                raise ConfigError(f"{self.kind.value} meta needs {name}")
         if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
             raise ConfigError(f"target_hurst must lie in (0,1), got {self.target_hurst}")
         if self.target_delta_h is not None and not (
             math.isfinite(self.target_delta_h) and self.target_delta_h >= 0.0
         ):
             raise ConfigError(f"target_delta_h must be finite and non-negative, got {self.target_delta_h}")
-        if self.kind in (GeneratorKind.CASCADE, GeneratorKind.COMPOSITE):
-            if self.depth is not None and self.depth < 1:
-                raise ConfigError("depth must be >= 1 for cascade kinds")
-            if self.multiplier_spread is not None and not (
-                math.isfinite(self.multiplier_spread) and self.multiplier_spread > 0.0
-            ):
-                raise ConfigError(
-                    f"multiplier_spread must be finite and positive, got {self.multiplier_spread}"
-                )
+        if self.depth is not None and not (_MIN_DEPTH[self.kind] <= self.depth <= 24):
+            raise ConfigError(f"depth must lie in [{_MIN_DEPTH[self.kind]}, 24], got {self.depth}")
+        if self.multiplier_spread is not None and not (
+            math.isfinite(self.multiplier_spread) and self.multiplier_spread > 0.0
+        ):
+            raise ConfigError(
+                f"multiplier_spread must be finite and positive, got {self.multiplier_spread}"
+            )
 
 
 @dataclass(frozen=True)
@@ -224,8 +238,6 @@ def generate_cascade(depth: int, multiplier_spread: float, seed: int) -> Traffic
     TrafficSeries
         Length 2^depth, sum of values equal to INITIAL_MASS.
     """
-    if not (1 <= depth <= 24):
-        raise ConfigError(f"depth must lie in [1, 24], got {depth}")
     meta = GeneratorMeta(
         kind=GeneratorKind.CASCADE,
         seed=int(seed),
@@ -274,8 +286,6 @@ def generate_composite(
     marginal range. Needs depth >= 5 (at least one cascade level above the
     block size).
     """
-    if not (5 <= depth <= 24):
-        raise ConfigError(f"composite depth must lie in [5, 24], got {depth}")
     meta = GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
         seed=int(seed),
@@ -339,20 +349,14 @@ def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None
         raise ConfigError("length must be positive")
     use_seed = meta.seed if seed is None else int(seed)
     if meta.kind is GeneratorKind.FGN:
-        if meta.target_hurst is None:
-            raise ConfigError("fgn meta needs target_hurst")
         return generate_fgn(meta.target_hurst, max(int(length), 64), use_seed)
 
-    depth = meta.depth if meta.depth is not None else max(1, math.ceil(math.log2(length)))
+    depth = meta.depth or max(_MIN_DEPTH[meta.kind], math.ceil(math.log2(length)))
     if 2**depth < length:
         raise ConfigError(f"depth {depth} yields {2**depth} ticks < requested {length}")
     if meta.kind is GeneratorKind.CASCADE:
-        if meta.multiplier_spread is None:
-            raise ConfigError("cascade meta needs multiplier_spread")
         return generate_cascade(depth, meta.multiplier_spread, use_seed)
-    if meta.target_hurst is None or meta.multiplier_spread is None:
-        raise ConfigError("composite meta needs target_hurst and multiplier_spread")
-    return generate_composite(max(depth, 5), meta.target_hurst, meta.multiplier_spread, use_seed)
+    return generate_composite(depth, meta.target_hurst, meta.multiplier_spread, use_seed)
 
 
 def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficSeries:
@@ -424,14 +428,14 @@ def calibrate(
     Probes are generated at a fixed internal seed and depth 14, measured by
     MF-DFA with the default q grid (H read as h(2)). Success means the
     probe lands within +-0.1 of target_hurst and +-0.3 of target_delta_h.
-    The search is deterministic. The composite family probes a coarse 5 x 6
-    grid of (envelope exponent, spread), then up to three 5 x 3 local grids
-    around the best probe, halving the exponent step and square-rooting the
-    spread factor each round; the fGn family iterates its one exponent.
-    Both grids visit exponent-major, and a composite probe reuses the fGn
-    envelope of the probe built before it when their exponents are equal,
-    so a call draws one envelope per run of equal exponents. The reuse is
-    exact: probes, memo contents and budget counting are unchanged.
+    The search is one deterministic loop over the probes a generator
+    yields: it measures each, keeps the best, and stops where the next
+    would exceed the budget. The fGn family yields its one exponent's
+    fixed-point iterates; the composite family a coarse 5 x 6 grid of
+    (envelope exponent, spread), then up to three 5 x 3 local grids around
+    the best probe, halving the exponent step and square-rooting the spread
+    factor each round. Both grids visit exponent-major, and a composite
+    probe reuses the envelope of the probe before it at an equal exponent.
 
     Parameters
     ----------
@@ -467,9 +471,7 @@ def calibrate(
     if probes is None:
         probes = {}
     visited: set[tuple] = set()
-    # the envelope of the last composite probe built; the grids visit
-    # H-major, so one entry catches nearly every reuse
-    envelope_hurst, envelope = None, None
+    best: tuple | None = None
 
     def score(measured: tuple[float, float]) -> float:
         return max(
@@ -477,66 +479,58 @@ def calibrate(
             abs(measured[1] - target_delta_h) / _TOL_DH,
         )
 
-    def probe(knobs: tuple) -> tuple[float, float]:
-        nonlocal envelope_hurst, envelope
-        if knobs not in visited:
-            if len(visited) >= budget:
-                raise _BudgetExhausted()
-            visited.add(knobs)
-        if knobs not in probes:
-            if len(knobs) == 1:
-                series = generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)
-            else:
-                if knobs[0] != envelope_hurst:
-                    envelope_hurst = knobs[0]
-                    envelope = _envelope(_PROBE_DEPTH, envelope_hurst, _PROBE_SEED)
-                series = _compose(envelope, _PROBE_DEPTH, knobs[1], _PROBE_SEED)
-            probes[knobs] = measure_scaling(series)
-        return probes[knobs]
-
-    best: tuple | None = None
-
-    def consider(knobs: tuple) -> float:
-        nonlocal best
-        m = probe(knobs)
-        if best is None or score(m) < score(probes[best]):
-            best = knobs
-        return score(m)
-
-    try:
+    def candidates():
+        """The probe knobs in search order; each is measured before the next is asked for."""
         if target_delta_h <= _FGN_FAMILY_THRESHOLD:
             # one knob; measured h(2) tracks it closely, fixed-point iterate
             knob = min(max(target_hurst, 0.05), 0.99)
             for _ in range(min(budget, 8)):
-                s = consider((knob,))
-                if s <= _EARLY_STOP:
-                    break
+                yield (knob,)
+                if score(probes[(knob,)]) <= _EARLY_STOP:
+                    return
                 measured_h = probes[(knob,)][0]
                 nxt = min(max(knob + (target_hurst - measured_h), 0.05), 0.99)
                 if abs(nxt - knob) < 1e-3:
-                    break
+                    return
                 knob = nxt
-        else:
-            for hk in _COARSE_H:
-                for sk in _COARSE_SPREAD:
-                    consider((hk, sk))
-            # shrinking local grid around the incumbent; the knobs are
-            # coupled (raising the envelope exponent narrows the measured
-            # width), so both must move together rather than by
-            # per-axis bisection
-            h_step, s_mult = 0.04, 1.25
-            for _ in range(3):
-                if score(probes[best]) <= _EARLY_STOP:
-                    break
-                hk, sk = best
-                for h_off in (-h_step, -h_step / 2, 0.0, h_step / 2, h_step):
-                    for sm in (1.0 / s_mult, 1.0, s_mult):
-                        h = min(max(hk + h_off, 0.05), 0.99)
-                        consider((round(h, 6), round(sk * sm, 6)))
-                h_step /= 2
-                s_mult = math.sqrt(s_mult)
-    except _BudgetExhausted:
-        pass
+            return
+        for hk in _COARSE_H:
+            for sk in _COARSE_SPREAD:
+                yield (hk, sk)
+        # shrinking local grid around the incumbent; the knobs are coupled
+        # (raising the envelope exponent narrows the measured width), so
+        # both must move together rather than by per-axis bisection
+        h_step, s_mult = 0.04, 1.25
+        for _ in range(3):
+            if score(probes[best]) <= _EARLY_STOP:
+                return
+            hk, sk = best
+            for h_off in (-h_step, -h_step / 2, 0.0, h_step / 2, h_step):
+                for sm in (1.0 / s_mult, 1.0, s_mult):
+                    h = min(max(hk + h_off, 0.05), 0.99)
+                    yield (round(h, 6), round(sk * sm, 6))
+            h_step /= 2
+            s_mult = math.sqrt(s_mult)
+
+    # the envelope of the last composite probe built; the grids visit
+    # H-major, so one entry catches nearly every reuse
+    envelope_hurst, envelope = None, None
+    for knobs in candidates():
+        if knobs not in visited and len(visited) >= budget:
+            break
+        visited.add(knobs)
+        if knobs not in probes:
+            if len(knobs) == 2 and knobs[0] != envelope_hurst:
+                envelope_hurst = knobs[0]
+                envelope = _envelope(_PROBE_DEPTH, envelope_hurst, _PROBE_SEED)
+            # the probe series is left unnamed, so it is freed before the next is drawn
+            probes[knobs] = measure_scaling(
+                generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)
+                if len(knobs) == 1
+                else _compose(envelope, _PROBE_DEPTH, knobs[1], _PROBE_SEED)
+            )
+        if best is None or score(probes[knobs]) < score(probes[best]):
+            best = knobs
 
     measured = probes[best]
     residuals = (measured[0] - target_hurst, measured[1] - target_delta_h)
@@ -559,10 +553,6 @@ def calibrate(
             residuals=residuals,
         )
     return meta
-
-
-class _BudgetExhausted(Exception):
-    """Internal signal: probe budget consumed mid-search."""
 
 
 def write_series_csv(path, series) -> None:

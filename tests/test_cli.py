@@ -230,7 +230,19 @@ def test_simulate_calibration_failure_is_runtime_error(tmp_path):
         "[traffic]\nkind = calibrate\nhurst = 0.52\ndelta_h = 4.0\nbudget = 2\n"
         "[sim]\nhorizon = 1024\n"
     )
-    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()  # a failed run leaves no output directory
+
+
+def test_simulate_too_shallow_depth_leaves_no_output_directory(tmp_path, capsys):
+    # rejected while the traffic is realized, after the config was read
+    cfg = tmp_path / "shallow.ini"
+    cfg.write_text("[traffic]\nkind = composite\ndepth = 12\n")
+    out = tmp_path / "o"
+    assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "depth 12 yields 4096 ticks < requested 16384" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_zero_calibration_budget_names_its_key(tmp_path, capsys):
@@ -373,6 +385,14 @@ def test_sweep_zero_budget_names_its_key(tmp_path, capsys):
     cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.7:0.05\nbudget = 0\n")
     assert _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
     assert "sweep.budget" in capsys.readouterr().err
+
+
+def test_sweep_whose_first_cell_fails_leaves_no_output_directory(tmp_path):
+    cfg = tmp_path / "hard.ini"
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.52:4.0\nbudget = 2\n")
+    out = tmp_path / "s"
+    assert _run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):

@@ -68,6 +68,27 @@ def test_traffic_kinds(tmp_path):
         parse_config(_write(tmp_path, "[traffic]\nkind = sine\n"))
 
 
+@pytest.mark.parametrize("kind, depth, bounds", [
+    ("cascade", 25, "[1, 24]"),
+    ("composite", 30, "[5, 24]"),
+    ("composite", 4, "[5, 24]"),
+])
+def test_traffic_depth_outside_its_kind_range_is_rejected(tmp_path, kind, depth, bounds):
+    # refused while the config is read, before any run or output directory
+    text = f"[traffic]\nkind = {kind}\ndepth = {depth}\n"
+    with pytest.raises(ConfigError, match=re.escape(f"depth must lie in {bounds}, got {depth}")):
+        parse_config(_write(tmp_path, text))
+
+
+def test_traffic_knobs_the_kind_does_not_read_are_left_out(tmp_path):
+    # an fGn run reads neither depth nor spread, a cascade run no exponent
+    fgn = parse_config(_write(tmp_path, "[traffic]\nkind = fgn\ndepth = 30\nspread = 0.3\n"))
+    assert fgn.traffic == GeneratorMeta(kind=GeneratorKind.FGN, seed=1, target_hurst=0.7)
+    cascade = parse_config(_write(tmp_path, "[traffic]\nkind = cascade\nhurst = 1.5\n"))
+    assert cascade.traffic == GeneratorMeta(kind=GeneratorKind.CASCADE, seed=1, depth=14,
+                                            multiplier_spread=0.5)
+
+
 def test_cluster_explicit_lines(tmp_path):
     cfg = parse_config(
         _write(tmp_path, "[cluster]\nserver_1 = 2, 16.0, 8.0\nserver_0 = 8, 64.0, 32.0\n")

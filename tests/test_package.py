@@ -1,4 +1,4 @@
-"""Package surface and source hygiene: the export list and unused imports."""
+"""Package surface and source hygiene: the export list, unused imports and private names."""
 
 import ast
 from pathlib import Path
@@ -65,3 +65,46 @@ def test_unused_import_check_sees_an_unused_name(tmp_path):
     path.write_text("import os\nimport sys\nfrom math import pi, tau\n"
                     "__all__ = ['tau']\nprint(sys.argv, pi)\n")
     assert _unused_imports(path) == ["mod.py:1: os"]
+
+
+def _unused_private_names(paths) -> list[str]:
+    """Private module-level names (functions, classes, constants) that no module in `paths` reads."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unused
+
+
+def test_no_unused_private_names():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    assert _unused_private_names(modules) == []
+
+
+def test_unused_private_name_check_sees_an_unread_name(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("_LIMIT = 3\n_SPARE = 4\n_WIDTH: int = 5\n\n\ndef _helper():\n    return 1\n\n\n"
+                 "class _Signal(Exception):\n    pass\n")
+    b = tmp_path / "b.py"
+    # read as a name, as an attribute and through an import
+    b.write_text("import a\nfrom a import _helper\n\n_TABLE = {}\nprint(_helper(), a._LIMIT, _TABLE)\n")
+    assert _unused_private_names([a, b]) == ["a.py:2: _SPARE", "a.py:3: _WIDTH", "a.py:10: _Signal"]

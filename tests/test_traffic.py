@@ -1,5 +1,7 @@
 """Generator invariants: conservation, determinism, and tunable width."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
@@ -198,7 +200,7 @@ def test_meta_validation():
         GeneratorMeta(kind=GeneratorKind.FGN, seed=0, target_hurst=1.5)
     with pytest.raises(ConfigError):
         GeneratorMeta(kind=GeneratorKind.CASCADE, seed=0, depth=8, multiplier_spread=-0.1)
-    # completeness is checked where the record is consumed
+    # completeness is checked at construction, before the record reaches generate_from_meta
     with pytest.raises(ConfigError):
         generate_from_meta(GeneratorMeta(kind=GeneratorKind.FGN, seed=0), length=1024)
     with pytest.raises(ConfigError):
@@ -208,6 +210,27 @@ def test_meta_validation():
             GeneratorMeta(kind=GeneratorKind.COMPOSITE, seed=0, depth=8, target_hurst=0.7),
             length=256,
         )
+
+
+def test_meta_kind_rules_are_checked_at_construction():
+    with pytest.raises(ConfigError, match="fgn meta needs target_hurst"):
+        GeneratorMeta(kind="fgn", seed=0)
+    with pytest.raises(ConfigError, match="cascade meta needs multiplier_spread"):
+        GeneratorMeta(kind="cascade", seed=0, depth=8)
+    with pytest.raises(ConfigError, match="composite meta needs multiplier_spread"):
+        GeneratorMeta(kind="composite", seed=0, target_hurst=0.7)
+    with pytest.raises(ConfigError, match=r"depth must lie in \[1, 24\], got 25"):
+        GeneratorMeta(kind="cascade", seed=0, depth=25, multiplier_spread=0.5)
+    # an explicit composite depth below 5 is refused, not raised to 5
+    with pytest.raises(ConfigError, match=r"depth must lie in \[5, 24\], got 4"):
+        GeneratorMeta(kind="composite", seed=0, depth=4, target_hurst=0.7, multiplier_spread=0.5)
+    # a record keeps only the knobs its kind's generator reads
+    fgn = GeneratorMeta(kind="fgn", seed=0, depth=30, target_hurst=0.7, multiplier_spread=-1.0)
+    assert (fgn.depth, fgn.multiplier_spread) == (None, None)
+    assert fgn == generate_fgn(0.7, 256, seed=0).meta
+    # an inferred composite depth still starts at 5
+    composite = GeneratorMeta(kind="composite", seed=0, target_hurst=0.7, multiplier_spread=0.5)
+    assert len(generate_from_meta(composite, length=16)) == 32
 
 
 def test_meta_kind_given_as_a_string():
@@ -334,6 +357,113 @@ def test_calibrate_draws_one_envelope_per_run_of_equal_hurst(monkeypatch):
         target_delta_h=2.5,
         multiplier_spread=0.592128,
     )
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def _closure_search(target_hurst, target_delta_h, budget, memo):
+    """calibrate's search as once written, with closures and an exception.
+
+    Reads every measurement from `memo` and draws none; returns the knobs
+    it visited, in order, and the best of them.
+    """
+    visited = []
+
+    def score(measured):
+        return max(abs(measured[0] - target_hurst) / traffic._TOL_H,
+                   abs(measured[1] - target_delta_h) / traffic._TOL_DH)
+
+    def probe(knobs):
+        if knobs not in visited:
+            if len(visited) >= budget:
+                raise _Exhausted()
+            visited.append(knobs)
+        return memo[knobs]
+
+    best = None
+
+    def consider(knobs):
+        nonlocal best
+        m = probe(knobs)
+        if best is None or score(m) < score(memo[best]):
+            best = knobs
+        return score(m)
+
+    try:
+        if target_delta_h <= traffic._FGN_FAMILY_THRESHOLD:
+            knob = min(max(target_hurst, 0.05), 0.99)
+            for _ in range(min(budget, 8)):
+                s = consider((knob,))
+                if s <= traffic._EARLY_STOP:
+                    break
+                nxt = min(max(knob + (target_hurst - memo[(knob,)][0]), 0.05), 0.99)
+                if abs(nxt - knob) < 1e-3:
+                    break
+                knob = nxt
+        else:
+            for hk in traffic._COARSE_H:
+                for sk in traffic._COARSE_SPREAD:
+                    consider((hk, sk))
+            h_step, s_mult = 0.04, 1.25
+            for _ in range(3):
+                if score(memo[best]) <= traffic._EARLY_STOP:
+                    break
+                hk, sk = best
+                for h_off in (-h_step, -h_step / 2, 0.0, h_step / 2, h_step):
+                    for sm in (1.0 / s_mult, 1.0, s_mult):
+                        h = min(max(hk + h_off, 0.05), 0.99)
+                        consider((round(h, 6), round(sk * sm, 6)))
+                h_step /= 2
+                s_mult = math.sqrt(s_mult)
+    except _Exhausted:
+        pass
+    return visited, best, score(memo[best])
+
+
+def test_calibrate_search_path_matches_the_closure_search():
+    # an fGn target; a composite target met on the coarse grid, which
+    # stops before the local rounds; one whose budget runs out in them
+    targets = ((0.7, 0.1, 64), (0.7, 1.8, 64), (0.99, 3.9, 50))
+    probes = {}
+    results = []
+    for hurst, delta_h, budget in targets:
+        try:
+            results.append(calibrate(hurst, delta_h, budget, probes))
+        except CalibrationError as exc:
+            results.append(exc)
+
+    order = []
+    for (hurst, delta_h, budget), result in zip(targets, results):
+        visited, best, best_score = _closure_search(hurst, delta_h, budget, probes)
+        order += [knobs for knobs in visited if knobs not in order]
+        composite = len(best) == 2
+        meta = GeneratorMeta(
+            kind="composite" if composite else "fgn",
+            seed=167,
+            depth=14 if composite else None,
+            target_hurst=best[0],
+            target_delta_h=delta_h,
+            multiplier_spread=best[1] if composite else None,
+        )
+        if best_score <= 1.0:
+            assert result == meta
+            continue
+        measured = probes[best]
+        assert isinstance(result, CalibrationError)
+        assert str(result) == (
+            f"calibration exhausted budget {budget}: best measured "
+            f"(H={measured[0]:.3f}, dH={measured[1]:.3f}) vs targets (H={hurst}, dH={delta_h})"
+        )
+        assert result.best_meta == meta
+        assert result.measured == measured
+        assert result.residuals == (measured[0] - hurst, measured[1] - delta_h)
+    # the memo holds every probe once, in the order the searches first visited it
+    assert list(probes) == order
+    assert [type(r).__name__ for r in results] == ["GeneratorMeta", "GeneratorMeta",
+                                                   "CalibrationError"]
+    assert len(order) == 1 + 30 + 20
 
 
 def test_measure_scaling_matches_mfdfa():
