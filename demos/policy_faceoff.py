@@ -1,8 +1,9 @@
 """Dispatch policies head to head on one bursty scenario.
 
 Same traffic, same demand draws, same mixed cluster; only the placement
-rule changes. Deviation-aware placement should keep isl_tot below blind
-rotation, with threshold migration in between.
+rule changes. Deviation-aware placement keeps isl_tot below blind
+rotation, and threshold migration, which also moves tasks off the
+worst server, keeps it lowest of the four.
 """
 
 import numpy as np

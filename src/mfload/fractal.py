@@ -5,9 +5,9 @@ traffic: given a series, recover the self-similarity exponent H, the
 generalized exponent curve h(q), and the heterogeneity width
 delta_h = h(q_min) - h(q_max).
 
-All estimators share one fluctuation backbone (profile, segmentation,
-order-1 detrending), so h(2) from :func:`mfdfa` and the slope from
-:func:`estimate_hurst_dfa` agree exactly when evaluated on the same scales.
+DFA and MF-DFA share one fluctuation backbone (profile, segmentation,
+order-1 detrending, one floor and degeneracy rule) and one fit, so
+:func:`estimate_hurst_dfa` is exactly the q = 2 fit of :func:`mfdfa`.
 Everything is pure: identical inputs give bitwise-identical outputs.
 """
 
@@ -192,15 +192,12 @@ def _segment_f2(profile: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _fluctuation_matrix(x: np.ndarray, scales: np.ndarray) -> list[np.ndarray]:
+    """Floored squared fluctuations per scale; raises if they vanish at every scale."""
     profile = np.cumsum(x - x.mean())
-    return [_segment_f2(profile, int(s)) for s in scales]
-
-
-def _fq(f2: np.ndarray, q: float) -> float:
-    f2 = np.maximum(f2, _F2_FLOOR)
-    if q == 0.0:
-        return float(np.exp(0.5 * np.mean(np.log(f2))))
-    return float(np.mean(f2 ** (q / 2.0)) ** (1.0 / q))
+    f2_per_scale = [np.maximum(_segment_f2(profile, int(s)), _F2_FLOOR) for s in scales]
+    if max(float(np.max(f2)) for f2 in f2_per_scale) < _F2_FLOOR * 10:
+        raise DegenerateSeriesError("fluctuations vanish at every scale")
+    return f2_per_scale
 
 
 def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
@@ -216,6 +213,15 @@ def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, f
     else:
         stderr = 0.0
     return float(slope), float(intercept), stderr
+
+
+def _fit(scales: np.ndarray, f2_per_scale: list[np.ndarray], q: float) -> tuple[float, float, float]:
+    """h(q), its log-scale intercept and the slope stderr, from floored fluctuations."""
+    if q == 0.0:
+        f = [np.exp(0.5 * np.mean(np.log(f2))) for f2 in f2_per_scale]
+    else:
+        f = [np.mean(f2 ** (q / 2.0)) ** (1.0 / q) for f2 in f2_per_scale]
+    return _loglog_fit(scales, np.array(f))
 
 
 def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> HurstEstimate:
@@ -240,14 +246,10 @@ def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> Hu
     InsufficientDataError
         If the series is shorter than 256 samples.
     DegenerateSeriesError
-        If the series has no fluctuation structure (constant input).
+        If the series is constant or its fluctuations vanish at every scale.
     """
     x, scales = _checked(series, 256, "DFA", scale_range)
-    f2_per_scale = _fluctuation_matrix(x, scales)
-    f = np.array([_fq(f2, 2.0) for f2 in f2_per_scale])
-    if np.max(f) < _MASS_FLOOR:
-        raise DegenerateSeriesError("fluctuations vanish at every scale")
-    slope, _, stderr = _loglog_fit(scales, f)
+    slope, _, stderr = _fit(scales, _fluctuation_matrix(x, scales), 2.0)
     return HurstEstimate(
         hurst=slope,
         stderr=stderr,
@@ -316,22 +318,13 @@ def mfdfa(
     if 2.0 not in q:
         raise ConfigError("q_grid must contain q=2 (h(2) anchors the spectrum)")
     f2_per_scale = _fluctuation_matrix(x, scales)
-    if max(float(np.max(f2)) for f2 in f2_per_scale) < _F2_FLOOR * 10:
-        raise DegenerateSeriesError("fluctuations vanish at every scale")
-
-    h_of_q, intercepts = [], []
-    for qi in q:
-        f = np.array([_fq(f2, qi) for f2 in f2_per_scale])
-        slope, intercept, _ = _loglog_fit(scales, np.maximum(f, _MASS_FLOOR))
-        h_of_q.append(slope)
-        # intercept of log F_q vs log s; log c(q) up to the moment convention
-        intercepts.append(intercept)
-
+    # intercepts of log F_q vs log s: log c(q) up to the moment convention
+    h_of_q, intercepts, _ = zip(*(_fit(scales, f2_per_scale, qi) for qi in q))
     return MultifractalSpectrum(
         q_grid=q,
-        h_of_q=tuple(h_of_q),
+        h_of_q=h_of_q,
         delta_h=h_of_q[0] - h_of_q[-1],
-        intercepts=tuple(intercepts),
+        intercepts=intercepts,
     )
 
 
@@ -357,14 +350,12 @@ def structure_function(series, q: float, scales) -> tuple[float, float]:
         raise ConfigError(f"scales must lie within [2, length/4] = [2, {x.size // 4}]")
 
     xc = x - x.mean()
-    log_m = np.empty(s_arr.size)
+    m = np.empty(s_arr.size)
     for j, s in enumerate(s_arr):
         ns = x.size // int(s)
         agg = xc[: ns * int(s)].reshape(ns, int(s)).sum(axis=1)
-        m = np.mean(np.maximum(np.abs(agg), _MASS_FLOOR) ** q)
-        log_m[j] = np.log(m)
-    slope, intercept = np.polyfit(np.log(s_arr.astype(float)), log_m, 1)
-    return float(slope), float(intercept)
+        m[j] = np.mean(np.maximum(np.abs(agg), _MASS_FLOOR) ** q)
+    return _loglog_fit(s_arr, m)[:2]
 
 
 def write_spectrum_csv(path, spectrum: MultifractalSpectrum) -> None:

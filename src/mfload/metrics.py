@@ -57,8 +57,8 @@ class ServerSpec:
     net_capacity: float
 
     def __post_init__(self):
-        if self.cpu_count < 1:
-            raise ConfigError(f"server {self.id}: cpu_count must be >= 1")
+        if not (1 <= self.cpu_count <= 1e308):
+            raise ConfigError(f"server {self.id}: cpu_count must lie in [1, 1e308]")
         if not all(math.isfinite(v) and v > 0 for v in (self.ram_capacity, self.net_capacity)):
             raise ConfigError(f"server {self.id}: ram_capacity and net_capacity must be finite and positive")
 

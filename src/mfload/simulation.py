@@ -188,12 +188,17 @@ class DemandParams:
                 raise ConfigError(f"{name} must be finite and positive")
         for name in ("cpu_sigma", "ram_sigma", "net_sigma"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigError(f"{name} must be finite and non-negative")
+            if not (v >= 0.0 and math.isfinite(v * v)):
+                raise ConfigError(f"{name} must be non-negative with a finite square, got {v}")
         if not (math.isfinite(self.duration_mean) and self.duration_mean >= 1.0):
             raise ConfigError("duration_mean must be finite and >= 1 tick")
         if not self.classes:
             raise ConfigError("at least one service class is required")
+        for i, cls in enumerate(self.classes):
+            mean = self.duration_mean * cls.duration_scale
+            if 1.0 - 1.0 / max(mean, 1.0) == 1.0:
+                name = "duration_mean" if self.duration_mean >= cls.duration_scale else f"classes[{i}]"
+                raise ConfigError(f"{name}: mean duration {mean:g} ticks rounds geometric q = 1 - 1/mean to 1")
         total = sum(c.probability for c in self.classes)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"service class probabilities must sum to 1, got {total}")
@@ -584,6 +589,13 @@ def _demand_plan(p: DemandParams) -> tuple:
     return resources, list(accumulate(c.probability for c in p.classes)), classes
 
 
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng, id_start: int = 0):
     """Yield (tick, tasks) for each arrival tick and its count k >= 1, one tick at a time.
 
@@ -592,15 +604,13 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
     duration uniforms with the next tick's class uniforms. A demand is
     ``math.exp(mu + sigma * z)``: bitwise ``Generator.lognormal`` while numpy
     computes ``loc + scale * z`` without FMA contraction (a test pins this).
+    A tick where ``math.exp`` overflows is drawn again with an exp giving lognormal's inf.
     Tasks skip Task's keyword constructor, whose frozen setattr is slow, then
     pass ``Task.__post_init__``: equal, hash-equal and frozen like ``Task(...)``.
     """
     ((mu_c, s_c, max_c), (mu_r, s_r, max_r), (mu_n, s_n, max_n)), cum, classes = plan
     last = len(cum) - 1
-    class_u = demand_rng.random(counts[0]).tolist() if counts else []
-    for tick, k, k_next in zip(ticks, counts, counts[1:] + [0]):
-        z = demand_rng.standard_normal(3 * k).tolist()
-        u = demand_rng.random(k + k_next).tolist()
+    def tick_tasks(tick, k, class_u, z, u, id_start, exp):
         tasks = []
         for j in range(k):
             ci = 0
@@ -610,14 +620,23 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
             # geometric via inverse CDF so the draw count per task is fixed;
             # math.log, since numpy's log can differ in the last bit
             duration = 1 if log_q is None else max(1, math.ceil(math.log(max(1.0 - u[j], 1e-300)) / log_q))
-            cpu = min(max(math.exp(mu_c + s_c * z[j]) * scale, _DEMAND_FLOOR), max_c)
-            ram = min(max(math.exp(mu_r + s_r * z[k + j]) * scale, _DEMAND_FLOOR), max_r)
-            net = min(max(math.exp(mu_n + s_n * z[2 * k + j]) * scale, _DEMAND_FLOOR), max_n)
+            cpu = min(max(exp(mu_c + s_c * z[j]) * scale, _DEMAND_FLOOR), max_c)
+            ram = min(max(exp(mu_r + s_r * z[k + j]) * scale, _DEMAND_FLOOR), max_r)
+            net = min(max(exp(mu_n + s_n * z[2 * k + j]) * scale, _DEMAND_FLOOR), max_n)
             task = object.__new__(Task)
             task.__dict__.update(id=id_start + j, arrival_tick=tick, cpu_demand=cpu, ram_demand=ram,
                                  net_demand=net, duration=duration, service_class=ci)
             task.__post_init__()
             tasks.append(task)
+        return tasks
+    class_u = demand_rng.random(counts[0]).tolist() if counts else []
+    for tick, k, k_next in zip(ticks, counts, counts[1:] + [0]):
+        z = demand_rng.standard_normal(3 * k).tolist()
+        u = demand_rng.random(k + k_next).tolist()
+        try:
+            tasks = tick_tasks(tick, k, class_u, z, u, id_start, math.exp)
+        except OverflowError:
+            tasks = tick_tasks(tick, k, class_u, z, u, id_start, _exp_or_inf)
         class_u = u[k:]
         id_start += k
         yield tick, tasks

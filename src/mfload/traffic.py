@@ -430,8 +430,8 @@ def calibrate(
     probe lands within +-0.1 of target_hurst and +-0.3 of target_delta_h.
     The search is one deterministic loop over the probes a generator
     yields: it measures each, keeps the best, and stops where the next
-    would exceed the budget. The fGn family yields its one exponent's
-    fixed-point iterates; the composite family a coarse 5 x 6 grid of
+    would exceed the budget. The fGn family yields one probe at the target
+    exponent; the composite family a coarse 5 x 6 grid of
     (envelope exponent, spread), then up to three 5 x 3 local grids around
     the best probe, halving the exponent step and square-rooting the spread
     factor each round. Both grids visit exponent-major, and a composite
@@ -482,17 +482,8 @@ def calibrate(
     def candidates():
         """The probe knobs in search order; each is measured before the next is asked for."""
         if target_delta_h <= _FGN_FAMILY_THRESHOLD:
-            # one knob; measured h(2) tracks it closely, fixed-point iterate
-            knob = min(max(target_hurst, 0.05), 0.99)
-            for _ in range(min(budget, 8)):
-                yield (knob,)
-                if score(probes[(knob,)]) <= _EARLY_STOP:
-                    return
-                measured_h = probes[(knob,)][0]
-                nxt = min(max(knob + (target_hurst - measured_h), 0.05), 0.99)
-                if abs(nxt - knob) < 1e-3:
-                    return
-                knob = nxt
+            # measured h(2) lies within 0.015 of the knob: one probe scores under the early stop
+            yield (min(target_hurst, 0.99),)
             return
         for hk in _COARSE_H:
             for sk in _COARSE_SPREAD:
@@ -507,8 +498,7 @@ def calibrate(
             hk, sk = best
             for h_off in (-h_step, -h_step / 2, 0.0, h_step / 2, h_step):
                 for sm in (1.0 / s_mult, 1.0, s_mult):
-                    h = min(max(hk + h_off, 0.05), 0.99)
-                    yield (round(h, 6), round(sk * sm, 6))
+                    yield (round(min(hk + h_off, 0.99), 6), round(sk * sm, 6))
             h_step /= 2
             s_mult = math.sqrt(s_mult)
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -222,6 +223,31 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, section, key, val
     assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_simulate_demand_past_the_float_range_clips_to_its_maximum(tmp_path):
+    # math.exp overflows on some cpu draws; they clip to cpu_max as lognormal's inf did
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[demand]\ncpu_mean = 1e308\ncpu_sigma = 3\n[sim]\nhorizon = 4096\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "report.csv").read_bytes()).hexdigest()
+    assert digest == "e89ddfb2e15f504781ad2d55215c65f4157ab2b31c9fb8f0df531c82c989e9da"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[demand]\nduration_mean = 1e17\n",
+     "duration_mean: mean duration 1e+17 ticks rounds geometric q = 1 - 1/mean to 1"),
+    ("[demand]\nclasses = 1.0:1.0:1e17\n",
+     "classes[0]: mean duration 9.6e+18 ticks rounds geometric q = 1 - 1/mean to 1"),
+    ("[demand]\ncpu_sigma = 1e155\n", "cpu_sigma must be non-negative with a finite square, got 1e+155"),
+    ("[cluster]\ncpu_count = " + "9" * 401 + "\n", "server 0: cpu_count must lie in [1, 1e308]"),
+], ids=["duration-mean", "class-duration-scale", "sigma-square", "cpu-count"])
+def test_simulate_rejects_values_that_would_break_the_run(tmp_path, capsys, text, message):
+    cfg = tmp_path / "edge.ini"
+    cfg.write_text(text + "[sim]\nhorizon = 1024\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_calibration_failure_is_runtime_error(tmp_path):

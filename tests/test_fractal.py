@@ -66,6 +66,14 @@ def test_dfa_rejects_degenerate_input():
         estimate_hurst_dfa(np.ones(255) + default_rng(0).random(255))
 
 
+def test_dfa_shares_the_mfdfa_degeneracy_rule():
+    # fluctuations under the floor at every scale: DFA once fitted H = 0 to the floored values
+    tiny = generate_fgn(0.7, 4096, seed=3).values * 1e-13
+    for estimator in (estimate_hurst_dfa, mfdfa):
+        with pytest.raises(DegenerateSeriesError, match="fluctuations vanish at every scale"):
+            estimator(tiny)
+
+
 def test_dfa_scale_range_validation():
     values = generate_fgn(0.7, 4096, seed=1).values
     with pytest.raises(ConfigError):
@@ -96,8 +104,8 @@ def test_mfdfa_q2_matches_dfa_on_shared_scales():
     scales = (16, default_scales(len(values))[-1])
     spec = mfdfa(values, scale_range=scales)
     est = estimate_hurst_dfa(values, scale_range=scales)
-    # both reduce to the same second-order fluctuation fit
-    assert abs(spec.h_at(2.0) - est.hurst) <= 1e-12
+    # DFA is the q = 2 fit of MF-DFA, through the same floor and fit
+    assert spec.h_at(2.0) == est.hurst
 
 
 def test_mfdfa_q2_close_to_dfa_default_paths():

@@ -9,22 +9,25 @@ post-move max SIL must equal the max SIL measured once it is applied.
 `run_scenario`, which skips quiet ticks, must report exactly what calling
 `arrivals_from_traffic` and `step` on every tick reports. `score_windows`
 must report for each of up to 64 windows exactly what `full_report` gives
-for that window alone. Three test-local oracles keep earlier, simpler
-forms: a step that retries the whole queue on every tick, a move scorer
-that scores one (candidate, destination) pair at a time, and a window
-scorer on plain floats.
+for that window alone. Demand, class and server values drawn from tiny,
+huge and near-overflow floats and from huge ints are either rejected with
+ConfigError when built or run to the horizon. Three test-local oracles
+keep earlier, simpler forms: a step that retries the whole queue on every
+tick, a move scorer that scores one (candidate, destination) pair at a
+time, and a window scorer on plain floats.
 """
 
 from collections import deque
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation as sim
+from mfload.errors import ConfigError
 from mfload.metrics import (
     ImbalanceReport,
     ResourceUtilization,
@@ -35,7 +38,7 @@ from mfload.metrics import (
     score_windows,
     sil_value,
 )
-from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries
+from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries, generate_fgn
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -448,3 +451,41 @@ def test_score_windows_equals_full_report_per_window(caps, w, n_windows, data):
         rows = means[k].tolist()
         utils = [ResourceUtilization(*u, window=1) for u in rows]
         assert report == full_report(utils, specs, w) == _scalar_report(rows, specs, w)
+
+
+# tiny, ordinary, square-overflowing and near-overflow floats, plus fixed edge values
+boundary_floats = st.one_of(
+    st.floats(5e-324, 1e-300),
+    st.floats(1e-6, 1e3),
+    st.floats(1e150, 1e160),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.sampled_from([0.0, -1.0, 1.0, 1e17, 2.0**54, 1e308, 1.7976931348623157e308]),
+)
+boundary_ints = st.one_of(st.integers(-1, 64), st.integers(2**1000, 2**1100), st.just(10**400))
+DEMAND_FIELDS = ("cpu_mean", "cpu_sigma", "ram_mean", "ram_sigma", "net_mean", "net_sigma",
+                 "duration_mean", "cpu_max", "ram_max", "net_max")
+BOUNDARY_SERIES = generate_fgn(0.7, 256, seed=0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(DEMAND_FIELDS), boundary_floats, max_size=4),
+       st.lists(st.tuples(boundary_floats, boundary_floats), min_size=1, max_size=2),
+       st.lists(st.tuples(boundary_ints, boundary_floats, boundary_floats), min_size=1, max_size=3))
+@example({"cpu_mean": 1e308, "cpu_sigma": 3.0}, [(1.0, 1.0)], [(4, 32.0, 16.0)])
+@example({"duration_mean": 1e17}, [(1.0, 1.0)], [(4, 32.0, 16.0)])
+@example({}, [(1.0, 1e17)], [(4, 32.0, 16.0)])
+@example({"cpu_sigma": 1e155}, [(1.0, 1.0)], [(4, 32.0, 16.0)])
+@example({}, [(1.0, 1.0)], [(10**400, 32.0, 16.0)])
+def test_boundary_values_are_rejected_when_built_or_run_to_the_horizon(demand, classes, servers):
+    try:
+        config = sim.ScenarioConfig(
+            traffic=GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7),
+            cluster=tuple(ServerSpec(i, *spec) for i, spec in enumerate(servers)),
+            demand_params=sim.DemandParams(
+                **demand, classes=tuple(sim.ServiceClass(1.0 / len(classes), *c) for c in classes)),
+            horizon=256,
+            arrival_scale=1.0,
+        )
+    except ConfigError:
+        return
+    assert len(sim.run_scenario(config, BOUNDARY_SERIES)) == 256 // config.window

@@ -288,6 +288,23 @@ def test_calibrate_narrow_target_uses_fgn():
     assert dh <= 0.2
 
 
+def test_first_fgn_probe_scores_under_the_early_stop():
+    # why the fGn family measures one probe: every knob from 0.51 to 0.99 meets
+    # the early stop at its own exponent, for the family's narrowest and widest targets
+    for knob in (round(0.51 + 0.02 * i, 2) for i in range(25)):
+        h, dh = measure_scaling(generate_fgn(knob, 2**traffic._PROBE_DEPTH, traffic._PROBE_SEED))
+        for target_delta_h in (0.0, traffic._FGN_FAMILY_THRESHOLD):
+            score = max(abs(h - knob) / traffic._TOL_H, abs(dh - target_delta_h) / traffic._TOL_DH)
+            assert score <= traffic._EARLY_STOP, (knob, target_delta_h, score)
+
+
+def test_cold_fgn_calibration_measures_one_probe():
+    probes = {}
+    meta = calibrate(target_hurst=0.83, target_delta_h=0.15, probes=probes)
+    assert list(probes) == [(0.83,)]
+    assert meta.kind is GeneratorKind.FGN and meta.target_hurst == 0.83
+
+
 def test_calibrate_argument_validation():
     with pytest.raises(ConfigError):
         calibrate(target_hurst=0.4, target_delta_h=0.5)
