@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +162,15 @@ def _checked(series, min_samples: int, method: str, scale_range) -> tuple[np.nda
     return x, _resolve_scales(x.size, scale_range)
 
 
+@lru_cache(maxsize=64)
+def _centered_ticks(scale: int) -> tuple[np.ndarray, float]:
+    """Segment tick positions minus their mean, read-only, and their sum of squares."""
+    t = np.arange(scale, dtype=float)
+    tc = t - t.mean()
+    tc.flags.writeable = False
+    return tc, float(np.dot(tc, tc))
+
+
 def _segment_f2(profile: np.ndarray, scale: int) -> np.ndarray:
     """Squared fluctuation per segment, forward plus backward coverage.
 
@@ -169,21 +179,20 @@ def _segment_f2(profile: np.ndarray, scale: int) -> np.ndarray:
     Each pass detrends a view of the profile in two scratch buffers, with
     the same element operations and row reductions as on a stacked copy;
     when scale divides the length both passes cover the same segments, so
-    one is computed and repeated.
+    one is computed and repeated. A row mean is ``np.add.reduce`` / scale,
+    bitwise ``ndarray.mean`` without its Python wrapper.
     """
     n = profile.size
     ns = n // scale
-    t = np.arange(scale, dtype=float)
-    tc = t - t.mean()
-    ss_t = float(np.dot(tc, tc))
+    tc, ss_t = _centered_ticks(scale)
 
     def detrended_f2(segs: np.ndarray) -> np.ndarray:
         buf = np.multiply(segs, tc)
-        slopes = buf.sum(axis=1, keepdims=True) / ss_t
-        resid = np.subtract(segs, segs.mean(axis=1, keepdims=True))
+        slopes = np.add.reduce(buf, axis=1, keepdims=True) / ss_t
+        resid = np.subtract(segs, np.add.reduce(segs, axis=1, keepdims=True) / scale)
         resid -= np.multiply(slopes, tc, out=buf)
         resid *= resid
-        return resid.mean(axis=1)
+        return np.add.reduce(resid, axis=1) / scale
 
     fwd = detrended_f2(profile[: ns * scale].reshape(ns, scale))
     if ns * scale == n:
@@ -216,11 +225,13 @@ def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, f
 
 
 def _fit(scales: np.ndarray, f2_per_scale: list[np.ndarray], q: float) -> tuple[float, float, float]:
-    """h(q), its log-scale intercept and the slope stderr, from floored fluctuations."""
+    """h(q), its log-scale intercept and the slope stderr, from floored fluctuations.
+
+    Moments are ``np.add.reduce`` / count, bitwise ``np.mean`` without its wrapper."""
     if q == 0.0:
-        f = [np.exp(0.5 * np.mean(np.log(f2))) for f2 in f2_per_scale]
+        f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2_per_scale]
     else:
-        f = [np.mean(f2 ** (q / 2.0)) ** (1.0 / q) for f2 in f2_per_scale]
+        f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2_per_scale]
     return _loglog_fit(scales, np.array(f))
 
 
@@ -350,11 +361,12 @@ def structure_function(series, q: float, scales) -> tuple[float, float]:
         raise ConfigError(f"scales must lie within [2, length/4] = [2, {x.size // 4}]")
 
     xc = x - x.mean()
+    # relative to the series' size, so the slope does not depend on its amplitude
+    floor = _MASS_FLOOR * (float(np.max(np.abs(xc))) or 1.0)
     m = np.empty(s_arr.size)
-    for j, s in enumerate(s_arr):
-        ns = x.size // int(s)
-        agg = xc[: ns * int(s)].reshape(ns, int(s)).sum(axis=1)
-        m[j] = np.mean(np.maximum(np.abs(agg), _MASS_FLOOR) ** q)
+    for j, s in enumerate(s_arr.tolist()):
+        agg = xc[: x.size // s * s].reshape(-1, s).sum(axis=1)
+        m[j] = np.mean(np.maximum(np.abs(agg), floor) ** q)
     return _loglog_fit(s_arr, m)[:2]
 
 

@@ -22,8 +22,9 @@ numerically: probe series are generated at a fixed probe seed, measured with
 MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
 local grid around the best probe. A composite draw depends on its exponent
 only through the fGn envelope, so a call draws one envelope per run of
-probes with equal exponent and composes each probe of the run from it;
-probes are memoized and counted against each call's budget.
+probes with equal exponent and composes each probe of the run from it,
+and all its envelopes colour one noise draw. Probes are memoized and
+counted against each call's budget.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -181,25 +182,30 @@ class TrafficSeries:
         return self.values.size
 
 
-def _fgn_increments(hurst: float, n: int, rng) -> np.ndarray:
-    """Exact-covariance fGn by circulant embedding of the autocovariance."""
-    k = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    lam = np.fft.fft(row).real
-    if lam.min() < -1e-8 * lam.max():
-        raise EstimationError(f"circulant embedding not non-negative definite for H={hurst}")
-    lam = np.maximum(lam, 0.0)
-
-    m = 2 * n
+def _fgn_noise(n: int, rng) -> np.ndarray:
+    """The Hermitian Gaussian vector of length 2n that :func:`_fgn_increments` colours, for any H."""
     a = rng.standard_normal(n + 1)
     b = rng.standard_normal(n - 1)
-    xi = np.empty(m, dtype=complex)
-    xi[0] = a[0]
-    xi[n] = a[n]
+    xi = np.empty(2 * n, dtype=complex)
+    xi[[0, n]] = a[[0, n]]
     xi[1:n] = (a[1:n] + 1j * b) / np.sqrt(2.0)
     xi[n + 1 :] = np.conj(xi[1:n][::-1])
-    return (np.fft.ifft(np.sqrt(lam) * xi) * np.sqrt(m)).real[:n]
+    return xi
+
+
+def _fgn_increments(hurst: float, n: int, noise: np.ndarray) -> np.ndarray:
+    """Exact-covariance fGn by circulant embedding of the autocovariance, from :func:`_fgn_noise`.
+
+    The complex row is transformed in place: bitwise the real row's FFT, in less time and memory."""
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
+    row = np.zeros(2 * n, dtype=complex)
+    row.real[: n + 1] = gamma
+    row.real[n + 1 :] = gamma[-2:0:-1]
+    lam = np.fft.fft(row, out=row).real
+    if lam.min() < -1e-8 * lam.max():
+        raise EstimationError(f"circulant embedding not non-negative definite for H={hurst}")
+    return (np.fft.ifft(np.sqrt(np.maximum(lam, 0.0)) * noise) * np.sqrt(2 * n)).real[:n]
 
 
 def _cascade_mass(depth: int, spread: float, rng) -> np.ndarray:
@@ -259,7 +265,7 @@ def generate_fgn(hurst: float, length: int, seed: int) -> TrafficSeries:
         raise ConfigError(f"length must be >= 64, got {length}")
     meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=int(seed), target_hurst=float(hurst))
     rng = default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
-    x = _fgn_increments(float(hurst), int(length), rng)
+    x = _fgn_increments(float(hurst), int(length), _fgn_noise(int(length), rng))
     x = x - x.min()
     mean = x.mean()
     if mean <= 0.0:
@@ -293,21 +299,21 @@ def generate_composite(
         target_hurst=float(hurst),
         multiplier_spread=float(multiplier_spread),
     )
-    v = _compose(_envelope(depth, hurst, seed), depth, multiplier_spread, seed)
+    noise = _fgn_noise(2**depth, default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE])))
+    v = _compose(_envelope(depth, hurst, noise), depth, multiplier_spread, seed)
     return TrafficSeries(values=v, meta=meta)
 
 
-def _envelope(depth: int, hurst: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _envelope(depth: int, hurst: float, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The part of a composite draw that depends on `hurst` and not on the spread.
 
-    Returns each 16-tick block's slot in the ascending cascade mass, and
-    the per-tick factor exp(1.5 * envelope). Placement is stratified over
-    `segs` segments: segment s takes every segs-th order statistic from s
-    on, in the rank order of its blocks' envelope means.
+    Colours `noise`, the seed's :func:`_fgn_noise` for 2^depth ticks. Returns
+    each 16-tick block's slot in the ascending cascade mass, and the per-tick
+    factor exp(1.5 * envelope). Placement is stratified over `segs` segments:
+    segment s takes every segs-th order statistic from s on, in the rank
+    order of its blocks' envelope means.
     """
-    env = _fgn_increments(
-        float(hurst), 2**depth, default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
-    )
+    env = _fgn_increments(float(hurst), 2**depth, noise)
     nblocks = 2 ** (depth - _BURST_BLOCK_DEPTH)
     segs = min(_PLACEMENT_SEGMENTS, nblocks)
     per = nblocks // segs
@@ -435,7 +441,8 @@ def calibrate(
     (envelope exponent, spread), then up to three 5 x 3 local grids around
     the best probe, halving the exponent step and square-rooting the spread
     factor each round. Both grids visit exponent-major, and a composite
-    probe reuses the envelope of the probe before it at an equal exponent.
+    probe reuses the envelope of the probe before it at an equal exponent;
+    every envelope of a call colours one noise draw.
 
     Parameters
     ----------
@@ -503,16 +510,19 @@ def calibrate(
             s_mult = math.sqrt(s_mult)
 
     # the envelope of the last composite probe built; the grids visit
-    # H-major, so one entry catches nearly every reuse
-    envelope_hurst, envelope = None, None
+    # H-major, so one entry catches nearly every reuse. All colour one noise draw.
+    noise_rng = default_rng(SeedSequence([_PROBE_SEED, _STREAM_ENVELOPE]))
+    noise, envelope_hurst, envelope = None, None, None
     for knobs in candidates():
         if knobs not in visited and len(visited) >= budget:
             break
         visited.add(knobs)
         if knobs not in probes:
             if len(knobs) == 2 and knobs[0] != envelope_hurst:
+                if noise is None:
+                    noise = _fgn_noise(2**_PROBE_DEPTH, noise_rng)
                 envelope_hurst = knobs[0]
-                envelope = _envelope(_PROBE_DEPTH, envelope_hurst, _PROBE_SEED)
+                envelope = _envelope(_PROBE_DEPTH, envelope_hurst, noise)
             # the probe series is left unnamed, so it is freed before the next is drawn
             probes[knobs] = measure_scaling(
                 generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)

@@ -428,9 +428,9 @@ def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):
     drawn = []
     envelope, compose = traffic._envelope, traffic._compose
 
-    def drawn_envelope(depth, hurst, seed):
+    def drawn_envelope(depth, hurst, noise):
         drawn.append(hurst)
-        return envelope(depth, hurst, seed)
+        return envelope(depth, hurst, noise)
 
     def counted(env, depth, spread, seed):
         calls[(depth, drawn[-1], spread, seed)] += 1

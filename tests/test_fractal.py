@@ -10,6 +10,7 @@ import pytest
 from numpy.random import default_rng
 
 import mfload
+from mfload import fractal
 from mfload.errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -192,6 +193,36 @@ def test_segment_f2_equals_the_stacked_formula_bitwise(n):
         assert np.array_equal(_segment_f2(profile, int(s)), _stacked_segment_f2(profile, int(s)))
 
 
+def _mean_mfdfa(x, q_grid, scale_range):
+    """h(q) and intercepts of mfdfa with ``np.mean`` row means and moments, as first written."""
+    scales = fractal._resolve_scales(x.size, scale_range)
+    profile = np.cumsum(x - x.mean())
+    f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), fractal._F2_FLOOR) for s in scales]
+    fits = []
+    for q in q_grid:
+        if q == 0.0:
+            f = [np.exp(0.5 * np.mean(np.log(f2))) for f2 in f2s]
+        else:
+            f = [np.mean(f2 ** (q / 2.0)) ** (1.0 / q) for f2 in f2s]
+        fits.append(fractal._loglog_fit(scales, np.array(f))[:2])
+    return [h.hex() for h, _ in fits], [c.hex() for _, c in fits]
+
+
+@pytest.mark.parametrize("q_grid", [DEFAULT_Q_GRID, (-4.0, -1.5, 0.0, 1.0, 2.0, 3.5), (0.0, 2.0)])
+def test_mfdfa_equals_the_mean_formulation_bitwise(q_grid):
+    series = [
+        generate_fgn(0.55, 1024, seed=1).values,
+        generate_fgn(0.85, 5000, seed=2).values,
+        generate_composite(depth=13, hurst=0.75, multiplier_spread=0.7, seed=3).values,
+        generate_cascade(depth=12, multiplier_spread=0.5, seed=4).values,
+    ]
+    for x in series:
+        for scale_range in (None, (8, 200), (20, x.size // 5)):
+            spectrum = mfdfa(x, q_grid, scale_range)
+            got = ([h.hex() for h in spectrum.h_of_q], [c.hex() for c in spectrum.intercepts])
+            assert got == _mean_mfdfa(x, q_grid, scale_range)
+
+
 def test_spectrum_invariants_enforced():
     with pytest.raises(ConfigError):
         MultifractalSpectrum(
@@ -224,6 +255,14 @@ def test_structure_function_constant_series():
     # centred constant collapses to the flooring value at every scale
     assert abs(slope) <= 1e-12
     assert intercept == pytest.approx(2.0 * np.log(1e-12), rel=1e-9)
+
+
+def test_structure_function_slope_does_not_depend_on_amplitude():
+    values = generate_fgn(0.7, 4096, seed=3).values
+    scales = (16, 32, 64, 128, 256)
+    slope, _ = structure_function(values, q=2.0, scales=scales)
+    tiny, _ = structure_function(values * 1e-13, q=2.0, scales=scales)
+    assert tiny == pytest.approx(slope, abs=1e-9)
 
 
 def test_structure_function_agrees_with_mfdfa_on_cascades():

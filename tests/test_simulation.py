@@ -487,6 +487,36 @@ def test_window_means_match_hand_average():
         state.drain_window()
 
 
+def _cumsum_window_means(windows):
+    """Per-window means as the last row of a per-tick running sum from a zero row."""
+    count = sum(windows[0][1])
+    out = []
+    for rows, spans in windows:
+        per_tick = np.zeros((count + 1, len(rows[0]), 3))
+        per_tick[1:] = np.repeat(np.array(rows, dtype=float), spans, axis=0)
+        out.append(np.cumsum(per_tick, axis=0)[-1] / count)
+    return np.minimum(np.array(out), 1.0)
+
+
+def test_window_means_equal_the_running_sum_bitwise():
+    rng = default_rng(5)
+    values = (0.0, -0.0, 1.0, 1.0 / 3.0, 0.1, 1e-17)
+    for _ in range(300):
+        w, count, n = int(rng.integers(1, 5)), int(rng.integers(1, 130)), int(rng.integers(1, 12))
+        windows = []
+        for _ in range(w):
+            cuts = sorted(set(rng.integers(0, count + 1, size=int(rng.integers(0, 6))).tolist()) | {0, count})
+            spans = [b - a for a, b in zip(cuts, cuts[1:])]
+            # a random value or one of the edge cases, -0.0 among them
+            rows = [[tuple(float(rng.random()) if rng.random() < 0.5 else values[rng.integers(6)]
+                           for _ in range(3)) for _ in range(n)] for _ in spans]
+            windows.append((rows, spans))
+        got = simulation._window_means(windows)
+        want = _cumsum_window_means(windows)
+        assert got.shape == want.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
 def test_conservation_holds_every_tick():
     series = generate_fgn(hurst=0.8, length=1024, seed=33)
     c_rng, d_rng = default_rng(41), default_rng(42)

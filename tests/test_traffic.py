@@ -140,10 +140,35 @@ def test_composite_width_responds_to_spread():
     assert ok >= 2
 
 
+def _one_piece_fgn_increments(hurst, n, rng):
+    """Circulant-embedding fGn drawn in one piece, as first written: real row, noise inside."""
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
+    lam = np.maximum(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0)
+    a = rng.standard_normal(n + 1)
+    b = rng.standard_normal(n - 1)
+    xi = np.empty(2 * n, dtype=complex)
+    xi[0] = a[0]
+    xi[n] = a[n]
+    xi[1:n] = (a[1:n] + 1j * b) / np.sqrt(2.0)
+    xi[n + 1 :] = np.conj(xi[1:n][::-1])
+    return (np.fft.ifft(np.sqrt(lam) * xi) * np.sqrt(2 * n)).real[:n]
+
+
+@pytest.mark.parametrize("n", (64, 1000, 2**14))
+def test_fgn_increments_from_noise_equal_the_one_piece_draw(n):
+    for hurst in (0.05, 0.5, 0.75, 0.99):
+        for seed in (0, 167):
+            noise = traffic._fgn_noise(n, default_rng(SeedSequence([seed, 1])))
+            got = traffic._fgn_increments(hurst, n, noise)
+            want = _one_piece_fgn_increments(hurst, n, default_rng(SeedSequence([seed, 1])))
+            assert np.array_equal(got, want)
+
+
 def _monolithic_composite(depth, hurst, spread, seed):
     """The composite construction written out in one piece, segment by segment."""
     n, block = 2**depth, 16
-    env = traffic._fgn_increments(hurst, n, default_rng(SeedSequence([seed, 1])))
+    env = traffic._fgn_increments(hurst, n, traffic._fgn_noise(n, default_rng(SeedSequence([seed, 1]))))
     mass = traffic._cascade_mass(depth - 4, spread, default_rng(SeedSequence([seed, 2])))
     nblocks = n // block
     block_means = env.reshape(nblocks, block).mean(axis=1)
@@ -374,6 +399,29 @@ def test_calibrate_draws_one_envelope_per_run_of_equal_hurst(monkeypatch):
         target_delta_h=2.5,
         multiplier_spread=0.592128,
     )
+
+
+def test_calibrate_draws_the_probe_noise_once_per_call(monkeypatch):
+    draws = []
+    original = traffic._fgn_noise
+
+    def counted(n, rng):
+        draws.append(n)
+        return original(n, rng)
+
+    monkeypatch.setattr(traffic, "_fgn_noise", counted)
+    for target in ((0.9, 2.5), (0.7, 0.1)):  # composite family, fGn family
+        draws.clear()
+        calibrate(*target)
+        assert draws == [2**14]
+        calibrate(*target)
+        assert draws == [2**14, 2**14]
+    # a call answered wholly from the memo draws nothing
+    probes = {}
+    calibrate(0.52, 4.0, budget=30, probes=probes)
+    draws.clear()
+    calibrate(0.52, 4.0, budget=30, probes=probes)
+    assert draws == []
 
 
 class _Exhausted(Exception):
