@@ -162,7 +162,7 @@ def _checked(series, min_samples: int, method: str, scale_range) -> tuple[np.nda
     return x, _resolve_scales(x.size, scale_range)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # a scale grid has at most 20 scales, so three grids fit
 def _centered_ticks(scale: int) -> tuple[np.ndarray, float]:
     """Segment tick positions minus their mean, read-only, and their sum of squares."""
     t = np.arange(scale, dtype=float)
@@ -225,9 +225,8 @@ def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, f
 
 
 def _fit(scales: np.ndarray, f2_per_scale: list[np.ndarray], q: float) -> tuple[float, float, float]:
-    """h(q), its log-scale intercept and the slope stderr, from floored fluctuations.
-
-    Moments are ``np.add.reduce`` / count, bitwise ``np.mean`` without its wrapper."""
+    """h(q), its log-scale intercept and the slope stderr, from floored fluctuations;
+    a moment is ``np.add.reduce`` / count, bitwise ``np.mean`` without its wrapper."""
     if q == 0.0:
         f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2_per_scale]
     else:
@@ -361,11 +360,11 @@ def structure_function(series, q: float, scales) -> tuple[float, float]:
         raise ConfigError(f"scales must lie within [2, length/4] = [2, {x.size // 4}]")
 
     xc = x - x.mean()
-    # relative to the series' size, so the slope does not depend on its amplitude
-    floor = _MASS_FLOOR * (float(np.max(np.abs(xc))) or 1.0)
+    floor = _MASS_FLOOR * (float(np.max(np.abs(xc))) or 1.0)  # relative, for amplitude-free slopes
     m = np.empty(s_arr.size)
-    for j, s in enumerate(s_arr.tolist()):
-        agg = xc[: x.size // s * s].reshape(-1, s).sum(axis=1)
+    for j, s in enumerate(s_arr):
+        ns = x.size // int(s)
+        agg = xc[: ns * int(s)].reshape(ns, int(s)).sum(axis=1)
         m[j] = np.mean(np.maximum(np.abs(agg), floor) ** q)
     return _loglog_fit(s_arr, m)[:2]
 

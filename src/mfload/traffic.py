@@ -187,22 +187,23 @@ def _fgn_noise(n: int, rng) -> np.ndarray:
     a = rng.standard_normal(n + 1)
     b = rng.standard_normal(n - 1)
     xi = np.empty(2 * n, dtype=complex)
-    xi[[0, n]] = a[[0, n]]
+    xi[0] = a[0]
+    xi[n] = a[n]
     xi[1:n] = (a[1:n] + 1j * b) / np.sqrt(2.0)
     xi[n + 1 :] = np.conj(xi[1:n][::-1])
     return xi
 
 
 def _fgn_increments(hurst: float, n: int, noise: np.ndarray) -> np.ndarray:
-    """Exact-covariance fGn by circulant embedding of the autocovariance, from :func:`_fgn_noise`.
-
-    The complex row is transformed in place: bitwise the real row's FFT, in less time and memory."""
+    """Exact-covariance fGn by circulant embedding of the autocovariance, from :func:`_fgn_noise`."""
     k = np.arange(n + 1, dtype=float)
     gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
-    row = np.zeros(2 * n, dtype=complex)
-    row.real[: n + 1] = gamma
-    row.real[n + 1 :] = gamma[-2:0:-1]
-    lam = np.fft.fft(row, out=row).real
+    # the row is built complex, whose FFT is the real row's bit for bit in less time;
+    # rebinding `lam` to its spectrum frees the row before the noise is coloured
+    lam = np.zeros(2 * n, dtype=complex)
+    lam.real[: n + 1] = gamma
+    lam.real[n + 1 :] = gamma[-2:0:-1]
+    lam = np.fft.fft(lam).real
     if lam.min() < -1e-8 * lam.max():
         raise EstimationError(f"circulant embedding not non-negative definite for H={hurst}")
     return (np.fft.ifft(np.sqrt(np.maximum(lam, 0.0)) * noise) * np.sqrt(2 * n)).real[:n]
