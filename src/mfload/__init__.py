@@ -12,19 +12,15 @@ from .errors import (
     CalibrationError,
     ConfigError,
     DegenerateSeriesError,
-    DomainError,
     EstimationError,
     InsufficientDataError,
 )
 from .fractal import (
     DEFAULT_Q_GRID,
     HurstEstimate,
-    HurstMethod,
     MultifractalSpectrum,
     estimate_hurst_dfa,
-    estimate_hurst_rs,
     mfdfa,
-    structure_function,
 )
 from .metrics import (
     ImbalanceReport,

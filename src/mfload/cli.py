@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fractal, metrics, traffic
 from .config import config_digest, parse_config, parse_sweep_grid
-from .errors import ConfigError, EstimationError
+from .errors import CalibrationError, ConfigError, EstimationError
 from .simulation import CalibrationTarget, ScenarioConfig, resolve_traffic, run_scenario
 
 __all__ = ["main"]
@@ -82,8 +82,8 @@ def _q_grid(args) -> tuple[float, ...]:
     q_min = args.q_min if args.q_min is not None else -5.0
     q_max = args.q_max if args.q_max is not None else 5.0
     steps = args.q_steps if args.q_steps is not None else 9
-    if steps < 2:
-        raise ConfigError("--q-steps must be at least 2")
+    if not 2 <= steps <= 1000:
+        raise ConfigError(f"--q-steps must lie in [2, 1000], got {steps}")
     for flag, v in (("--q-min", q_min), ("--q-max", q_max)):
         if not np.isfinite(v):
             raise ConfigError(f"{flag} must be finite, got {v}")
@@ -209,7 +209,13 @@ def cmd_sweep(args) -> int:
             name=name,
             traffic=CalibrationTarget(hurst=hurst, delta_h=delta_h, budget=budget),
         )
-        summary = _run_one(cell_config, os.path.join(args.out, name), probes)
+        try:
+            summary = _run_one(cell_config, os.path.join(args.out, name), probes)
+        except CalibrationError as exc:
+            raise CalibrationError(
+                f"sweep.grid: cell {hurst!r}:{delta_h!r}: {exc}",
+                exc.best_meta, exc.measured, exc.residuals,
+            ) from exc
         rows[name] = ",".join([name] + [f"{v:.12g}" for v in (hurst, delta_h, *summary)])
 
     header = (

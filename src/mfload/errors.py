@@ -17,10 +17,6 @@ class InsufficientDataError(ConfigError):
     """Series or sample set is too short for the requested computation."""
 
 
-class DomainError(ConfigError):
-    """Input lies outside the mathematical domain of the operation."""
-
-
 class EstimationError(RuntimeError):
     """A numerical estimation failed on otherwise valid input."""
 

@@ -1,4 +1,4 @@
-"""Scaling estimators for load series: DFA, multifractal DFA, moment scaling.
+"""Scaling estimators for load series: DFA and multifractal DFA.
 
 The estimators here close the loop between generation targets and realized
 traffic: given a series, recover the self-similarity exponent H, the
@@ -14,7 +14,6 @@ Everything is pure: identical inputs give bitwise-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
-    DomainError,
     EstimationError,
     InsufficientDataError,
 )
@@ -30,13 +28,10 @@ from .errors import (
 __all__ = [
     "DEFAULT_Q_GRID",
     "MFDFA_MIN_SAMPLES",
-    "HurstMethod",
     "HurstEstimate",
     "MultifractalSpectrum",
     "estimate_hurst_dfa",
-    "estimate_hurst_rs",
     "mfdfa",
-    "structure_function",
     "default_scales",
     "write_spectrum_csv",
 ]
@@ -48,14 +43,9 @@ DEFAULT_Q_GRID = (-5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 5.0)
 # shortest series mfdfa accepts
 MFDFA_MIN_SAMPLES = 1024
 
-# moments of near-zero mass intervals blow up under negative q; floor first
-_MASS_FLOOR = 1e-12
-_F2_FLOOR = _MASS_FLOOR ** 2
-
-
-class HurstMethod(str, Enum):
-    DFA = "dfa"
-    RS = "rs"
+# moments of near-zero fluctuations blow up under negative q; floor first
+# (the square of a 1e-12 floor on F)
+_F2_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,6 @@ class HurstEstimate:
 
     hurst: float
     stderr: float
-    method: HurstMethod
     scale_range: tuple[int, int]
 
     def __post_init__(self):
@@ -95,6 +84,9 @@ class MultifractalSpectrum:
             raise ConfigError("q_grid, h_of_q and intercepts must have equal length")
         if any(b <= a for a, b in zip(self.q_grid, self.q_grid[1:])):
             raise ConfigError("q_grid must be strictly ascending")
+        for qi, hi, ci in zip(self.q_grid, self.h_of_q, self.intercepts):
+            if not (np.isfinite(hi) and np.isfinite(ci)):
+                raise EstimationError(f"h(q) at q={qi:g} is not finite; the q-th moment left the float range")
         expected = self.h_of_q[0] - self.h_of_q[-1]
         if abs(self.delta_h - expected) > 1e-12:
             raise ConfigError("delta_h must equal h(q_min) - h(q_max)")
@@ -263,34 +255,6 @@ def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> Hu
     return HurstEstimate(
         hurst=slope,
         stderr=stderr,
-        method=HurstMethod.DFA,
-        scale_range=(int(scales[0]), int(scales[-1])),
-    )
-
-
-def estimate_hurst_rs(series, scale_range: tuple[int, int] | None = None) -> HurstEstimate:
-    """Rescaled-range companion estimator; cross-check for DFA.
-
-    Coarser than DFA (no detrending beyond the segment mean) but useful as
-    an independent sanity check on persistence.
-    """
-    x, scales = _checked(series, 256, "R/S", scale_range)
-    rs = np.empty(scales.size)
-    for j, s in enumerate(scales):
-        ns = x.size // int(s)
-        segs = x[: ns * int(s)].reshape(ns, int(s))
-        dev = np.cumsum(segs - segs.mean(axis=1, keepdims=True), axis=1)
-        rng = dev.max(axis=1) - dev.min(axis=1)
-        std = segs.std(axis=1)
-        ok = std > 0
-        if not np.any(ok):
-            raise DegenerateSeriesError("zero in-segment variance at every segment")
-        rs[j] = np.mean(rng[ok] / std[ok])
-    slope, _, stderr = _loglog_fit(scales, np.maximum(rs, _MASS_FLOOR))
-    return HurstEstimate(
-        hurst=slope,
-        stderr=stderr,
-        method=HurstMethod.RS,
         scale_range=(int(scales[0]), int(scales[-1])),
     )
 
@@ -336,37 +300,6 @@ def mfdfa(
         delta_h=h_of_q[0] - h_of_q[-1],
         intercepts=intercepts,
     )
-
-
-def structure_function(series, q: float, scales) -> tuple[float, float]:
-    """Moment-scaling estimator: OLS of log mean |aggregated X|^q vs log scale.
-
-    The series is centered by its global mean and aggregated by block sums,
-    so the slope estimates q*h(q) for increment-like input and a constant
-    series gives exactly slope 0 with zero residuals. Block sums cap the
-    measurable exponent at 1; prefer :func:`mfdfa` near or above that.
-
-    Returns ``(slope, intercept)``.
-    """
-    x = _as_values(series)
-    if q == 0.0:
-        raise ConfigError("q=0 carries no moment information; use a nonzero order")
-    if q < 0 and np.any(x <= 0.0):
-        raise DomainError("negative q requires a strictly positive series")
-    s_arr = np.asarray(scales, dtype=int)
-    if s_arr.size < 2:
-        raise ConfigError("need at least two scales for a slope")
-    if np.any(s_arr < 2) or np.any(s_arr > x.size // 4):
-        raise ConfigError(f"scales must lie within [2, length/4] = [2, {x.size // 4}]")
-
-    xc = x - x.mean()
-    floor = _MASS_FLOOR * (float(np.max(np.abs(xc))) or 1.0)  # relative, for amplitude-free slopes
-    m = np.empty(s_arr.size)
-    for j, s in enumerate(s_arr):
-        ns = x.size // int(s)
-        agg = xc[: ns * int(s)].reshape(ns, int(s)).sum(axis=1)
-        m[j] = np.mean(np.maximum(np.abs(agg), floor) ** q)
-    return _loglog_fit(s_arr, m)[:2]
 
 
 def write_spectrum_csv(path, spectrum: MultifractalSpectrum) -> None:

@@ -124,6 +124,32 @@ def test_analyze_rejects_a_non_finite_q_bound(tmp_path, capsys, flag, value):
     assert not (ana_out / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("steps", ["1", "1000000000000000"])
+def test_analyze_rejects_q_steps_outside_its_range(tmp_path, capsys, steps):
+    # a huge count once died in np.linspace with a numpy memory traceback
+    gen_out = tmp_path / "g"
+    _run(["generate", "--hurst", "0.6", "--length", "2048", "--out", str(gen_out)])
+    capsys.readouterr()
+    ana_out = tmp_path / "a"
+    assert _run(["analyze", str(gen_out / "series.csv"), "--q-steps", steps, "--out", str(ana_out)]) == 1
+    assert f"--q-steps must lie in [2, 1000], got {steps}" in capsys.readouterr().err
+    assert not (ana_out / "spectrum.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:divide by zero encountered:RuntimeWarning")
+def test_analyze_non_finite_spectrum_is_a_runtime_error(tmp_path, capsys):
+    # the q = -400 moment overflows; its NaN row was once written with exit 0
+    gen_out = tmp_path / "g"
+    _run(["generate", "--hurst", "0.7", "--length", "2048", "--seed", "3", "--out", str(gen_out)])
+    capsys.readouterr()
+    ana_out = tmp_path / "a"
+    argv = ["analyze", str(gen_out / "series.csv"), "--q-min=-400", "--q-max=400", "--out", str(ana_out)]
+    assert _run(argv) == 2
+    assert "error: h(q) at q=-400 is not finite" in capsys.readouterr().err
+    assert not (ana_out / "spectrum.csv").exists()
+
+
 def test_analyze_error_codes(tmp_path, capsys):
     assert _run(["analyze", str(tmp_path / "missing.csv")]) == 1
     flat = tmp_path / "flat.csv"
@@ -419,6 +445,13 @@ def test_sweep_whose_first_cell_fails_leaves_no_output_directory(tmp_path):
     out = tmp_path / "s"
     assert _run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_sweep_calibration_failure_names_the_cell(tmp_path, capsys):
+    cfg = tmp_path / "hard.ini"
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.52:4.0\nbudget = 2\n")
+    assert _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert "error: sweep.grid: cell 0.52:4.0: calibration exhausted budget 2" in capsys.readouterr().err
 
 
 def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):

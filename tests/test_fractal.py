@@ -14,20 +14,16 @@ from mfload import fractal
 from mfload.errors import (
     ConfigError,
     DegenerateSeriesError,
-    DomainError,
     EstimationError,
     InsufficientDataError,
 )
 from mfload.fractal import (
     DEFAULT_Q_GRID,
-    HurstMethod,
     MultifractalSpectrum,
     _segment_f2,
     default_scales,
     estimate_hurst_dfa,
-    estimate_hurst_rs,
     mfdfa,
-    structure_function,
     write_spectrum_csv,
 )
 from mfload.traffic import generate_cascade, generate_composite, generate_fgn
@@ -43,7 +39,6 @@ def test_dfa_recovers_white_noise():
         series = generate_fgn(hurst=0.5, length=2**14, seed=seed)
         est = estimate_hurst_dfa(series.values)
         assert 0.43 <= est.hurst <= 0.57
-        assert est.method is HurstMethod.DFA
 
 
 def test_dfa_recovers_persistent_noise():
@@ -81,13 +76,6 @@ def test_dfa_scale_range_validation():
         estimate_hurst_dfa(values, scale_range=(64, 16))
     with pytest.raises(ConfigError):
         estimate_hurst_dfa(values, scale_range=(4, 6))  # too few usable scales
-
-
-def test_rs_estimator_sanity():
-    series = generate_fgn(hurst=0.6, length=2**14, seed=2)
-    est = estimate_hurst_rs(series.values)
-    assert est.method is HurstMethod.RS
-    assert abs(est.hurst - 0.6) <= 0.12
 
 
 # ----------------------------------------------------------------- mfdfa
@@ -153,6 +141,14 @@ def test_mfdfa_q_grid_validation():
 def test_mfdfa_rejects_a_non_finite_q(q_grid):
     with pytest.raises(ConfigError, match="q_grid must be finite"):
         mfdfa(generate_fgn(0.7, 2048, seed=6).values, q_grid=q_grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:divide by zero encountered:RuntimeWarning")
+def test_mfdfa_rejects_a_spectrum_whose_moments_leave_the_float_range():
+    # f2 ** (q / 2) overflows at q = -400, and the fit came out NaN
+    with pytest.raises(EstimationError, match="q=-400 is not finite"):
+        mfdfa(generate_fgn(0.7, 2048, seed=6).values, q_grid=(-400.0, 2.0, 400.0))
 
 
 def test_mfdfa_length_guard():
@@ -243,48 +239,38 @@ def test_spectrum_invariants_enforced():
 # --------------------------------------------------------- structure moments
 
 
+def _structure_slope(x, q, scales):
+    """Slope of log mean |block sum|^q against log scale, a moment-scaling oracle for MF-DFA.
+
+    The series is centred by its mean and aggregated by block sums with no
+    detrending, so the slope estimates q*h(q) for increment-like input, with
+    h capped at 1. A floor relative to the series keeps the slope free of
+    its amplitude; q must be positive.
+    """
+    xc = x - x.mean()
+    floor = 1e-12 * float(np.max(np.abs(xc)))
+    s_arr = np.asarray(scales)
+    m = np.empty(s_arr.size)
+    for j, s in enumerate(s_arr):
+        ns = x.size // s
+        agg = xc[: ns * s].reshape(ns, s).sum(axis=1)
+        m[j] = np.mean(np.maximum(np.abs(agg), floor) ** q)
+    return fractal._loglog_fit(s_arr, m)[0]
+
+
 def test_structure_function_fgn_slope():
     for seed in range(3):
         values = generate_fgn(hurst=0.7, length=2**14, seed=seed).values
-        slope, _ = structure_function(values, q=2.0, scales=SF_SCALES)
+        slope = _structure_slope(values, 2.0, SF_SCALES)
         assert 0.6 <= slope / 2.0 <= 0.8
-
-
-def test_structure_function_constant_series():
-    slope, intercept = structure_function(np.full(4096, 2.0), q=2.0, scales=SF_SCALES)
-    # centred constant collapses to the flooring value at every scale
-    assert abs(slope) <= 1e-12
-    assert intercept == pytest.approx(2.0 * np.log(1e-12), rel=1e-9)
-
-
-def test_structure_function_slope_does_not_depend_on_amplitude():
-    values = generate_fgn(0.7, 4096, seed=3).values
-    scales = (16, 32, 64, 128, 256)
-    slope, _ = structure_function(values, q=2.0, scales=scales)
-    tiny, _ = structure_function(values * 1e-13, q=2.0, scales=scales)
-    assert tiny == pytest.approx(slope, abs=1e-9)
 
 
 def test_structure_function_agrees_with_mfdfa_on_cascades():
     for seed in range(5):
         values = generate_cascade(depth=14, multiplier_spread=0.8, seed=seed).values
-        slope, _ = structure_function(values, q=2.0, scales=SF_SCALES)
+        slope = _structure_slope(values, 2.0, SF_SCALES)
         h2 = mfdfa(values).h_at(2.0)
         assert abs(slope / 2.0 - h2) <= 0.1
-
-
-def test_structure_function_domain_errors():
-    values = generate_fgn(0.7, 4096, seed=8).values
-    with pytest.raises(ConfigError):
-        structure_function(values, q=0.0, scales=SF_SCALES)
-    with pytest.raises(ConfigError):
-        structure_function(values, q=2.0, scales=(1, 8, 64))  # scale below 2
-    with pytest.raises(ConfigError):
-        structure_function(values, q=2.0, scales=(16, 4096))  # beyond length/4
-    zeros = np.zeros(4096)
-    zeros[::2] = 1.0
-    with pytest.raises(DomainError):
-        structure_function(zeros, q=-2.0, scales=SF_SCALES)
 
 
 # ------------------------------------------------------------------- output

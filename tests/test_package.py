@@ -1,17 +1,20 @@
 """Package surface and source hygiene: the export list, unused imports and private names."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import mfload
 
 SOURCE = Path(mfload.__file__).parent
 
 EXPORTED = {
-    "CalibrationError", "ConfigError", "DegenerateSeriesError", "DomainError",
+    "CalibrationError", "ConfigError", "DegenerateSeriesError",
     "EstimationError", "InsufficientDataError",
-    "DEFAULT_Q_GRID", "HurstEstimate", "HurstMethod", "MultifractalSpectrum",
-    "estimate_hurst_dfa", "estimate_hurst_rs", "mfdfa", "structure_function",
+    "DEFAULT_Q_GRID", "HurstEstimate", "MultifractalSpectrum",
+    "estimate_hurst_dfa", "mfdfa",
     "ImbalanceReport", "ResourceUtilization", "ServerSpec", "WeightTriple",
     "composite_load", "full_report", "resource_imbalance", "score_windows",
     "sil_value",
@@ -32,6 +35,13 @@ def test_export_list_is_pinned():
     assert set(mfload.__all__) == EXPORTED
     for name in mfload.__all__:
         assert hasattr(mfload, name), name
+
+
+@pytest.mark.parametrize("module", ["cli", "config", "fractal", "metrics", "simulation", "traffic"])
+def test_submodule_all_names_exist(module):
+    # a stale entry makes `from mfload.<module> import *` raise AttributeError
+    mod = importlib.import_module(f"mfload.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def _unused_imports(path: Path) -> list[str]:
