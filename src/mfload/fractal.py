@@ -218,12 +218,15 @@ def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, f
 
 def _fit(scales: np.ndarray, f2_per_scale: list[np.ndarray], q: float) -> tuple[float, float, float]:
     """h(q), its log-scale intercept and the slope stderr, from floored fluctuations;
-    a moment is ``np.add.reduce`` / count, bitwise ``np.mean`` without its wrapper."""
-    if q == 0.0:
-        f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2_per_scale]
-    else:
-        f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2_per_scale]
-    return _loglog_fit(scales, np.array(f))
+    a moment is ``np.add.reduce`` / count, bitwise ``np.mean`` without its wrapper.
+    A moment that leaves the float range gives a non-finite h(q) silently:
+    the caller raises on it, so numpy's warnings would only add noise."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if q == 0.0:
+            f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2_per_scale]
+        else:
+            f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2_per_scale]
+        return _loglog_fit(scales, np.array(f))
 
 
 def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> HurstEstimate:

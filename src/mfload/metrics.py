@@ -218,27 +218,23 @@ def write_report_csv(path, reports: Sequence[ImbalanceReport], window: int, summ
 
     `summary`, when given, is appended verbatim as a trailing `# ...` line.
     """
-    lines = ["tick,isl_cpu,isl_ram,isl_net,ibl_tot,isl_tot,efficiency"]
-    for i, r in enumerate(reports):
-        tick = (i + 1) * window
-        lines.append(
-            f"{tick},{r.isl_cpu:.12g},{r.isl_ram:.12g},{r.isl_net:.12g},"
-            f"{r.ibl_tot:.12g},{r.isl_tot:.12g},{r.efficiency:.12g}"
-        )
-    if summary is not None:
-        lines.append(f"# {summary}")
+    fields = []
+    for i, r in enumerate(reports, 1):
+        fields += (i * window, r.isl_cpu, r.isl_ram, r.isl_net, r.ibl_tot, r.isl_tot, r.efficiency)
+    text = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" * len(reports) % tuple(fields)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("tick,isl_cpu,isl_ram,isl_net,ibl_tot,isl_tot,efficiency\n" + text)
+        if summary is not None:
+            fh.write(f"# {summary}\n")
 
 
 def write_sil_csv(path, reports: Sequence[ImbalanceReport], window: int, server_ids: Sequence[int]) -> None:
     """Per-server SIL trajectories in long form, one row per (window, server)."""
-    lines = ["tick,server_id,sil"]
-    for i, r in enumerate(reports):
+    fields = []
+    for i, r in enumerate(reports, 1):
         if len(r.sil) != len(server_ids):
             raise ConfigError("report SIL width does not match the server list")
-        tick = (i + 1) * window
         for sid, s in zip(server_ids, r.sil):
-            lines.append(f"{tick},{sid},{s:.12g}")
+            fields += (i * window, sid, s)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("tick,server_id,sil\n" + "%d,%d,%.12g\n" * (len(fields) // 3) % tuple(fields))

@@ -21,10 +21,10 @@ Three families, one knob vocabulary:
 numerically: probe series are generated at a fixed probe seed, measured with
 MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
 local grid around the best probe. A composite draw depends on its exponent
-only through the fGn envelope, so a call draws one envelope per run of
-probes with equal exponent and composes each probe of the run from it,
-and all its envelopes colour one noise draw. Probes are memoized and
-counted against each call's budget.
+only through the fGn envelope, so a call colours one envelope per distinct
+exponent and composes each probe with that exponent from it, and all its
+envelopes colour one noise draw. Probes are memoized and counted against
+each call's budget.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -206,7 +206,15 @@ def _fgn_increments(hurst: float, n: int, noise: np.ndarray) -> np.ndarray:
     lam = np.fft.fft(lam).real
     if lam.min() < -1e-8 * lam.max():
         raise EstimationError(f"circulant embedding not non-negative definite for H={hurst}")
-    return (np.fft.ifft(np.sqrt(np.maximum(lam, 0.0)) * noise) * np.sqrt(2 * n)).real[:n]
+    # clipped and rooted in one real buffer; each rebinding frees the buffer
+    # before it, so neither the complex spectrum nor the real one is held
+    # through the inverse. In-place scaling gives the scaled copy's bits.
+    lam = np.maximum(lam, 0.0)
+    np.sqrt(lam, out=lam)
+    lam = lam * noise
+    lam = np.fft.ifft(lam)
+    lam *= np.sqrt(2 * n)
+    return lam.real[:n]
 
 
 def _cascade_mass(depth: int, spread: float, rng) -> np.ndarray:
@@ -441,9 +449,9 @@ def calibrate(
     exponent; the composite family a coarse 5 x 6 grid of
     (envelope exponent, spread), then up to three 5 x 3 local grids around
     the best probe, halving the exponent step and square-rooting the spread
-    factor each round. Both grids visit exponent-major, and a composite
-    probe reuses the envelope of the probe before it at an equal exponent;
-    every envelope of a call colours one noise draw.
+    factor each round. A call colours one envelope per distinct exponent
+    and composes every composite probe with that exponent from it; every
+    envelope of a call colours one noise draw, and none outlives the call.
 
     Parameters
     ----------
@@ -510,25 +518,24 @@ def calibrate(
             h_step /= 2
             s_mult = math.sqrt(s_mult)
 
-    # the envelope of the last composite probe built; the grids visit
-    # H-major, so one entry catches nearly every reuse. All colour one noise draw.
+    # the composite envelopes of this call by exponent, all colouring one
+    # noise draw; they end with the call, so a sweep's cells share none
     noise_rng = default_rng(SeedSequence([_PROBE_SEED, _STREAM_ENVELOPE]))
-    noise, envelope_hurst, envelope = None, None, None
+    noise, envelopes = None, {}
     for knobs in candidates():
         if knobs not in visited and len(visited) >= budget:
             break
         visited.add(knobs)
         if knobs not in probes:
-            if len(knobs) == 2 and knobs[0] != envelope_hurst:
+            if len(knobs) == 2 and knobs[0] not in envelopes:
                 if noise is None:
                     noise = _fgn_noise(2**_PROBE_DEPTH, noise_rng)
-                envelope_hurst = knobs[0]
-                envelope = _envelope(_PROBE_DEPTH, envelope_hurst, noise)
+                envelopes[knobs[0]] = _envelope(_PROBE_DEPTH, knobs[0], noise)
             # the probe series is left unnamed, so it is freed before the next is drawn
             probes[knobs] = measure_scaling(
                 generate_fgn(knobs[0], 2**_PROBE_DEPTH, _PROBE_SEED)
                 if len(knobs) == 1
-                else _compose(envelope, _PROBE_DEPTH, knobs[1], _PROBE_SEED)
+                else _compose(envelopes[knobs[0]], _PROBE_DEPTH, knobs[1], _PROBE_SEED)
             )
         if best is None or score(probes[knobs]) < score(probes[best]):
             best = knobs
@@ -561,8 +568,12 @@ def write_series_csv(path, series) -> None:
     values = np.asarray(getattr(series, "values", series), dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tick,value\n")
-        for start in range(0, values.size, 4096):  # in chunks, so no list of all rows is held
-            fh.write("".join(f"{t},{v:.12g}\n" for t, v in enumerate(values[start:start + 4096].tolist(), start)))
+        for start in range(0, values.size, 4096):  # in chunks, so no text of all rows is held
+            chunk = values[start:start + 4096].tolist()
+            fields = [0] * (2 * len(chunk))
+            fields[0::2] = range(start, start + len(chunk))
+            fields[1::2] = chunk
+            fh.write("%d,%.12g\n" * len(chunk) % tuple(fields))
 
 
 def read_series_csv(path) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfload
 from mfload import traffic
 from mfload.cli import main
 from mfload.fractal import mfdfa
@@ -136,17 +141,19 @@ def test_analyze_rejects_q_steps_outside_its_range(tmp_path, capsys, steps):
     assert not (ana_out / "spectrum.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:divide by zero encountered:RuntimeWarning")
 def test_analyze_non_finite_spectrum_is_a_runtime_error(tmp_path, capsys):
-    # the q = -400 moment overflows; its NaN row was once written with exit 0
+    # the q = -400 moment overflows; its NaN row was once written with exit 0,
+    # and numpy's overflow warnings were once printed above the error line.
+    # A fresh interpreter shows warnings as a user would see them.
     gen_out = tmp_path / "g"
     _run(["generate", "--hurst", "0.7", "--length", "2048", "--seed", "3", "--out", str(gen_out)])
     capsys.readouterr()
     ana_out = tmp_path / "a"
     argv = ["analyze", str(gen_out / "series.csv"), "--q-min=-400", "--q-max=400", "--out", str(ana_out)]
-    assert _run(argv) == 2
-    assert "error: h(q) at q=-400 is not finite" in capsys.readouterr().err
+    env = dict(os.environ, PYTHONPATH=str(Path(mfload.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "mfload.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == "error: h(q) at q=-400 is not finite; the q-th moment left the float range\n"
     assert not (ana_out / "spectrum.csv").exists()
 
 
@@ -455,18 +462,20 @@ def test_sweep_calibration_failure_names_the_cell(tmp_path, capsys):
 
 
 def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):
-    # a composite probe is composed from the envelope of its exponent; the
-    # exponent of the envelope last drawn names the probe being composed
+    # a composite probe is composed from the envelope of its exponent, so the
+    # envelope object it is handed names that exponent; each drawn envelope
+    # is kept alive here, so no later object takes over its id
     calls = Counter()
-    drawn = []
+    drawn = {}
     envelope, compose = traffic._envelope, traffic._compose
 
     def drawn_envelope(depth, hurst, noise):
-        drawn.append(hurst)
-        return envelope(depth, hurst, noise)
+        env = envelope(depth, hurst, noise)
+        drawn[id(env)] = (env, hurst)
+        return env
 
     def counted(env, depth, spread, seed):
-        calls[(depth, drawn[-1], spread, seed)] += 1
+        calls[(depth, drawn[id(env)][1], spread, seed)] += 1
         return compose(env, depth, spread, seed)
 
     monkeypatch.setattr(traffic, "_envelope", drawn_envelope)

@@ -143,8 +143,6 @@ def test_mfdfa_rejects_a_non_finite_q(q_grid):
         mfdfa(generate_fgn(0.7, 2048, seed=6).values, q_grid=q_grid)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:divide by zero encountered:RuntimeWarning")
 def test_mfdfa_rejects_a_spectrum_whose_moments_leave_the_float_range():
     # f2 ** (q / 2) overflows at q = -400, and the fit came out NaN
     with pytest.raises(EstimationError, match="q=-400 is not finite"):

@@ -399,6 +399,37 @@ def test_report_csv_round_shape(tmp_path):
     assert got == pytest.approx(reports[0].isl_tot, rel=1e-11)
 
 
+def test_csv_writers_match_the_per_row_fstring_form(tmp_path):
+    # rows are formatted by one % call per file; each must equal the f-string
+    # form of one row at a time, byte for byte, at the edges of the float range
+    sil = (0.0, 5e-324, 1e300, 0.1)
+    reports = [
+        ImbalanceReport(
+            isl_cpu=a, isl_ram=b, isl_net=0.0, ibl_tot=a + b + 0.0, sil=sil, isl_tot=sum(sil) / 4, efficiency=e
+        )
+        for a, b, e in ((0.0, 5e-324, 0.0), (1e300, 0.1, 0.1), (0.1, 0.0, 5e-324))
+    ]
+    ids = [0, 3, 5, 9]
+    report_path, sil_path = tmp_path / "report.csv", tmp_path / "sil.csv"
+    write_report_csv(report_path, reports, window=64, summary="s")
+    write_sil_csv(sil_path, reports, window=64, server_ids=ids)
+    lines = ["tick,isl_cpu,isl_ram,isl_net,ibl_tot,isl_tot,efficiency"]
+    sil_lines = ["tick,server_id,sil"]
+    for i, r in enumerate(reports):
+        tick = (i + 1) * 64
+        lines.append(
+            f"{tick},{r.isl_cpu:.12g},{r.isl_ram:.12g},{r.isl_net:.12g},"
+            f"{r.ibl_tot:.12g},{r.isl_tot:.12g},{r.efficiency:.12g}"
+        )
+        sil_lines += [f"{tick},{sid},{s:.12g}" for sid, s in zip(ids, r.sil)]
+    assert report_path.read_bytes() == ("\n".join(lines + ["# s"]) + "\n").encode()
+    assert sil_path.read_bytes() == ("\n".join(sil_lines) + "\n").encode()
+    write_report_csv(report_path, [], window=64)
+    write_sil_csv(sil_path, [], window=64, server_ids=ids)
+    assert report_path.read_bytes() == (lines[0] + "\n").encode()
+    assert sil_path.read_bytes() == (sil_lines[0] + "\n").encode()
+
+
 def test_sil_csv_long_form(tmp_path):
     specs = [_spec(0), _spec(7)]
     w = WeightTriple()

@@ -165,6 +165,29 @@ def test_fgn_increments_from_noise_equal_the_one_piece_draw(n):
             assert np.array_equal(got, want)
 
 
+def _spectrum_product_fgn_increments(hurst, n, noise):
+    """The colouring with its spectrum clipped, rooted, coloured and scaled in one expression."""
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
+    lam = np.zeros(2 * n, dtype=complex)
+    lam.real[: n + 1] = gamma
+    lam.real[n + 1 :] = gamma[-2:0:-1]
+    lam = np.fft.fft(lam).real
+    return (np.fft.ifft(np.sqrt(np.maximum(lam, 0.0)) * noise) * np.sqrt(2 * n)).real[:n]
+
+
+@pytest.mark.parametrize("n", (1000, 2**14))
+def test_fgn_increments_equal_the_one_expression_colouring_bitwise(n):
+    # in-place clipping, rooting and scaling must keep every bit, the sign of zero too
+    for hurst in (0.05, 0.5, 0.55, 0.75, 0.975, 0.99):
+        for seed in (0, 7, 167):
+            noise = traffic._fgn_noise(n, default_rng(SeedSequence([seed, 1])))
+            got = traffic._fgn_increments(hurst, n, noise)
+            want = _spectrum_product_fgn_increments(hurst, n, noise)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _monolithic_composite(depth, hurst, spread, seed):
     """The composite construction written out in one piece, segment by segment."""
     n, block = 2**depth, 16
@@ -376,7 +399,7 @@ def test_warm_probe_memo_still_counts_against_the_budget():
     assert warm.value.residuals == cold.value.residuals
 
 
-def test_calibrate_draws_one_envelope_per_run_of_equal_hurst(monkeypatch):
+def test_calibrate_colours_one_envelope_per_distinct_hurst(monkeypatch):
     draws = []
     original = traffic._fgn_increments
 
@@ -387,10 +410,9 @@ def test_calibrate_draws_one_envelope_per_run_of_equal_hurst(monkeypatch):
     monkeypatch.setattr(traffic, "_fgn_increments", counted)
     probes = {}
     meta = calibrate(0.9, 2.5, probes=probes)
-    hursts = [knobs[0] for knobs in probes]
-    runs = 1 + sum(a != b for a, b in zip(hursts, hursts[1:]))
     assert len(probes) == 64
-    assert len(draws) == runs == 19
+    assert sorted(draws) == sorted({knobs[0] for knobs in probes})
+    assert len(draws) == 13
     assert meta == GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
         seed=167,
@@ -560,12 +582,14 @@ def test_series_csv_round_trip(tmp_path):
 
 
 def test_series_csv_rows_span_write_chunks(tmp_path):
-    # 9000 rows are written in several chunks; every row appears once, in order
+    # 9000 rows are written in several chunks; every row appears once, in
+    # order, byte for byte as one f-string per row writes it
     values = generate_fgn(hurst=0.7, length=9000, seed=13).values
+    values = np.concatenate([[0.0, 5e-324, 1e300, 0.1], values, [0.1, 1e300, 5e-324, 0.0]])
     path = tmp_path / "series.csv"
     write_series_csv(path, values)
-    lines = path.read_text().splitlines()
-    assert lines[1:] == [f"{t},{v:.12g}" for t, v in enumerate(values)]
+    rows = "".join(f"{t},{v:.12g}\n" for t, v in enumerate(values.tolist()))
+    assert path.read_bytes() == ("tick,value\n" + rows).encode()
 
 
 def test_series_csv_rejects_malformed_input(tmp_path):
