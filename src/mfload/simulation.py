@@ -53,7 +53,7 @@ from .metrics import (
     composite_load,
     sil_value,
 )
-from .traffic import GeneratorMeta, TrafficSeries, check_seed
+from .traffic import GeneratorMeta, TrafficSeries, check_integer, check_seed
 
 __all__ = [
     "MAX_TICK_ARRIVAL_MEAN",
@@ -137,10 +137,16 @@ class Task:
     service_class: int = 0
 
     def __post_init__(self):
+        check_integer(self.duration, "duration")
         if self.duration < 1:
             raise ConfigError("duration must be >= 1 tick")
-        if min(self.cpu_demand, self.ram_demand, self.net_demand) <= 0.0:
-            raise ConfigError("task demands must be positive")
+        # chained tests also catch NaN, and cost less than a min() call
+        if not (0.0 < self.cpu_demand < math.inf and 0.0 < self.ram_demand < math.inf
+                and 0.0 < self.net_demand < math.inf):
+            demands = (self.cpu_demand, self.ram_demand, self.net_demand)
+            if any(d <= 0.0 for d in demands):
+                raise ConfigError("task demands must be positive")
+            raise ConfigError(f"task demands must be finite, got {demands}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,8 @@ def reference_cluster() -> tuple[ServerSpec, ...]:
 
 
 def check_window(window: int, horizon: int, key: str = "window") -> None:
-    """Reject a report window outside [1, horizon], naming the given key and value."""
+    """Reject a non-integer report window or one outside [1, horizon], naming the given key and value."""
+    check_integer(window, key)
     if not (1 <= window <= horizon):
         raise ConfigError(f"{key}: must satisfy 1 <= window <= horizon = {horizon}, got {window}")
 
@@ -267,6 +274,7 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
+        check_integer(self.horizon, "horizon")
         if self.horizon < 256:
             raise ConfigError(f"horizon must be >= 256 ticks, got {self.horizon}")
         check_window(self.window, self.horizon)
@@ -727,6 +735,13 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     net_demand is charged to the source server for this tick, and the
     source joins the freed set of the next queue retry. Returns the committed moves as (task_id, source,
     destination).
+
+    Bound: a task whose move would leave the source's own SIL at or above
+    the max SIL is skipped before sorting, neither scanned for admission
+    nor scored. Proof: in :func:`_post_move_max_sils` every destination
+    j != src scores ``max(own, first)``, or ``max(own, second)`` when j is
+    ``top``; ``first`` is at least the source's entry, and so is ``second``
+    when ``top`` != src, so no such move can strictly lower the max SIL.
     """
     if policy.kind is not PolicyKind.THRESHOLD_MIGRATION:
         return []
@@ -734,6 +749,7 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     if n < 2:
         return []
     moves: list[tuple[int, int, int]] = []
+    net_total = state.net_total
 
     for _ in range(_MAX_MOVES_PER_TICK):
         utils = state._util  # read only: a committed move ends the pass
@@ -744,12 +760,18 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
             break
         src = sils.index(max_sil)
 
+        # the source's post-move SIL, in _post_move_max_sils' float order
+        cu, ru, nu = utils[src]
+        cc, rc = state.cpu_cap[src], state.ram_cap[src]
+        avg_c, avg_r, avg_n = avgs
         candidates = sorted(
-            state.running[src].values(),
+            (t for t in state.running[src].values()
+             if sil_value(cu - t.cpu_demand / cc, ru - t.ram_demand / rc, nu,
+                          avg_c, avg_r, avg_n + t.net_demand / net_total, w) < max_sil),
             key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id),
         )
         for task in candidates:
-            post_max = _post_move_max_sils(state, utils, avgs, state.net_total, src, task, w)
+            post_max = _post_move_max_sils(state, utils, avgs, net_total, src, task, w)
             if post_max:
                 dst = min(post_max, key=post_max.get)
                 if post_max[dst] < max_sil:

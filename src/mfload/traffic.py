@@ -33,6 +33,7 @@ bitwise-identical output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -54,6 +55,7 @@ __all__ = [
     "generate_calibrated",
     "calibrate",
     "check_calibration_targets",
+    "check_integer",
     "check_probe_budget",
     "check_seed",
     "measure_scaling",
@@ -142,8 +144,10 @@ class GeneratorMeta:
             math.isfinite(self.target_delta_h) and self.target_delta_h >= 0.0
         ):
             raise ConfigError(f"target_delta_h must be finite and non-negative, got {self.target_delta_h}")
-        if self.depth is not None and not (_MIN_DEPTH[self.kind] <= self.depth <= 24):
-            raise ConfigError(f"depth must lie in [{_MIN_DEPTH[self.kind]}, 24], got {self.depth}")
+        if self.depth is not None:
+            check_integer(self.depth, "depth")
+            if not (_MIN_DEPTH[self.kind] <= self.depth <= 24):
+                raise ConfigError(f"depth must lie in [{_MIN_DEPTH[self.kind]}, 24], got {self.depth}")
         if self.multiplier_spread is not None and not (
             math.isfinite(self.multiplier_spread) and self.multiplier_spread > 0.0
         ):
@@ -420,14 +424,24 @@ def check_calibration_targets(hurst: float, delta_h: float, hurst_key: str = "ta
         raise ConfigError(f"{delta_h_key} must lie in [0, 4], got {delta_h}")
 
 
+def check_integer(value, key: str) -> None:
+    """Reject a value Python cannot use as an index (a float, say), naming the given key and value."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
+
+
 def check_seed(seed: int, key: str = "seed") -> None:
-    """Reject a negative RNG seed, naming the given key and value."""
+    """Reject a non-integer or negative RNG seed, naming the given key and value."""
+    check_integer(seed, key)
     if seed < 0:
         raise ConfigError(f"{key}: must be a non-negative integer, got {seed}")
 
 
 def check_probe_budget(budget: int, key: str = "budget") -> None:
-    """Reject a calibration probe budget below 1, naming the given key and value."""
+    """Reject a non-integer calibration probe budget or one below 1, naming the given key and value."""
+    check_integer(budget, key)
     if budget < 1:
         raise ConfigError(f"{key}: must be a positive integer, got {budget}")
 

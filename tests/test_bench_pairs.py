@@ -1,0 +1,93 @@
+"""The pure summary functions of tools/bench_pairs.py, on made-up runs; no benchmark is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "scenario_s", "better": "lower", "bound": 0.25},
+    {"name": "ticks_per_s", "better": "higher", "bound": 0.25},
+]
+
+
+def _run(scenario_s, ticks_per_s=1000.0):
+    return {
+        "result": {"failed": 0, "attempted": 4, "metrics": {
+            "scenario_s": {"value": scenario_s}, "ticks_per_s": {"value": ticks_per_s}}},
+        "host": {"scenario_s": scenario_s},
+    }
+
+
+def _summary(parent, change, parent_ticks=None, change_ticks=None):
+    """One workload's summary of paired scenario_s (and ticks_per_s) values."""
+    parent_ticks = parent_ticks or [1000.0] * len(parent)
+    change_ticks = change_ticks or [1000.0] * len(change)
+    runs = {"w": {
+        "parent": [_run(s, t) for s, t in zip(parent, parent_ticks)],
+        "change": [_run(s, t) for s, t in zip(change, change_ticks)],
+    }}
+    return bench_pairs.summarise(runs, METRICS, ["w"])
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def test_claim_is_met_with_nine_wins_and_a_gain_above_the_parent_iqr():
+    change = [p - 0.2 for p in PARENT]
+    change[3] = PARENT[3] + 0.01  # one pair lost
+    claim = bench_pairs.claim_of(_summary(PARENT, change), "w", "scenario_s")
+    assert (claim["change_wins"], claim["pairs"]) == (9, 10)
+    assert claim["median_difference"] > claim["parent_iqr"]
+    assert claim["met"]
+
+
+def test_claim_is_not_met_with_eight_wins():
+    change = [p - 0.2 for p in PARENT]
+    change[3] = PARENT[3] + 0.01
+    change[5] = PARENT[5] + 0.01
+    claim = bench_pairs.claim_of(_summary(PARENT, change), "w", "scenario_s")
+    assert claim["change_wins"] == 8
+    assert claim["median_difference"] > claim["parent_iqr"]
+    assert not claim["met"]
+
+
+def test_claim_is_not_met_when_the_median_gain_is_within_the_parent_iqr():
+    change = [p - 0.01 for p in PARENT]
+    claim = bench_pairs.claim_of(_summary(PARENT, change), "w", "scenario_s")
+    assert claim["change_wins"] == 10
+    assert 0.0 < claim["median_difference"] <= claim["parent_iqr"]
+    assert not claim["met"]
+
+
+def test_claim_on_a_higher_is_better_metric_counts_rises_as_gains():
+    parent_ticks = [1000.0 + 10.0 * k for k in range(10)]
+    summary = _summary(PARENT, PARENT, parent_ticks, [t * 1.5 for t in parent_ticks])
+    assert bench_pairs.claim_of(summary, "w", "ticks_per_s")["met"]
+    summary = _summary(PARENT, PARENT, parent_ticks, [t * 0.5 for t in parent_ticks])
+    claim = bench_pairs.claim_of(summary, "w", "ticks_per_s")
+    assert claim["change_wins"] == 0 and claim["median_difference"] < 0 and not claim["met"]
+
+
+@pytest.mark.parametrize("factor, worse", [(1.3, True), (1.2, False), (0.7, False)])
+def test_worse_than_bound_when_lower_is_better(factor, worse):
+    entry = _summary(PARENT, [p * factor for p in PARENT])["w"]["metrics"]["scenario_s"]
+    assert entry["median_change"] == pytest.approx(factor - 1.0)
+    assert entry["worse_than_bound"] is worse
+
+
+@pytest.mark.parametrize("factor, worse", [(0.7, True), (0.8, False), (1.5, False)])
+def test_worse_than_bound_when_higher_is_better(factor, worse):
+    ticks = [1000.0] * 10
+    entry = _summary(PARENT, PARENT, ticks, [t * factor for t in ticks])["w"]["metrics"]["ticks_per_s"]
+    assert entry["median_change"] == pytest.approx(factor - 1.0)
+    assert entry["worse_than_bound"] is worse
+
+
+def test_quartiles_of_a_single_run_are_that_run():
+    assert bench_pairs.quartiles([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}

@@ -11,10 +11,11 @@ post-move max SIL must equal the max SIL measured once it is applied.
 must report for each of up to 64 windows exactly what `full_report` gives
 for that window alone. Demand, class and server values drawn from tiny,
 huge and near-overflow floats and from huge ints are either rejected with
-ConfigError when built or run to the horizon. Three test-local oracles
+ConfigError when built or run to the horizon. Four test-local oracles
 keep earlier, simpler forms: a step that retries the whole queue on every
 tick, a move scorer that scores one (candidate, destination) pair at a
-time, and a window scorer on plain floats.
+time, a migration pass that scores every candidate, and a window scorer
+on plain floats.
 """
 
 from collections import deque
@@ -330,6 +331,64 @@ def test_migration_property_is_not_vacuous():
     gaps = _migration_gaps(sc)
     assert gaps
     assert max(gaps) <= 1e-12
+
+
+def _scoring_every_candidate(state, policy, w):
+    """`sim.rebalance` without its source-side bound: every candidate is scored."""
+    moves = []
+    for _ in range(sim._MAX_MOVES_PER_TICK):
+        utils = state._util
+        avgs = sim._system_averages_now(state)
+        sils = [sil_value(*u, *avgs, w) for u in utils]
+        max_sil = max(sils)
+        if max_sil <= policy.migration_threshold:
+            break
+        src = sils.index(max_sil)
+        candidates = sorted(
+            state.running[src].values(),
+            key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id),
+        )
+        for task in candidates:
+            post_max = sim._post_move_max_sils(state, utils, avgs, state.net_total, src, task, w)
+            if post_max:
+                dst = min(post_max, key=post_max.get)
+                if post_max[dst] < max_sil:
+                    state.migrate(task.id, dst)
+                    moves.append((task.id, src, dst))
+                    break
+        else:
+            break
+    return moves
+
+
+@PROPERTY_SETTINGS
+@given(servers.filter(lambda specs: len(specs) >= 2), weights(),
+       st.lists(st.tuples(st.integers(0, 3), task_demands, st.booleans()), max_size=24),
+       st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+@example((ServerSpec(0, 2, 16.0, 16.0), ServerSpec(1, 2, 8.0, 4.0), ServerSpec(2, 2, 8.0, 8.0)),
+         WeightTriple(0.125, 0.125, 0.75),
+         [(2, (0.5, 4.0, 1.0), True), (0, (0.5, 2.0, 2.0), True), (1, (0.001, 0.004, 0.004), False)], 0.0)
+def test_bounded_migration_pass_equals_scoring_every_candidate(specs, w, placements, threshold):
+    """Same moves, running sets and surcharges as the pass that scores every candidate.
+
+    Tasks are placed one at a time, some moved on at once to leave a net
+    surcharge on their source, and both passes run after each placement.
+    In the example, the tiny task's move commits while leaving the source's
+    SIL within 0.01% of the max SIL, so a bound that skips more fails.
+    """
+    policy = sim.Policy(sim.PolicyKind.THRESHOLD_MIGRATION, threshold)
+    state, reference = sim.ClusterState(specs), sim.ClusterState(specs)
+    for tid, (i, (c, r, n), move_on) in enumerate(placements):
+        task = sim.Task(tid, 0, c, r, n, 1)
+        src, dst = i % state.n, (i + 1) % state.n
+        if src in state.admissible(task):
+            for s in (state, reference):
+                s.place(src, task, completes_at=100)
+                if move_on and dst in s.admissible(task):
+                    s.migrate(tid, dst)
+        assert sim.rebalance(state, policy, w) == _scoring_every_candidate(reference, policy, w)
+        assert state.running == reference.running
+        assert state.net_surcharge == reference.net_surcharge
 
 
 def _reference_reports(config, series, on_tick=None):

@@ -223,6 +223,20 @@ def test_drawn_tasks_are_equal_frozen_tasks():
         _task(0, net=-1.0)
 
 
+@pytest.mark.parametrize("demands", [(math.nan, 0.5, 0.25), (1.0, math.inf, 0.25), (1.0, 0.5, math.nan)])
+def test_task_rejects_a_non_finite_demand(demands):
+    cpu, ram, net = demands
+    with pytest.raises(ConfigError, match=r"^task demands must be finite, got "):
+        _task(0, cpu=cpu, ram=ram, net=net)
+
+
+def test_a_float_duration_is_rejected_naming_it():
+    with pytest.raises(ConfigError, match=r"^duration: must be an integer, got 2\.5$"):
+        _task(0, duration=2.5)
+    # numpy integers are integers
+    assert _task(0, duration=np.int64(3)).duration == 3
+
+
 # ----------------------------------------------------------------- dispatch
 
 
@@ -351,6 +365,49 @@ def test_rebalance_drains_overloaded_server():
     for tid, src, dst in moves:
         assert src != dst
         assert src == 0
+    assert max(_cluster_sils(state, w)) < before
+
+
+def _scored_candidates(monkeypatch):
+    """Record every call of the migration pass's destination scorer."""
+    calls = []
+    score = simulation._post_move_max_sils
+
+    def recording(state, utils, avgs, net_total, src, task, w):
+        calls.append(task.id)
+        return score(state, utils, avgs, net_total, src, task, w)
+
+    monkeypatch.setattr(simulation, "_post_move_max_sils", recording)
+    return calls
+
+
+def test_rebalance_scores_no_candidate_of_a_source_below_average_everywhere(monkeypatch):
+    """Moving any task off an underloaded max-SIL server only raises its own SIL."""
+    state = ClusterState(homogeneous_cluster(3))
+    for tid in range(2):
+        state.place(0, _task(tid, cpu=0.1, ram=0.5, net=0.25), completes_at=100)
+    for i in (1, 2):
+        state.place(i, _task(i + 1, cpu=2.5, ram=20.0, net=10.0), completes_at=100)
+    w = WeightTriple()
+    sils = _cluster_sils(state, w)
+    assert sils.index(max(sils)) == 0 and len(state.running[0]) == 2
+    avgs = simulation._system_averages_now(state)
+    assert all(u < a for u, a in zip(state.utilization(0), avgs))
+    scored = _scored_candidates(monkeypatch)
+    assert rebalance(state, Policy(kind=PolicyKind.THRESHOLD_MIGRATION), w) == []
+    assert scored == []
+
+
+def test_rebalance_still_scores_and_moves_off_an_overloaded_source(monkeypatch):
+    state = ClusterState(homogeneous_cluster(3))
+    for tid in range(3):
+        state.place(0, _task(tid, cpu=1.0, ram=8.0, net=4.0), completes_at=100)
+    w = WeightTriple()
+    before = max(_cluster_sils(state, w))
+    scored = _scored_candidates(monkeypatch)
+    moves = rebalance(state, Policy(kind=PolicyKind.THRESHOLD_MIGRATION), w)
+    assert moves and scored
+    assert moves[0][1] == 0
     assert max(_cluster_sils(state, w)) < before
 
 
@@ -804,3 +861,13 @@ def test_adaptive_policy_dominates_round_robin():
 def test_calibration_target_rejects_a_zero_budget_naming_it():
     with pytest.raises(ConfigError, match="budget: must be a positive integer, got 0"):
         CalibrationTarget(hurst=0.7, delta_h=1.0, budget=0)
+    with pytest.raises(ConfigError, match=r"^budget: must be an integer, got 1\.5$"):
+        CalibrationTarget(hurst=0.7, delta_h=1.0, budget=1.5)
+
+
+@pytest.mark.parametrize("field, value", [("horizon", 1024.5), ("horizon", 1024.0), ("window", 2.5),
+                                          ("seed", 1.5)])
+def test_scenario_config_rejects_a_non_integer_field_naming_it(field, value):
+    meta = GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7)
+    with pytest.raises(ConfigError, match=rf"^{field}: must be an integer, got {value}$"):
+        ScenarioConfig(traffic=meta, **{field: value})

@@ -260,6 +260,18 @@ def test_meta_validation():
         )
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.7), ("depth", 12.5)])
+def test_meta_rejects_a_non_integer_seed_or_depth_naming_it(field, value):
+    knobs = dict(kind="cascade", seed=1, depth=12, multiplier_spread=0.5)
+    with pytest.raises(ConfigError, match=rf"^{field}: must be an integer, got {value}$"):
+        GeneratorMeta(**dict(knobs, **{field: value}))
+
+
+def test_calibrate_rejects_a_non_integer_budget_before_probing():
+    with pytest.raises(ConfigError, match=r"^budget: must be an integer, got 2\.5$"):
+        calibrate(0.7, 1.0, 2.5)
+
+
 def test_meta_kind_rules_are_checked_at_construction():
     with pytest.raises(ConfigError, match="fgn meta needs target_hurst"):
         GeneratorMeta(kind="fgn", seed=0)
