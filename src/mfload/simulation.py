@@ -227,6 +227,7 @@ def homogeneous_cluster(
     n: int, cpu_count: int = 4, ram_capacity: float = 32.0, net_capacity: float = 16.0
 ) -> tuple[ServerSpec, ...]:
     """N identical servers with ids 0..n-1."""
+    check_integer(n, "n")
     if n < 1:
         raise ConfigError("cluster needs at least one server")
     return tuple(
@@ -383,12 +384,14 @@ class ClusterState:
         """Recompute server i's cached triple from its sums.
 
         Sums are clamped at zero: emptying a server can leave a -1 ulp
-        residue from float subtraction.
+        residue from float subtraction. ``0.0 if 0.0 > x else x`` is ``max(x, 0.0)``
+        without the call: x unless 0.0 is greater, so a -0.0 sum stays -0.0.
         """
+        c, r, v = self.cpu_sum[i], self.ram_sum[i], self.net_sum[i] + self.net_surcharge[i]
         self._util[i] = (
-            max(self.cpu_sum[i], 0.0) / self.cpu_cap[i],
-            max(self.ram_sum[i], 0.0) / self.ram_cap[i],
-            max(self.net_sum[i] + self.net_surcharge[i], 0.0) / self.net_cap[i],
+            (0.0 if 0.0 > c else c) / self.cpu_cap[i],
+            (0.0 if 0.0 > r else r) / self.ram_cap[i],
+            (0.0 if 0.0 > v else v) / self.net_cap[i],
         )
         self._changed.add(i)
 
@@ -397,11 +400,8 @@ class ClusterState:
         dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
         cs, rs, ns, sur = self.cpu_sum, self.ram_sum, self.net_sum, self.net_surcharge
         cc, rc, nc = self.cpu_cap, self.ram_cap, self.net_cap
-        admissible = []
-        for i in range(self.n):
-            if cs[i] + dc <= cc[i] and rs[i] + dr <= rc[i] and ns[i] + sur[i] + dn <= nc[i]:
-                admissible.append(i)
-        return admissible
+        return [i for i in range(self.n)
+                if cs[i] + dc <= cc[i] and rs[i] + dr <= rc[i] and ns[i] + sur[i] + dn <= nc[i]]
 
     def _add(self, i: int, task: Task) -> None:
         self._version += 1
@@ -527,10 +527,16 @@ def _window_means(windows) -> np.ndarray:
 
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:
-    """Capacity-weighted instantaneous averages over the cluster."""
+    """Capacity-weighted instantaneous averages over the cluster.
+
+    Migration surcharges are non-zero only on the tick of a move (the step
+    that moves clears them), so any other tick sums ``net_sum`` alone: each
+    ``v + 0.0`` adds the same value to a sum that starts at 0, never -0.0.
+    """
     # the same quantity as metrics.score_windows' averages, summed in another float order;
     # kept apart because one shared sum would move the bits of the outputs
-    net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
+    net = (sum(state.net_sum) if state.last_move_tick != state.tick
+           else sum(v + s for v, s in zip(state.net_sum, state.net_surcharge)))
     return (sum(state.cpu_sum) / state.cpu_total, sum(state.ram_sum) / state.ram_total,
             net / state.net_total)
 
@@ -617,7 +623,7 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
     pass ``Task.__post_init__``: equal, hash-equal and frozen like ``Task(...)``.
     """
     ((mu_c, s_c, max_c), (mu_r, s_r, max_r), (mu_n, s_n, max_n)), cum, classes = plan
-    last = len(cum) - 1
+    last, floor = len(cum) - 1, _DEMAND_FLOOR
     def tick_tasks(tick, k, class_u, z, u, id_start, exp):
         tasks = []
         for j in range(k):
@@ -625,12 +631,17 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
             while ci < last and class_u[j] > cum[ci]:
                 ci += 1
             scale, log_q = classes[ci]
-            # geometric via inverse CDF so the draw count per task is fixed;
-            # math.log, since numpy's log can differ in the last bit
-            duration = 1 if log_q is None else max(1, math.ceil(math.log(max(1.0 - u[j], 1e-300)) / log_q))
-            cpu = min(max(exp(mu_c + s_c * z[j]) * scale, _DEMAND_FLOOR), max_c)
-            ram = min(max(exp(mu_r + s_r * z[k + j]) * scale, _DEMAND_FLOOR), max_r)
-            net = min(max(exp(mu_n + s_n * z[2 * k + j]) * scale, _DEMAND_FLOOR), max_n)
+            # geometric via inverse CDF so the draw count per task is fixed; math.log, since numpy's
+            # log can differ in the last bit; max and min as the conditionals they run, floor first
+            p = 1.0 - u[j]
+            d = 1 if log_q is None else math.ceil(math.log(1e-300 if 1e-300 > p else p) / log_q)
+            duration = d if d > 1 else 1
+            cpu, ram, net = (exp(mu_c + s_c * z[j]) * scale, exp(mu_r + s_r * z[k + j]) * scale,
+                             exp(mu_n + s_n * z[2 * k + j]) * scale)
+            cpu, ram, net = (floor if floor > cpu else cpu, floor if floor > ram else ram,
+                             floor if floor > net else net)
+            cpu, ram, net = (max_c if max_c < cpu else cpu, max_r if max_r < ram else ram,
+                             max_n if max_n < net else net)
             task = object.__new__(Task)
             task.__dict__.update(id=id_start + j, arrival_tick=tick, cpu_demand=cpu, ram_demand=ram,
                                  net_demand=net, duration=duration, service_class=ci)
@@ -654,8 +665,11 @@ def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -
     """Pick the server for a task, or None when nobody can admit it.
 
     Pure decision: the caller applies the placement. Ties always break
-    toward the lowest server id. ThresholdMigration places like
-    LeastComposite; its corrective behavior lives in :func:`rebalance`.
+    toward the lowest server id: each scoring loop keeps the first minimum
+    by a strict ``<`` from ``math.inf``, as ``min(key=...)`` does, since
+    every load and SIL is finite (utilizations lie in [0, 1]).
+    ThresholdMigration places like LeastComposite; its corrective behavior
+    lives in :func:`rebalance`.
     """
     admissible = state.admissible(task)
     if not admissible:
@@ -667,20 +681,26 @@ def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -
         state._rr_cursor = i
         return i
 
-    # min and the strict < below keep the first minimum, so ties go to the lowest id
-    if kind in (PolicyKind.LEAST_COMPOSITE, PolicyKind.THRESHOLD_MIGRATION):
-        return min(admissible, key=lambda i: composite_load(*state.utilization(i), w))
+    utils = state._util
+    best, best_score = None, math.inf
+    if kind is not PolicyKind.LEAST_SIL:
+        # least_composite and threshold_migration: the lowest weighted load
+        for i in admissible:
+            cu, ru, nu = utils[i]
+            load = composite_load(cu, ru, nu, w)
+            if load < best_score:
+                best, best_score = i, load
+        return best
 
     # least_sil: the server with the lowest post-placement SIL
     avg_c, avg_r, avg_n = _system_averages_now(state)
     dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
-    utils, cc, rc, nc = state._util, state.cpu_cap, state.ram_cap, state.net_cap
-    best, best_sil = None, math.inf
+    cc, rc, nc = state.cpu_cap, state.ram_cap, state.net_cap
     for i in admissible:
         cu, ru, nu = utils[i]
         sil = sil_value(cu + dc / cc[i], ru + dr / rc[i], nu + dn / nc[i], avg_c, avg_r, avg_n, w)
-        if sil < best_sil:
-            best, best_sil = i, sil
+        if sil < best_score:
+            best, best_score = i, sil
     return best
 
 

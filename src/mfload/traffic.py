@@ -257,12 +257,9 @@ def generate_cascade(depth: int, multiplier_spread: float, seed: int) -> Traffic
     TrafficSeries
         Length 2^depth, sum of values equal to INITIAL_MASS.
     """
-    meta = GeneratorMeta(
-        kind=GeneratorKind.CASCADE,
-        seed=int(seed),
-        depth=depth,
-        multiplier_spread=float(multiplier_spread),
-    )
+    check_seed(seed)
+    meta = GeneratorMeta(kind=GeneratorKind.CASCADE, seed=int(seed), depth=depth,
+                         multiplier_spread=float(multiplier_spread))
     rng = default_rng(SeedSequence([int(seed), _STREAM_CASCADE]))
     return TrafficSeries(values=_cascade_mass(depth, multiplier_spread, rng), meta=meta)
 
@@ -274,6 +271,7 @@ def generate_fgn(hurst: float, length: int, seed: int) -> TrafficSeries:
     mean; affine maps preserve the scaling exponents, so a DFA estimate on
     the output recovers `hurst`.
     """
+    check_seed(seed)
     if length < 64:
         raise ConfigError(f"length must be >= 64, got {length}")
     meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=int(seed), target_hurst=float(hurst))
@@ -305,6 +303,7 @@ def generate_composite(
     marginal range. Needs depth >= 5 (at least one cascade level above the
     block size).
     """
+    check_seed(seed)
     meta = GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
         seed=int(seed),
@@ -366,7 +365,8 @@ def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None
     """
     if length < 1:
         raise ConfigError("length must be positive")
-    use_seed = meta.seed if seed is None else int(seed)
+    use_seed = meta.seed if seed is None else seed
+    check_seed(use_seed)
     if meta.kind is GeneratorKind.FGN:
         return generate_fgn(meta.target_hurst, max(int(length), 64), use_seed)
 

@@ -11,13 +11,15 @@ post-move max SIL must equal the max SIL measured once it is applied.
 must report for each of up to 64 windows exactly what `full_report` gives
 for that window alone. Demand, class and server values drawn from tiny,
 huge and near-overflow floats and from huge ints are either rejected with
-ConfigError when built or run to the horizon. Four test-local oracles
-keep earlier, simpler forms: a step that retries the whole queue on every
+ConfigError when built or run to the horizon. Test-local oracles keep
+earlier, simpler forms: a step that retries the whole queue on every
 tick, a move scorer that scores one (candidate, destination) pair at a
-time, a migration pass that scores every candidate, and a window scorer
-on plain floats.
+time, a migration pass that scores every candidate, a window scorer on
+plain floats, and the engine's earlier dispatch, cluster averages and
+utilization refresh, written with the builtins the engine now spells out.
 """
 
+import math
 from collections import deque
 from unittest import mock
 
@@ -135,11 +137,7 @@ def _check_bookkeeping(state):
     assert state.arrived == state.completed + in_flight
     assert sum(len(tasks) for tasks in state.running) == state.running_count()
     for i in range(state.n):
-        assert state.utilization(i) == (
-            max(state.cpu_sum[i], 0.0) / state.cpu_cap[i],
-            max(state.ram_sum[i], 0.0) / state.ram_cap[i],
-            max(state.net_sum[i] + state.net_surcharge[i], 0.0) / state.net_cap[i],
-        )
+        assert state.utilization(i) == _oracle_refresh(state, i)
 
 
 @PROPERTY_SETTINGS
@@ -284,6 +282,96 @@ def test_move_scores_equal_the_per_move_oracle(specs, w, placements, moved, prob
                 if j != src and j in state.admissible(task)
             }
             assert sim._post_move_max_sils(state, utils, avgs, net_total, src, task, w) == expected
+
+
+def _oracle_refresh(state, i):
+    """Server i's triple with the clamps written as ``max(x, 0.0)``, the engine's earlier form."""
+    return (
+        max(state.cpu_sum[i], 0.0) / state.cpu_cap[i],
+        max(state.ram_sum[i], 0.0) / state.ram_cap[i],
+        max(state.net_sum[i] + state.net_surcharge[i], 0.0) / state.net_cap[i],
+    )
+
+
+def _oracle_averages(state):
+    """``_system_averages_now`` in its earlier form, adding the surcharges on every tick."""
+    net = sum(v + s for v, s in zip(state.net_sum, state.net_surcharge))
+    return (sum(state.cpu_sum) / state.cpu_total, sum(state.ram_sum) / state.ram_total,
+            net / state.net_total)
+
+
+def _oracle_dispatch(task, state, policy, w):
+    """``dispatch`` in its earlier form: an appending admission loop, ``min(key=lambda)`` for
+    the composite load, and the SIL loop scoring with :func:`_oracle_averages`."""
+    admissible = []
+    for i in range(state.n):
+        if (state.cpu_sum[i] + task.cpu_demand <= state.cpu_cap[i]
+                and state.ram_sum[i] + task.ram_demand <= state.ram_cap[i]
+                and state.net_sum[i] + state.net_surcharge[i] + task.net_demand <= state.net_cap[i]):
+            admissible.append(i)
+    if not admissible:
+        return None
+    if policy.kind is sim.PolicyKind.ROUND_ROBIN:
+        i = next((i for i in admissible if i > state._rr_cursor), admissible[0])
+        state._rr_cursor = i
+        return i
+    if policy.kind in (sim.PolicyKind.LEAST_COMPOSITE, sim.PolicyKind.THRESHOLD_MIGRATION):
+        return min(admissible, key=lambda i: composite_load(*state.utilization(i), w))
+    avg_c, avg_r, avg_n = _oracle_averages(state)
+    dc, dr, dn = task.cpu_demand, task.ram_demand, task.net_demand
+    best, best_sil = None, math.inf
+    for i in admissible:
+        cu, ru, nu = state.utilization(i)
+        sil = sil_value(cu + dc / state.cpu_cap[i], ru + dr / state.ram_cap[i], nu + dn / state.net_cap[i],
+                        avg_c, avg_r, avg_n, w)
+        if sil < best_sil:
+            best, best_sil = i, sil
+    return best
+
+
+# -1 ulp residues, and -0.0, which no float subtraction from a positive sum leaves
+_RESIDUES = st.sampled_from([-0.0, 0.0, -5e-324, -math.ulp(0.25), -math.ulp(1.0), -math.ulp(4.0)])
+
+
+@PROPERTY_SETTINGS
+@given(servers, weights(), st.lists(st.tuples(st.integers(0, 3), task_demands, st.booleans()), max_size=24),
+       st.lists(st.integers(0, 23), max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), _RESIDUES), max_size=4),
+       st.lists(task_demands, min_size=1, max_size=4), st.integers(-1, 3))
+def test_hot_path_forms_equal_their_builtin_forms(specs, w, placements, moved, residues, probes, cursor):
+    """Same server under all four policies, and bit-equal averages and triples.
+
+    Tasks are placed, some completed at once (leaving the sums' removal
+    residues) and some moved (a tick in the middle of a migration, with
+    non-zero surcharges); then chosen sums are set to a residue.
+    """
+    state = sim.ClusterState(specs)
+    for tid, (i, (c, r, n), completes) in enumerate(placements):
+        task = sim.Task(tid, 0, c, r, n, 1)
+        if i % state.n in state.admissible(task):
+            state.place(i % state.n, task, completes_at=0 if completes else 100)
+    state.complete_expired()
+    for tid in moved:
+        src = state._task_server.get(tid)
+        if src is not None and (src + 1) % state.n in state.admissible(state.running[src][tid]):
+            state.migrate(tid, (src + 1) % state.n)
+    for i, resource, residue in residues:
+        (state.cpu_sum, state.ram_sum, state.net_sum)[resource][i % state.n] = residue
+        state._refresh(i % state.n)
+    assert (state.last_move_tick == state.tick) == any(state.net_surcharge)
+    for i in range(state.n):
+        assert list(map(float.hex, state.utilization(i))) == list(map(float.hex, _oracle_refresh(state, i)))
+    assert (list(map(float.hex, sim._system_averages_now(state)))
+            == list(map(float.hex, _oracle_averages(state))))
+    for c, r, n in probes:
+        task = sim.Task(len(placements), 0, c, r, n, 1)
+        for kind in sim.PolicyKind:
+            policy = sim.Policy(kind)
+            state._rr_cursor = cursor
+            expected = _oracle_dispatch(task, state, policy, w)
+            expected_cursor, state._rr_cursor = state._rr_cursor, cursor
+            assert sim.dispatch(task, state, policy, w) == expected
+            assert state._rr_cursor == expected_cursor
 
 
 def _migration_gaps(sc):

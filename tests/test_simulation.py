@@ -180,7 +180,9 @@ _TWO_CLASSES = (ServiceClass(probability=0.3, demand_scale=0.5, duration_scale=0
     DemandParams(classes=_TWO_CLASSES),
     DemandParams(duration_mean=1.0),
     DemandParams(cpu_sigma=0.0, net_sigma=0.0, classes=_TWO_CLASSES),
-], ids=["one_class", "two_classes", "one_tick_durations", "zero_sigma"])
+    DemandParams(cpu_max=1e-7),
+    DemandParams(classes=(ServiceClass(probability=1.0, demand_scale=8.0),)),
+], ids=["one_class", "two_classes", "one_tick_durations", "zero_sigma", "cap_below_floor", "past_the_caps"])
 @pytest.mark.parametrize("counts", [[1], [6], [1, 1, 1], [3, 1, 6, 2, 5, 4, 1],
                                     default_rng(9).integers(1, 7, 40).tolist()])
 def test_drawer_matches_the_five_call_stream_layout(params, counts):
@@ -235,6 +237,9 @@ def test_a_float_duration_is_rejected_naming_it():
         _task(0, duration=2.5)
     # numpy integers are integers
     assert _task(0, duration=np.int64(3)).duration == 3
+    # and a cluster size is a count too
+    with pytest.raises(ConfigError, match=r"^n: must be an integer, got 2\.5$"):
+        homogeneous_cluster(2.5)
 
 
 # ----------------------------------------------------------------- dispatch

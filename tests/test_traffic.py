@@ -267,6 +267,18 @@ def test_meta_rejects_a_non_integer_seed_or_depth_naming_it(field, value):
         GeneratorMeta(**dict(knobs, **{field: value}))
 
 
+@pytest.mark.parametrize("generate", [
+    lambda: generate_fgn(0.7, 256, seed=1.7),
+    lambda: generate_cascade(8, 0.5, seed=1.7),
+    lambda: generate_composite(8, 0.7, 0.5, seed=1.7),
+    lambda: generate_from_meta(GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7), 1024, seed=1.7),
+    lambda: generate_from_meta(GeneratorMeta(kind="cascade", seed=0, multiplier_spread=0.5), 1024, seed=1.7),
+], ids=["fgn", "cascade", "composite", "from_meta_fgn", "from_meta_cascade"])
+def test_generators_reject_a_float_seed_instead_of_truncating_it(generate):
+    with pytest.raises(ConfigError, match=r"^seed: must be an integer, got 1\.7$"):
+        generate()
+
+
 def test_calibrate_rejects_a_non_integer_budget_before_probing():
     with pytest.raises(ConfigError, match=r"^budget: must be an integer, got 2\.5$"):
         calibrate(0.7, 1.0, 2.5)
