@@ -95,8 +95,7 @@ def _q_grid(args) -> tuple[float, ...]:
 
 
 def cmd_generate(args) -> int:
-    if args.length < 64:
-        raise ConfigError("--length must be at least 64")
+    traffic.check_length(args.length, 64, "--length")
     if args.delta_h == 0.0:
         # fGn's own range; a calibrated series checks the narrower target range
         if not 0.0 < args.hurst < 1.0:

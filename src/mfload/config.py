@@ -33,7 +33,8 @@ from .simulation import (
     homogeneous_cluster,
     reference_cluster,
 )
-from .traffic import GeneratorKind, GeneratorMeta, check_calibration_targets, check_probe_budget, check_seed
+from .traffic import (GeneratorKind, GeneratorMeta, check_calibration_targets, check_length,
+                      check_probe_budget, check_seed)
 
 __all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_config_text"]
 
@@ -204,9 +205,8 @@ def parse_config(path) -> ScenarioConfig:
     sections = _load(path)
     sim = sections.get("sim", {})
     horizon = sim.get("horizon", ScenarioConfig.horizon)
-    if horizon < MFDFA_MIN_SAMPLES:
-        # every CLI run measures its traffic with MF-DFA
-        raise ConfigError(f"sim.horizon: must be >= {MFDFA_MIN_SAMPLES} ticks, got {horizon}")
+    # every CLI run measures its traffic with MF-DFA; checked before a composite infers its depth
+    check_length(horizon, MFDFA_MIN_SAMPLES, "sim.horizon")
     check_window(sim.get("window", ScenarioConfig.window), horizon, "sim.window")
     seed = sim.get("seed", ScenarioConfig.seed)
     check_seed(seed, "sim.seed")

@@ -163,42 +163,47 @@ def _centered_ticks(scale: int) -> tuple[np.ndarray, float]:
     return tc, float(np.dot(tc, tc))
 
 
-def _segment_f2(profile: np.ndarray, scale: int) -> np.ndarray:
-    """Squared fluctuation per segment, forward plus backward coverage.
+def _segment_f2(profile: np.ndarray, scale: int, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared fluctuation per segment, forward then backward coverage, into and as `out`.
 
     Order-1 detrending via the closed-form OLS line per segment; the
     backward pass keeps the tail from being discarded when length % scale != 0.
-    Each pass detrends a view of the profile in two scratch buffers, with
-    the same element operations and row reductions as on a stacked copy;
-    when scale divides the length both passes cover the same segments, so
-    one is computed and repeated. A row mean is ``np.add.reduce`` / scale,
-    bitwise ``ndarray.mean`` without its Python wrapper.
+    Each pass detrends a view of the profile in the (2, length) `scratch`
+    pair, with the same element operations and row reductions as on a
+    stacked copy; when scale divides the length both passes cover the same
+    segments, so one is computed and repeated. A row mean is
+    ``np.add.reduce`` / scale, bitwise ``ndarray.mean`` without its wrapper.
     """
     n = profile.size
     ns = n // scale
     tc, ss_t = _centered_ticks(scale)
-
-    def detrended_f2(segs: np.ndarray) -> np.ndarray:
-        buf = np.multiply(segs, tc)
-        slopes = np.add.reduce(buf, axis=1, keepdims=True) / ss_t
-        resid = np.subtract(segs, np.add.reduce(segs, axis=1, keepdims=True) / scale)
+    buf, resid = (row[: ns * scale].reshape(ns, scale) for row in scratch)
+    tail = n - ns * scale
+    for k, start in enumerate((0, tail) if tail else (0,)):
+        f2 = out[k * ns : (k + 1) * ns]
+        segs = profile[start : start + ns * scale].reshape(ns, scale)
+        slopes = np.add.reduce(np.multiply(segs, tc, out=buf), axis=1, keepdims=True) / ss_t
+        np.subtract(segs, np.add.reduce(segs, axis=1, keepdims=True) / scale, out=resid)
         resid -= np.multiply(slopes, tc, out=buf)
         resid *= resid
-        return np.add.reduce(resid, axis=1) / scale
-
-    fwd = detrended_f2(profile[: ns * scale].reshape(ns, scale))
-    if ns * scale == n:
-        return np.concatenate([fwd, fwd])
-    return np.concatenate([fwd, detrended_f2(profile[n - ns * scale :].reshape(ns, scale))])
+        np.divide(np.add.reduce(resid, axis=1, out=f2), scale, out=f2)
+    if tail == 0:
+        out[ns:] = out[:ns]
+    return out
 
 
-def _fluctuation_matrix(x: np.ndarray, scales: np.ndarray) -> list[np.ndarray]:
-    """Floored squared fluctuations per scale; raises if they vanish at every scale."""
+def _fluctuation_matrix(x: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Floored squared fluctuations of all scales in one vector, scale j's in
+    ``f2[bounds[j]:bounds[j + 1]]``; raises if they vanish at every scale."""
     profile = np.cumsum(x - x.mean())
-    f2_per_scale = [np.maximum(_segment_f2(profile, int(s)), _F2_FLOOR) for s in scales]
-    if max(float(np.max(f2)) for f2 in f2_per_scale) < _F2_FLOOR * 10:
+    bounds = np.concatenate(([0], np.cumsum(2 * (x.size // scales)))).tolist()
+    f2, scratch = np.empty(bounds[-1]), np.empty((2, x.size))
+    for s, lo, hi in zip(scales.tolist(), bounds, bounds[1:]):
+        _segment_f2(profile, s, scratch, f2[lo:hi])
+    np.maximum(f2, _F2_FLOOR, out=f2)
+    if f2.max() < _F2_FLOOR * 10:
         raise DegenerateSeriesError("fluctuations vanish at every scale")
-    return f2_per_scale
+    return f2, bounds
 
 
 def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
@@ -216,16 +221,15 @@ def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, f
     return float(slope), float(intercept), stderr
 
 
-def _fit(scales: np.ndarray, f2_per_scale: list[np.ndarray], q: float) -> tuple[float, float, float]:
-    """h(q), its log-scale intercept and the slope stderr, from floored fluctuations;
-    a moment is ``np.add.reduce`` / count, bitwise ``np.mean`` without its wrapper.
+def _fit(scales: np.ndarray, f2: np.ndarray, bounds: list[int], q: float) -> tuple[float, float, float]:
+    """h(q), its log-scale intercept and the slope stderr, from :func:`_fluctuation_matrix`;
+    each scale's moment is ``np.add.reduce`` / count of the order raised over all scales at once.
     A moment that leaves the float range gives a non-finite h(q) silently:
     the caller raises on it, so numpy's warnings would only add noise."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if q == 0.0:
-            f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2_per_scale]
-        else:
-            f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2_per_scale]
+        moments = np.log(f2) if q == 0.0 else f2 ** (q / 2.0)
+        means = [np.add.reduce(moments[lo:hi]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        f = [np.exp(0.5 * m) for m in means] if q == 0.0 else [m ** (1.0 / q) for m in means]
         return _loglog_fit(scales, np.array(f))
 
 
@@ -254,7 +258,7 @@ def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> Hu
         If the series is constant or its fluctuations vanish at every scale.
     """
     x, scales = _checked(series, 256, "DFA", scale_range)
-    slope, _, stderr = _fit(scales, _fluctuation_matrix(x, scales), 2.0)
+    slope, _, stderr = _fit(scales, *_fluctuation_matrix(x, scales), 2.0)
     return HurstEstimate(
         hurst=slope,
         stderr=stderr,
@@ -294,9 +298,9 @@ def mfdfa(
         raise ConfigError(f"q_grid must be finite, got {q}")
     if 2.0 not in q:
         raise ConfigError("q_grid must contain q=2 (h(2) anchors the spectrum)")
-    f2_per_scale = _fluctuation_matrix(x, scales)
+    f2, bounds = _fluctuation_matrix(x, scales)
     # intercepts of log F_q vs log s: log c(q) up to the moment convention
-    h_of_q, intercepts, _ = zip(*(_fit(scales, f2_per_scale, qi) for qi in q))
+    h_of_q, intercepts, _ = zip(*(_fit(scales, f2, bounds, qi) for qi in q))
     return MultifractalSpectrum(
         q_grid=q,
         h_of_q=h_of_q,

@@ -137,15 +137,21 @@ def _check_aligned(n: int, specs: Sequence[ServerSpec]) -> None:
         raise ConfigError("server ids must be unique within a cluster")
 
 
+def _server_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, the servers, one at a time in order: a float loop's bits. A loop
+    from 0 differs from a running sum only where that gives -0.0, which ``+ 0.0`` turns to +0.0."""
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
 def resource_imbalance(values: Iterable, system_avg) -> float:
     """Raw sum of squared deviations from the system average (not per-server).
 
-    `values` holds one entry per server: a float, or a column of windows.
+    `values` holds one entry per server: a float, or an array of windows.
     """
-    devs = [v - system_avg for v in values]
-    if not devs:
+    devs = np.asarray(list(values), dtype=float) - system_avg
+    if len(devs) == 0:
         raise InsufficientDataError("cannot measure imbalance of zero servers")
-    return sum(d * d for d in devs)
+    return _server_sum(devs * devs)
 
 
 def sil_value(cpu, ram, net, cpu_all, ram_all, net_all, w: WeightTriple) -> float:
@@ -167,35 +173,37 @@ def score_windows(means, specs: Sequence[ServerSpec], w: WeightTriple) -> list[I
     """One report per window from mean utilizations shaped (W, n, 3).
 
     `means[k, i]` is server i's (cpu, ram, net) over window k, in the order
-    of `specs`. The loops run over servers in cluster order, each step
-    vectorized across the W windows, so every window's floats are added
-    in the order of a plain float loop over its servers: sums start from
-    0 and add one server at a time, averages are capacity-weighted sums
-    over capacity totals, and ISL_tot and efficiency are sums over n.
-    A window's report is thus the same whichever windows share the call.
+    of `specs`. Formulas run on the whole array and each sum over servers is
+    a running sum, so every window's floats are added in the order of a
+    plain float loop over its servers: sums start from 0 and add one server
+    at a time, averages are capacity-weighted sums over capacity totals,
+    and ISL_tot and efficiency are sums over n. A window's report is thus
+    the same whichever windows share the call.
     """
     means = np.asarray(means, dtype=float)
     _check_aligned(means.shape[1], specs)
     n = len(specs)
-    cpu, ram, net = columns = [[means[:, i, r] for i in range(n)] for r in range(3)]
-    caps = [[s.cpu_count for s in specs], [s.ram_capacity for s in specs], [s.net_capacity for s in specs]]
+    by_server = means.transpose(1, 0, 2)  # (n, W, 3): every server sum runs over axis 0
+    caps = [(s.cpu_count, s.ram_capacity, s.net_capacity) for s in specs]
     # capacity-weighted averages: the same quantity as simulation._system_averages_now,
     # summed in another float order; kept apart because one shared sum would move the bits
-    avgs = [sum(col * c for col, c in zip(cols, cap)) / sum(cap) for cols, cap in zip(columns, caps)]
-    for label, values in (("utilization", means), ("average", np.stack(avgs, axis=-1))):
+    avgs = (_server_sum(by_server * np.array(caps, dtype=float)[:, None])
+            / np.array([sum(cap) for cap in zip(*caps)], dtype=float))
+    for label, values in (("utilization", means), ("average", avgs)):
         bad = ~((values >= 0.0) & (values <= 1.0))  # NaN included
         if bad.any():
             at = tuple(np.argwhere(bad)[0])
             raise ConfigError(f"{_RESOURCES[at[-1]]} {label} {values[at]} outside [0,1]")
-    isl = [resource_imbalance(cols, avg) for cols, avg in zip(columns, avgs)]
-    sils = [sil_value(*u, *avgs, w) for u in zip(cpu, ram, net)]
+    isl = resource_imbalance(by_server, avgs).T
+    cpu_ram_net = by_server.transpose(2, 0, 1)
+    sils = sil_value(*cpu_ram_net, *avgs.T, w)  # (n, W)
     scalars = (
         *isl,
         isl[0] + isl[1] + isl[2],
-        sum(sils) / n,
-        sum(composite_load(*u, w) for u in zip(cpu, ram, net)) / n,
+        _server_sum(sils) / n,
+        _server_sum(composite_load(*cpu_ram_net, w)) / n,
     )
-    rows = zip(*(f.tolist() for f in scalars), np.stack(sils, axis=1).tolist())
+    rows = zip(*(f.tolist() for f in scalars), sils.T.tolist())
     return [
         ImbalanceReport(isl_cpu=ic, isl_ram=ir, isl_net=inet, ibl_tot=ibl, sil=tuple(sil),
                         isl_tot=isl_tot, efficiency=eff)

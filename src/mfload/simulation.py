@@ -53,7 +53,7 @@ from .metrics import (
     composite_load,
     sil_value,
 )
-from .traffic import GeneratorMeta, TrafficSeries, check_integer, check_seed
+from .traffic import GeneratorMeta, TrafficSeries, check_integer, check_length, check_seed
 
 __all__ = [
     "MAX_TICK_ARRIVAL_MEAN",
@@ -275,9 +275,7 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
-        check_integer(self.horizon, "horizon")
-        if self.horizon < 256:
-            raise ConfigError(f"horizon must be >= 256 ticks, got {self.horizon}")
+        check_length(self.horizon, 256, "horizon")
         check_window(self.window, self.horizon)
         if not (math.isfinite(self.arrival_scale) and self.arrival_scale > 0.0):
             raise ConfigError(f"arrival_scale must be finite and positive, got {self.arrival_scale}")
@@ -512,7 +510,7 @@ def _window_means(windows) -> np.ndarray:
     Returns an array shaped (windows, servers, 3) of (cpu, ram, net) means,
     which :func:`run_scenario` collects to score every window of a run in
     one :func:`metrics.score_windows` call. ``np.add.reduce`` over the tick
-    axis, not the fastest, adds rows in tick order from a zero row: a
+    axis, not the fastest, adds rows in tick order to ``initial=0.0``: a
     per-tick running sum from 0.0 (an all -0.0 column sums to +0.0),
     whichever ticks were held and however the windows are batched.
     """
@@ -521,9 +519,8 @@ def _window_means(windows) -> np.ndarray:
     n = len(rows[0])
     # fromiter over the flattened triples converts several times faster than np.array
     samples = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), float, len(rows) * n * 3)
-    per_tick = np.zeros((len(windows), count + 1, n, 3))
-    per_tick[:, 1:] = np.repeat(samples.reshape(-1, n, 3), spans, axis=0).reshape(-1, count, n, 3)
-    return np.minimum(np.add.reduce(per_tick, axis=1) / count, 1.0)
+    per_tick = np.repeat(samples.reshape(-1, n, 3), spans, axis=0).reshape(-1, count, n, 3)
+    return np.minimum(np.add.reduce(per_tick, axis=1, initial=0.0) / count, 1.0)
 
 
 def _system_averages_now(state: ClusterState) -> tuple[float, float, float]:

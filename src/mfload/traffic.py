@@ -56,6 +56,7 @@ __all__ = [
     "calibrate",
     "check_calibration_targets",
     "check_integer",
+    "check_length",
     "check_probe_budget",
     "check_seed",
     "measure_scaling",
@@ -81,6 +82,8 @@ _PLACEMENT_SEGMENTS = 16
 # substream labels so envelope and cascade draws never alias
 _STREAM_ENVELOPE = 1
 _STREAM_CASCADE = 2
+
+_MAX_DEPTH = 24  # the deepest dyadic draw; 2^24 ticks also bounds every length and horizon
 
 # Beta(alpha, alpha) concentration above this is numerically a point mass
 _DEGENERATE_CONCENTRATION = 1e9
@@ -146,8 +149,8 @@ class GeneratorMeta:
             raise ConfigError(f"target_delta_h must be finite and non-negative, got {self.target_delta_h}")
         if self.depth is not None:
             check_integer(self.depth, "depth")
-            if not (_MIN_DEPTH[self.kind] <= self.depth <= 24):
-                raise ConfigError(f"depth must lie in [{_MIN_DEPTH[self.kind]}, 24], got {self.depth}")
+            if not (_MIN_DEPTH[self.kind] <= self.depth <= _MAX_DEPTH):
+                raise ConfigError(f"depth must lie in [{_MIN_DEPTH[self.kind]}, {_MAX_DEPTH}], got {self.depth}")
         if self.multiplier_spread is not None and not (
             math.isfinite(self.multiplier_spread) and self.multiplier_spread > 0.0
         ):
@@ -202,23 +205,21 @@ def _fgn_increments(hurst: float, n: int, noise: np.ndarray) -> np.ndarray:
     """Exact-covariance fGn by circulant embedding of the autocovariance, from :func:`_fgn_noise`."""
     k = np.arange(n + 1, dtype=float)
     gamma = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
-    # the row is built complex, whose FFT is the real row's bit for bit in less time;
-    # rebinding `lam` to its spectrum frees the row before the noise is coloured
-    lam = np.zeros(2 * n, dtype=complex)
-    lam.real[: n + 1] = gamma
-    lam.real[n + 1 :] = gamma[-2:0:-1]
-    lam = np.fft.fft(lam).real
+    # the row is built complex, whose FFT is the real row's bit for bit in less time, and each
+    # later step writes into it; `noise` is only read, since calibrate shares it across envelopes
+    row = np.zeros(2 * n, dtype=complex)
+    row.real[: n + 1] = gamma
+    row.real[n + 1 :] = gamma[-2:0:-1]
+    np.fft.fft(row, out=row)
+    lam = row.real
     if lam.min() < -1e-8 * lam.max():
         raise EstimationError(f"circulant embedding not non-negative definite for H={hurst}")
-    # clipped and rooted in one real buffer; each rebinding frees the buffer
-    # before it, so neither the complex spectrum nor the real one is held
-    # through the inverse. In-place scaling gives the scaled copy's bits.
-    lam = np.maximum(lam, 0.0)
+    np.maximum(lam, 0.0, out=lam)
     np.sqrt(lam, out=lam)
-    lam = lam * noise
-    lam = np.fft.ifft(lam)
-    lam *= np.sqrt(2 * n)
-    return lam.real[:n]
+    np.multiply(lam, noise, out=row)
+    np.fft.ifft(row, out=row)
+    row *= np.sqrt(2 * n)
+    return row.real[:n]
 
 
 def _cascade_mass(depth: int, spread: float, rng) -> np.ndarray:
@@ -272,8 +273,7 @@ def generate_fgn(hurst: float, length: int, seed: int) -> TrafficSeries:
     the output recovers `hurst`.
     """
     check_seed(seed)
-    if length < 64:
-        raise ConfigError(f"length must be >= 64, got {length}")
+    check_length(length, 64)
     meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=int(seed), target_hurst=float(hurst))
     rng = default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
     x = _fgn_increments(float(hurst), int(length), _fgn_noise(int(length), rng))
@@ -363,8 +363,7 @@ def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None
     exactly `length` ticks read a prefix. `seed` overrides meta.seed so one
     calibrated parameter set can drive many independent runs.
     """
-    if length < 1:
-        raise ConfigError("length must be positive")
+    check_length(length, 1)
     use_seed = meta.seed if seed is None else seed
     check_seed(use_seed)
     if meta.kind is GeneratorKind.FGN:
@@ -430,6 +429,13 @@ def check_integer(value, key: str) -> None:
         operator.index(value)
     except TypeError:
         raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
+
+
+def check_length(length: int, least: int, key: str = "length") -> None:
+    """Reject a length outside [least, 2^24] ticks, the dyadic depth cap, naming the given key and value."""
+    check_integer(length, key)
+    if not least <= length <= 2**_MAX_DEPTH:
+        raise ConfigError(f"{key}: must lie in [{least}, {2**_MAX_DEPTH}] ticks, got {length}")
 
 
 def check_seed(seed: int, key: str = "seed") -> None:

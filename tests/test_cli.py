@@ -88,6 +88,16 @@ def test_generate_out_of_range_target_names_its_option(tmp_path, capsys, argv, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--hurst", "0.7"], ["--hurst", "0.7", "--delta-h", "1.0"]],
+                         ids=["fgn", "calibrated"])
+def test_generate_too_long_a_series_names_length(tmp_path, capsys, argv):
+    # 2^24 ticks is the deepest dyadic draw; past it numpy once failed to allocate with a traceback
+    out = tmp_path / "g"
+    assert _run(["generate", *argv, "--length", "100000000000", "--out", str(out)]) == 1
+    assert "--length: must lie in [64, 16777216] ticks, got 100000000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -225,6 +235,16 @@ def test_simulate_config_errors(tmp_path, capsys):
     short.write_text("[sim]\nhorizon = 512\n")
     assert _run(["simulate", "--config", str(short), "--out", str(tmp_path / "o")]) == 1
     assert "sim.horizon" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["[traffic]\nkind = fgn\n[sim]\nhorizon = 100000000000\n",
+                                  "[sim]\nhorizon = 33554432\n"], ids=["fgn", "composite"])
+def test_simulate_too_long_a_horizon_names_the_key(tmp_path, capsys, text):
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(text)
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "sim.horizon: must lie in [1024, 16777216] ticks" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -181,6 +181,19 @@ def test_missing_file_and_bad_values(tmp_path):
         parse_config(_write(tmp_path, "[sim]\nhorizon = 128\n"))
 
 
+def test_horizon_is_at_most_the_deepest_dyadic_draw(tmp_path):
+    # one bound for every traffic kind: a composite at 2^24 ticks infers depth 24, the deepest draw
+    cfg = parse_config(_write(tmp_path, "[sim]\nhorizon = 16777216\n"))
+    assert cfg.horizon == 2**24 and cfg.traffic.depth == 24
+    for kind in ("fgn", "cascade", "composite", "calibrate\nhurst = 0.7\ndelta_h = 1.0"):
+        for horizon in (2**24 + 1, 10**11):
+            message = rf"sim.horizon: must lie in \[1024, 16777216\] ticks, got {horizon}"
+            with pytest.raises(ConfigError, match=message):
+                parse_config(_write(tmp_path, f"[traffic]\nkind = {kind}\n[sim]\nhorizon = {horizon}\n"))
+    with pytest.raises(ConfigError, match=r"horizon: must lie in \[256, 16777216\] ticks"):
+        ScenarioConfig(traffic=CalibrationTarget(0.7, 1.0), horizon=2**24 + 1, window=64)
+
+
 def test_sweep_grid_parsing(tmp_path):
     path = _write(tmp_path, "[sweep]\ngrid = 0.6:1.5, 0.6:2.5 0.9:2.5\nbudget = 32\n")
     cells, budget = parse_sweep_grid(path)

@@ -184,7 +184,8 @@ def test_segment_f2_equals_the_stacked_formula_bitwise(n):
     # some default scales divide 2^14 and 3000 (both passes cover the same
     # segments), none divides 1041, and most leave a tail for the backward pass
     for s in default_scales(n):
-        assert np.array_equal(_segment_f2(profile, int(s)), _stacked_segment_f2(profile, int(s)))
+        assert np.array_equal(_segment_f2(profile, int(s), np.empty((2, n)), np.empty(2 * (n // int(s)))),
+                              _stacked_segment_f2(profile, int(s)))
 
 
 def _mean_mfdfa(x, q_grid, scale_range):
@@ -215,6 +216,49 @@ def test_mfdfa_equals_the_mean_formulation_bitwise(q_grid):
             spectrum = mfdfa(x, q_grid, scale_range)
             got = ([h.hex() for h in spectrum.h_of_q], [c.hex() for c in spectrum.intercepts])
             assert got == _mean_mfdfa(x, q_grid, scale_range)
+
+
+def _per_scale_mfdfa(x, q_grid):
+    """mfdfa with each scale's moment raised on its own fluctuations, as the fit was first written."""
+    scales = default_scales(x.size)
+    profile = np.cumsum(x - x.mean())
+    f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), fractal._F2_FLOOR) for s in scales]
+    if max(float(np.max(f2)) for f2 in f2s) < fractal._F2_FLOOR * 10:
+        raise DegenerateSeriesError("fluctuations vanish at every scale")
+    fits = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for q in q_grid:
+            if q == 0.0:
+                f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2s]
+            else:
+                f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2s]
+            fits.append(fractal._loglog_fit(scales, np.array(f))[:2])
+    h, c = zip(*fits)
+    return MultifractalSpectrum(q_grid=q_grid, h_of_q=h, delta_h=h[0] - h[-1], intercepts=c)
+
+
+def _outcome(estimate, *args):
+    """An estimate's h(q) and intercepts as float.hex, or the error it raised."""
+    try:
+        spectrum = estimate(*args)
+    except (DegenerateSeriesError, EstimationError) as exc:
+        return type(exc), str(exc)
+    return [h.hex() for h in spectrum.h_of_q], [c.hex() for c in spectrum.intercepts]
+
+
+@pytest.mark.parametrize("q_grid", [(0.0, 2.0), DEFAULT_Q_GRID, (-40.0, -3.0, 0.0, 2.0, 3.0, 40.0), (2.0, 40.0)],
+                         ids=["zero", "negatives", "forty", "plus-forty"])
+def test_mfdfa_equals_the_per_scale_fit_bitwise(q_grid):
+    series = [
+        generate_fgn(0.6, 1024, seed=5).values,
+        generate_fgn(0.9, 3001, seed=6).values,
+        generate_composite(depth=13, hurst=0.8, multiplier_spread=1.2, seed=7).values,
+        generate_cascade(depth=12, multiplier_spread=0.5, seed=8).values,
+        generate_fgn(0.7, 4096, seed=3).values * 1e-13,  # vanishes at every scale
+    ]
+    outcomes = [_outcome(mfdfa, x, q_grid) for x in series]
+    assert outcomes == [_outcome(_per_scale_mfdfa, x, q_grid) for x in series]
+    assert outcomes[-1] == (DegenerateSeriesError, "fluctuations vanish at every scale")
 
 
 def test_spectrum_invariants_enforced():

@@ -103,6 +103,7 @@ def test_resource_imbalance_oracles():
     assert resource_imbalance([0.5, 0.5, 0.5], 0.5) == 0.0
     assert resource_imbalance([0.4, 0.6], 0.5) == pytest.approx(0.02, abs=1e-15)
     assert resource_imbalance([0.0, 1.0], 0.5) == 0.5
+    assert resource_imbalance(iter([0.4, 0.6]), 0.5) == resource_imbalance([0.4, 0.6], 0.5)
     with pytest.raises(InsufficientDataError):
         resource_imbalance([], 0.5)
 
@@ -181,6 +182,39 @@ def test_formulas_give_the_same_bits_on_a_column_as_on_each_float():
     assert np.array_equal(sil_value(*cols[0], *avgs, w), sils)
     imbs = [resource_imbalance(u, a) for u, a in zip(cols[:, 0].T.tolist(), avgs[0].tolist())]
     assert np.array_equal(resource_imbalance(cols[:, 0], avgs[0]), imbs)
+
+
+def _loop_scores(means, specs, w):
+    """Every report field per window, summed server by server in float loops from 0, as first written."""
+    n = len(specs)
+    cpu, ram, net = columns = [[means[:, i, r] for i in range(n)] for r in range(3)]
+    caps = [[s.cpu_count for s in specs], [s.ram_capacity for s in specs], [s.net_capacity for s in specs]]
+    avgs = [sum(col * c for col, c in zip(cols, cap)) / sum(cap) for cols, cap in zip(columns, caps)]
+    isl = [sum((v - avg) * (v - avg) for v in cols) for cols, avg in zip(columns, avgs)]
+    sils = [sil_value(*u, *avgs, w) for u in zip(cpu, ram, net)]
+    scalars = (*isl, isl[0] + isl[1] + isl[2], sum(sils) / n,
+               sum(w.a * c + w.b * r + w.c * v for c, r, v in zip(cpu, ram, net)) / n)
+    return [[v.hex() for v in row] for row in zip(*(f.tolist() for f in scalars), *(s.tolist() for s in sils))]
+
+
+def test_score_windows_equals_the_server_loop_bitwise():
+    rng = default_rng(29)
+    for case in range(300):
+        n = 8 if case % 3 else int(rng.integers(1, 12))
+        means = rng.random((int(rng.integers(1, 41)), n, 3))
+        edge = rng.random(means.shape)
+        means[edge < 0.15] = 0.0
+        means[(edge >= 0.15) & (edge < 0.3)] = -0.0
+        means[(edge >= 0.3) & (edge < 0.4)] = 1.0
+        if case % 5 == 0:
+            means[..., int(rng.integers(3))] = -0.0  # a resource idle on every server
+        specs = [_spec(i, cpu=int(rng.integers(1, 64)), ram=float(rng.uniform(1.0, 64.0)),
+                       net=float(rng.uniform(0.5, 32.0))) for i in range(n)]
+        raw = rng.random(3)
+        w = WeightTriple(*(raw / raw.sum()))
+        got = [[v.hex() for v in (r.isl_cpu, r.isl_ram, r.isl_net, r.ibl_tot, r.isl_tot, r.efficiency, *r.sil)]
+               for r in score_windows(means, specs, w)]
+        assert got == _loop_scores(means, specs, w)
 
 
 # ------------------------------------------------------------- composition

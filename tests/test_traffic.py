@@ -188,6 +188,17 @@ def test_fgn_increments_equal_the_one_expression_colouring_bitwise(n):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_colourings_leave_the_shared_noise_unchanged():
+    # calibrate colours one noise vector for every envelope of a call
+    n = 2**12
+    noise = traffic._fgn_noise(n, default_rng(SeedSequence([167, 1])))
+    before = noise.copy()
+    for hurst in (0.6, 0.9):
+        got = traffic._fgn_increments(hurst, n, noise)
+        assert noise.tobytes() == before.tobytes()
+        assert got.tobytes() == traffic._fgn_increments(hurst, n, before.copy()).tobytes()
+
+
 def _monolithic_composite(depth, hurst, spread, seed):
     """The composite construction written out in one piece, segment by segment."""
     n, block = 2**depth, 16
