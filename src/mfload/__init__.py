@@ -1,9 +1,9 @@
 """Load-imbalance metrics and simulation under multifractal traffic.
 
-The package splits into synthetic traffic generation (`traffic`), scaling
-estimators (`fractal`), the imbalance metric suite (`metrics`), a
-discrete-time cluster simulator (`simulation`), and the config/CLI shell
-(`config`, `cli`). The most used names are re-exported here.
+The package splits into synthetic traffic generation (`traffic`), the
+MF-DFA scaling estimator (`fractal`), the imbalance metric suite
+(`metrics`), a discrete-time cluster simulator (`simulation`), and the
+config/CLI shell (`config`, `cli`). The most used names are re-exported here.
 """
 
 from types import ModuleType as _ModuleType
@@ -17,9 +17,7 @@ from .errors import (
 )
 from .fractal import (
     DEFAULT_Q_GRID,
-    HurstEstimate,
     MultifractalSpectrum,
-    estimate_hurst_dfa,
     mfdfa,
 )
 from .metrics import (

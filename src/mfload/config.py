@@ -29,6 +29,7 @@ from .simulation import (
     Policy,
     ScenarioConfig,
     ServiceClass,
+    check_name,
     check_window,
     homogeneous_cluster,
     reference_cluster,
@@ -185,7 +186,11 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
         "target_hurst": sec.get("hurst", 0.7),
         "multiplier_spread": sec.get("spread", 0.5),
     }
-    return GeneratorMeta(kind=kind, seed=seed, **knobs)
+    meta = GeneratorMeta(kind=kind, seed=seed, **knobs)
+    # generate_from_meta would refuse it too, but without naming either key
+    if meta.depth is not None and 2**meta.depth < horizon:
+        raise ConfigError(f"traffic.depth: {meta.depth} yields {2**meta.depth} ticks < sim.horizon = {horizon}")
+    return meta
 
 
 def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
@@ -208,6 +213,7 @@ def parse_config(path) -> ScenarioConfig:
     # every CLI run measures its traffic with MF-DFA; checked before a composite infers its depth
     check_length(horizon, MFDFA_MIN_SAMPLES, "sim.horizon")
     check_window(sim.get("window", ScenarioConfig.window), horizon, "sim.window")
+    check_name(sim.get("name", ScenarioConfig.name), "sim.name")
     seed = sim.get("seed", ScenarioConfig.seed)
     check_seed(seed, "sim.seed")
     return ScenarioConfig(

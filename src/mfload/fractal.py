@@ -1,13 +1,11 @@
-"""Scaling estimators for load series: DFA and multifractal DFA.
+"""The scaling estimator for load series: multifractal DFA.
 
-The estimators here close the loop between generation targets and realized
-traffic: given a series, recover the self-similarity exponent H, the
-generalized exponent curve h(q), and the heterogeneity width
-delta_h = h(q_min) - h(q_max).
+:func:`mfdfa` closes the loop between generation targets and realized
+traffic: given a series, it recovers the generalized exponent curve h(q)
+and the heterogeneity width delta_h = h(q_min) - h(q_max). Its q = 2 fit
+is plain order-1 DFA, so h(2) is the self-similarity exponent H that the
+whole pipeline reads.
 
-DFA and MF-DFA share one fluctuation backbone (profile, segmentation,
-order-1 detrending, one floor and degeneracy rule) and one fit, so
-:func:`estimate_hurst_dfa` is exactly the q = 2 fit of :func:`mfdfa`.
 Everything is pure: identical inputs give bitwise-identical outputs.
 """
 
@@ -28,9 +26,7 @@ from .errors import (
 __all__ = [
     "DEFAULT_Q_GRID",
     "MFDFA_MIN_SAMPLES",
-    "HurstEstimate",
     "MultifractalSpectrum",
-    "estimate_hurst_dfa",
     "mfdfa",
     "default_scales",
     "write_spectrum_csv",
@@ -46,24 +42,6 @@ MFDFA_MIN_SAMPLES = 1024
 # moments of near-zero fluctuations blow up under negative q; floor first
 # (the square of a 1e-12 floor on F)
 _F2_FLOOR = 1e-24
-
-
-@dataclass(frozen=True)
-class HurstEstimate:
-    """A single Hurst exponent measurement with its regression error."""
-
-    hurst: float
-    stderr: float
-    scale_range: tuple[int, int]
-
-    def __post_init__(self):
-        if not np.isfinite(self.hurst):
-            raise EstimationError("hurst estimate is not finite")
-        if self.stderr < 0 or not np.isfinite(self.stderr):
-            raise EstimationError("stderr must be a finite non-negative real")
-        lo, hi = self.scale_range
-        if not (0 < lo < hi):
-            raise ConfigError(f"scale_range must satisfy 0 < min < max, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -117,41 +95,14 @@ def _as_values(series) -> np.ndarray:
     return x
 
 
-def _log_scales(lo: int, hi: int) -> np.ndarray:
-    """20 log-spaced integer scales in [lo, hi], deduplicated."""
-    # sorted and adjacent-distinct, as np.unique returns them; np.unique
-    # imports numpy.ma on its first call, a fixed cost on every CLI run
-    scales = np.sort(np.round(np.exp(np.linspace(np.log(lo), np.log(hi), 20))).astype(int))
-    return scales[np.concatenate(([True], scales[1:] != scales[:-1]))]
-
-
 def default_scales(length: int) -> np.ndarray:
     """~20 log-spaced integer scales in [16, length/4], deduplicated."""
     if length // 4 <= 16:
         raise InsufficientDataError(f"series length {length} leaves no scales in [16, length/4]")
-    return _log_scales(16, length // 4)
-
-
-def _resolve_scales(n: int, scale_range) -> np.ndarray:
-    if scale_range is None:
-        return default_scales(n)
-    lo, hi = int(scale_range[0]), int(scale_range[1])
-    if lo < 8 or hi > n // 4 or lo >= hi:
-        raise ConfigError(f"scale_range ({lo}, {hi}) must satisfy 8 <= min < max <= length/4 = {n // 4}")
-    scales = _log_scales(lo, hi)
-    if scales.size < 4:
-        raise ConfigError(f"scale_range ({lo}, {hi}) yields fewer than 4 distinct scales")
-    return scales
-
-
-def _checked(series, min_samples: int, method: str, scale_range) -> tuple[np.ndarray, np.ndarray]:
-    """Shared estimator prologue: a non-constant float vector and its scale grid."""
-    x = _as_values(series)
-    if x.size < min_samples:
-        raise InsufficientDataError(f"{method} needs at least {min_samples} samples, got {x.size}")
-    if np.ptp(x) == 0.0:
-        raise DegenerateSeriesError("constant series has zero fluctuation at all scales")
-    return x, _resolve_scales(x.size, scale_range)
+    # sorted and adjacent-distinct, as np.unique returns them; np.unique
+    # imports numpy.ma on its first call, a fixed cost on every CLI run
+    scales = np.sort(np.round(np.exp(np.linspace(np.log(16), np.log(length // 4), 20))).astype(int))
+    return scales[np.concatenate(([True], scales[1:] != scales[:-1]))]
 
 
 @lru_cache(maxsize=64)  # a scale grid has at most 20 scales, so three grids fit
@@ -206,23 +157,14 @@ def _fluctuation_matrix(x: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, 
     return f2, bounds
 
 
-def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    """OLS slope, intercept and slope standard error on log-log axes."""
-    lx = np.log(scales.astype(float))
-    ly = np.log(values)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = lx.size - 2
-    if dof > 0:
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx))
-    else:
-        stderr = 0.0
-    return float(slope), float(intercept), stderr
+def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """OLS slope and intercept on log-log axes."""
+    slope, intercept = np.polyfit(np.log(scales.astype(float)), np.log(values), 1)
+    return float(slope), float(intercept)
 
 
-def _fit(scales: np.ndarray, f2: np.ndarray, bounds: list[int], q: float) -> tuple[float, float, float]:
-    """h(q), its log-scale intercept and the slope stderr, from :func:`_fluctuation_matrix`;
+def _fit(scales: np.ndarray, f2: np.ndarray, bounds: list[int], q: float) -> tuple[float, float]:
+    """h(q) and its log-scale intercept, from :func:`_fluctuation_matrix`;
     each scale's moment is ``np.add.reduce`` / count of the order raised over all scales at once.
     A moment that leaves the float range gives a non-finite h(q) silently:
     the caller raises on it, so numpy's warnings would only add noise."""
@@ -233,63 +175,36 @@ def _fit(scales: np.ndarray, f2: np.ndarray, bounds: list[int], q: float) -> tup
         return _loglog_fit(scales, np.array(f))
 
 
-def estimate_hurst_dfa(series, scale_range: tuple[int, int] | None = None) -> HurstEstimate:
-    """Estimate the Hurst exponent by order-1 detrended fluctuation analysis.
-
-    Parameters
-    ----------
-    series : TrafficSeries or array-like
-        Input series, length >= 256.
-    scale_range : (int, int), optional
-        Smallest and largest segment size; must lie within
-        [8, length/4]. Defaults to [16, length/4] with ~20 log-spaced
-        scales.
-
-    Returns
-    -------
-    HurstEstimate
-        Slope of log F(s) vs log s with its OLS standard error.
-
-    Raises
-    ------
-    InsufficientDataError
-        If the series is shorter than 256 samples.
-    DegenerateSeriesError
-        If the series is constant or its fluctuations vanish at every scale.
-    """
-    x, scales = _checked(series, 256, "DFA", scale_range)
-    slope, _, stderr = _fit(scales, *_fluctuation_matrix(x, scales), 2.0)
-    return HurstEstimate(
-        hurst=slope,
-        stderr=stderr,
-        scale_range=(int(scales[0]), int(scales[-1])),
-    )
-
-
-def mfdfa(
-    series,
-    q_grid=DEFAULT_Q_GRID,
-    scale_range: tuple[int, int] | None = None,
-) -> MultifractalSpectrum:
-    """Multifractal DFA: h(q) over a grid of moment orders.
+def mfdfa(series, q_grid=DEFAULT_Q_GRID) -> MultifractalSpectrum:
+    """Multifractal DFA: h(q) over a grid of moment orders, on :func:`default_scales`.
 
     Parameters
     ----------
     series : TrafficSeries or array-like
         Input series, length >= MFDFA_MIN_SAMPLES (1024).
     q_grid : sequence of float
-        Strictly ascending moment orders. Must contain q=2 so the
-        spectrum stays consistent with :func:`estimate_hurst_dfa`;
-        q=0 is allowed and handled by the logarithmic average.
-    scale_range : (int, int), optional
-        As in :func:`estimate_hurst_dfa`.
+        Strictly ascending moment orders. Must contain q=2, whose fit is
+        order-1 DFA and gives the Hurst exponent; q=0 is allowed and
+        handled by the logarithmic average.
 
     Returns
     -------
     MultifractalSpectrum
         h(q), per-q intercepts, and delta_h = h(q_min) - h(q_max).
+
+    Raises
+    ------
+    InsufficientDataError
+        If the series is shorter than MFDFA_MIN_SAMPLES.
+    DegenerateSeriesError
+        If the series is constant or its fluctuations vanish at every scale.
     """
-    x, scales = _checked(series, MFDFA_MIN_SAMPLES, "MF-DFA", scale_range)
+    x = _as_values(series)
+    if x.size < MFDFA_MIN_SAMPLES:
+        raise InsufficientDataError(f"MF-DFA needs at least {MFDFA_MIN_SAMPLES} samples, got {x.size}")
+    if np.ptp(x) == 0.0:
+        raise DegenerateSeriesError("constant series has zero fluctuation at all scales")
+    scales = default_scales(x.size)
     q = tuple(float(v) for v in q_grid)
     # MultifractalSpectrum checks that the grid ascends
     if len(q) == 0:
@@ -300,7 +215,7 @@ def mfdfa(
         raise ConfigError("q_grid must contain q=2 (h(2) anchors the spectrum)")
     f2, bounds = _fluctuation_matrix(x, scales)
     # intercepts of log F_q vs log s: log c(q) up to the moment convention
-    h_of_q, intercepts, _ = zip(*(_fit(scales, f2, bounds, qi) for qi in q))
+    h_of_q, intercepts = zip(*(_fit(scales, f2, bounds, qi) for qi in q))
     return MultifractalSpectrum(
         q_grid=q,
         h_of_q=h_of_q,

@@ -65,6 +65,7 @@ __all__ = [
     "CalibrationTarget",
     "ScenarioConfig",
     "check_window",
+    "check_name",
     "ClusterState",
     "homogeneous_cluster",
     "reference_cluster",
@@ -259,6 +260,12 @@ def check_window(window: int, horizon: int, key: str = "window") -> None:
         raise ConfigError(f"{key}: must satisfy 1 <= window <= horizon = {horizon}, got {window}")
 
 
+def check_name(name: str, key: str = "name") -> None:
+    """Reject a scenario name that is not one printable line (it heads CSV comments), naming the key."""
+    if not (isinstance(name, str) and name.isprintable()):
+        raise ConfigError(f"{key}: must be one printable line, got {name!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run depends on."""
@@ -277,6 +284,7 @@ class ScenarioConfig:
     def __post_init__(self):
         check_length(self.horizon, 256, "horizon")
         check_window(self.window, self.horizon)
+        check_name(self.name)
         if not (math.isfinite(self.arrival_scale) and self.arrival_scale > 0.0):
             raise ConfigError(f"arrival_scale must be finite and positive, got {self.arrival_scale}")
         check_seed(self.seed)

@@ -384,6 +384,7 @@ def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficS
     drawn at depth ceil(log2(length)) instead, so lengths up to the probe
     horizon keep the probed construction and longer ones are covered.
     """
+    check_length(length, 1)
     if meta.depth is not None:
         meta = replace(meta, depth=max(meta.depth, math.ceil(math.log2(length))))
     return generate_from_meta(meta, length, seed=seed)

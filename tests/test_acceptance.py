@@ -12,7 +12,7 @@ import pytest
 from numpy.random import default_rng
 
 from mfload.cli import main as cli_main
-from mfload.fractal import estimate_hurst_dfa, mfdfa
+from mfload.fractal import mfdfa
 from mfload.metrics import ServerSpec, WeightTriple, full_report
 from mfload.metrics import ResourceUtilization
 from mfload.simulation import (
@@ -173,7 +173,7 @@ def test_criterion_3_hurst_recovery():
         hits = 0
         for seed in range(10):
             series = generate_fgn(hurst=hurst, length=2**14, seed=seed)
-            if abs(estimate_hurst_dfa(series.values).hurst - hurst) <= 0.07:
+            if abs(measure_scaling(series)[0] - hurst) <= 0.07:
                 hits += 1
         per_target[hurst] = hits
     elapsed = time.monotonic() - t0

@@ -315,12 +315,12 @@ def test_simulate_calibration_failure_is_runtime_error(tmp_path):
 
 
 def test_simulate_too_shallow_depth_leaves_no_output_directory(tmp_path, capsys):
-    # rejected while the traffic is realized, after the config was read
+    # rejected while the config is read, naming both keys
     cfg = tmp_path / "shallow.ini"
     cfg.write_text("[traffic]\nkind = composite\ndepth = 12\n")
     out = tmp_path / "o"
     assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "depth 12 yields 4096 ticks < requested 16384" in capsys.readouterr().err
+    assert "traffic.depth: 12 yields 4096 ticks < sim.horizon = 16384" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -379,6 +379,16 @@ def test_out_of_range_run_value_names_its_key_or_option(tmp_path, capsys, argv, 
         argv = [*argv, "--config", str(cfg)]
     assert _run([*argv, "--out", str(tmp_path / "o")]) == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["alpha\n  beta = 1", "tab\tname"], ids=["continuation-line", "tab"])
+def test_simulate_rejects_a_name_that_is_not_one_printable_line(tmp_path, capsys, name):
+    # an indented INI line continues the name; it once landed in report.csv as a data row
+    cfg = tmp_path / "named.ini"
+    cfg.write_text(FAST_SIM.replace("name = cli-check", f"name = {name}"))
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "sim.name: must be one printable line, got " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -55,7 +55,9 @@ def test_traffic_kinds(tmp_path):
     fgn = parse_config(_write(tmp_path, "[traffic]\nkind = fgn\nhurst = 0.8\n"))
     assert fgn.traffic.kind is GeneratorKind.FGN and fgn.traffic.target_hurst == 0.8
 
-    cascade = parse_config(_write(tmp_path, "[traffic]\nkind = cascade\ndepth = 12\nspread = 0.9\n"))
+    # 2^12 ticks cover the horizon; a shallower depth is refused (see below)
+    cascade = parse_config(_write(tmp_path, "[traffic]\nkind = cascade\ndepth = 12\nspread = 0.9\n"
+                                            "[sim]\nhorizon = 4096\n"))
     assert cascade.traffic.kind is GeneratorKind.CASCADE
     assert (cascade.traffic.depth, cascade.traffic.multiplier_spread) == (12, 0.9)
 
@@ -78,6 +80,15 @@ def test_traffic_depth_outside_its_kind_range_is_rejected(tmp_path, kind, depth,
     text = f"[traffic]\nkind = {kind}\ndepth = {depth}\n"
     with pytest.raises(ConfigError, match=re.escape(f"depth must lie in {bounds}, got {depth}")):
         parse_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("kind", ["cascade", "composite"])
+def test_traffic_depth_too_shallow_for_the_horizon_names_both_keys(tmp_path, kind):
+    text = f"[traffic]\nkind = {kind}\ndepth = 10\n[sim]\nhorizon = 4096\n"
+    with pytest.raises(ConfigError, match=re.escape("traffic.depth: 10 yields 1024 ticks < sim.horizon = 4096")):
+        parse_config(_write(tmp_path, text))
+    # a depth that covers the horizon exactly is accepted
+    assert parse_config(_write(tmp_path, text.replace("4096", "1024"))).traffic.depth == 10
 
 
 def test_traffic_knobs_the_kind_does_not_read_are_left_out(tmp_path):
@@ -192,6 +203,14 @@ def test_horizon_is_at_most_the_deepest_dyadic_draw(tmp_path):
                 parse_config(_write(tmp_path, f"[traffic]\nkind = {kind}\n[sim]\nhorizon = {horizon}\n"))
     with pytest.raises(ConfigError, match=r"horizon: must lie in \[256, 16777216\] ticks"):
         ScenarioConfig(traffic=CalibrationTarget(0.7, 1.0), horizon=2**24 + 1, window=64)
+
+
+def test_scenario_name_must_be_one_printable_line():
+    # the library path names the field; the INI path names sim.name
+    for name in ("alpha\nbeta = 1", "bell\a", 7):
+        with pytest.raises(ConfigError, match=r"^name: must be one printable line, got "):
+            ScenarioConfig(traffic=CalibrationTarget(0.7, 1.0), name=name)
+    assert ScenarioConfig(traffic=CalibrationTarget(0.7, 1.0), name="h0.6 dh1.5").name == "h0.6 dh1.5"
 
 
 def test_sweep_grid_parsing(tmp_path):

@@ -22,7 +22,6 @@ from mfload.fractal import (
     MultifractalSpectrum,
     _segment_f2,
     default_scales,
-    estimate_hurst_dfa,
     mfdfa,
     write_spectrum_csv,
 )
@@ -32,50 +31,33 @@ SF_SCALES = tuple(int(s) for s in np.unique(np.geomspace(16, 512, 12).astype(int
 
 
 # ----------------------------------------------------------------- hurst
+# DFA is MF-DFA's q = 2 fit, so H is read as h(2)
 
 
 def test_dfa_recovers_white_noise():
     for seed in range(3):
         series = generate_fgn(hurst=0.5, length=2**14, seed=seed)
-        est = estimate_hurst_dfa(series.values)
-        assert 0.43 <= est.hurst <= 0.57
+        assert 0.43 <= mfdfa(series.values).h_at(2.0) <= 0.57
 
 
 def test_dfa_recovers_persistent_noise():
     for seed in range(3):
         series = generate_fgn(hurst=0.8, length=2**14, seed=seed)
-        est = estimate_hurst_dfa(series.values)
-        assert 0.73 <= est.hurst <= 0.87
-
-
-def test_dfa_estimate_fields():
-    est = estimate_hurst_dfa(generate_fgn(0.7, 2**12, seed=0).values)
-    assert est.stderr >= 0.0
-    lo, hi = est.scale_range
-    assert 0 < lo < hi
+        assert 0.73 <= mfdfa(series.values).h_at(2.0) <= 0.87
 
 
 def test_dfa_rejects_degenerate_input():
     with pytest.raises(DegenerateSeriesError):
-        estimate_hurst_dfa(np.full(4096, 3.0))
+        mfdfa(np.full(4096, 3.0))
     with pytest.raises(InsufficientDataError):
-        estimate_hurst_dfa(np.ones(255) + default_rng(0).random(255))
+        mfdfa(np.ones(255) + default_rng(0).random(255))
 
 
 def test_dfa_shares_the_mfdfa_degeneracy_rule():
     # fluctuations under the floor at every scale: DFA once fitted H = 0 to the floored values
     tiny = generate_fgn(0.7, 4096, seed=3).values * 1e-13
-    for estimator in (estimate_hurst_dfa, mfdfa):
-        with pytest.raises(DegenerateSeriesError, match="fluctuations vanish at every scale"):
-            estimator(tiny)
-
-
-def test_dfa_scale_range_validation():
-    values = generate_fgn(0.7, 4096, seed=1).values
-    with pytest.raises(ConfigError):
-        estimate_hurst_dfa(values, scale_range=(64, 16))
-    with pytest.raises(ConfigError):
-        estimate_hurst_dfa(values, scale_range=(4, 6))  # too few usable scales
+    with pytest.raises(DegenerateSeriesError, match="fluctuations vanish at every scale"):
+        mfdfa(tiny)
 
 
 # ----------------------------------------------------------------- mfdfa
@@ -86,24 +68,6 @@ def test_mfdfa_monofractal_spectrum_is_narrow():
         series = generate_fgn(hurst=0.7, length=2**14, seed=seed)
         spec = mfdfa(series.values)
         assert spec.delta_h <= 0.2
-
-
-def test_mfdfa_q2_matches_dfa_on_shared_scales():
-    values = generate_fgn(hurst=0.7, length=2**14, seed=3).values
-    scales = (16, default_scales(len(values))[-1])
-    spec = mfdfa(values, scale_range=scales)
-    est = estimate_hurst_dfa(values, scale_range=scales)
-    # DFA is the q = 2 fit of MF-DFA, through the same floor and fit
-    assert spec.h_at(2.0) == est.hurst
-
-
-def test_mfdfa_q2_close_to_dfa_default_paths():
-    for maker in (
-        lambda: generate_fgn(0.75, 2**14, seed=4).values,
-        lambda: generate_cascade(depth=14, multiplier_spread=0.5, seed=4).values,
-    ):
-        values = maker()
-        assert abs(mfdfa(values).h_at(2.0) - estimate_hurst_dfa(values).hurst) <= 0.05
 
 
 def test_mfdfa_affine_invariance():
@@ -188,9 +152,9 @@ def test_segment_f2_equals_the_stacked_formula_bitwise(n):
                               _stacked_segment_f2(profile, int(s)))
 
 
-def _mean_mfdfa(x, q_grid, scale_range):
+def _mean_mfdfa(x, q_grid):
     """h(q) and intercepts of mfdfa with ``np.mean`` row means and moments, as first written."""
-    scales = fractal._resolve_scales(x.size, scale_range)
+    scales = default_scales(x.size)
     profile = np.cumsum(x - x.mean())
     f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), fractal._F2_FLOOR) for s in scales]
     fits = []
@@ -199,7 +163,7 @@ def _mean_mfdfa(x, q_grid, scale_range):
             f = [np.exp(0.5 * np.mean(np.log(f2))) for f2 in f2s]
         else:
             f = [np.mean(f2 ** (q / 2.0)) ** (1.0 / q) for f2 in f2s]
-        fits.append(fractal._loglog_fit(scales, np.array(f))[:2])
+        fits.append(fractal._loglog_fit(scales, np.array(f)))
     return [h.hex() for h, _ in fits], [c.hex() for _, c in fits]
 
 
@@ -212,10 +176,9 @@ def test_mfdfa_equals_the_mean_formulation_bitwise(q_grid):
         generate_cascade(depth=12, multiplier_spread=0.5, seed=4).values,
     ]
     for x in series:
-        for scale_range in (None, (8, 200), (20, x.size // 5)):
-            spectrum = mfdfa(x, q_grid, scale_range)
-            got = ([h.hex() for h in spectrum.h_of_q], [c.hex() for c in spectrum.intercepts])
-            assert got == _mean_mfdfa(x, q_grid, scale_range)
+        spectrum = mfdfa(x, q_grid)
+        got = ([h.hex() for h in spectrum.h_of_q], [c.hex() for c in spectrum.intercepts])
+        assert got == _mean_mfdfa(x, q_grid)
 
 
 def _per_scale_mfdfa(x, q_grid):
@@ -232,7 +195,7 @@ def _per_scale_mfdfa(x, q_grid):
                 f = [np.exp(0.5 * (np.add.reduce(np.log(f2)) / f2.size)) for f2 in f2s]
             else:
                 f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2s]
-            fits.append(fractal._loglog_fit(scales, np.array(f))[:2])
+            fits.append(fractal._loglog_fit(scales, np.array(f)))
     h, c = zip(*fits)
     return MultifractalSpectrum(q_grid=q_grid, h_of_q=h, delta_h=h[0] - h[-1], intercepts=c)
 

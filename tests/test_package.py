@@ -9,12 +9,12 @@ import pytest
 import mfload
 
 SOURCE = Path(mfload.__file__).parent
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 EXPORTED = {
     "CalibrationError", "ConfigError", "DegenerateSeriesError",
     "EstimationError", "InsufficientDataError",
-    "DEFAULT_Q_GRID", "HurstEstimate", "MultifractalSpectrum",
-    "estimate_hurst_dfa", "mfdfa",
+    "DEFAULT_Q_GRID", "MultifractalSpectrum", "mfdfa",
     "ImbalanceReport", "ResourceUtilization", "ServerSpec", "WeightTriple",
     "composite_load", "full_report", "resource_imbalance", "score_windows",
     "sil_value",
@@ -35,6 +35,21 @@ def test_export_list_is_pinned():
     assert set(mfload.__all__) == EXPORTED
     for name in mfload.__all__:
         assert hasattr(mfload, name), name
+
+
+def _package_imports(path: Path) -> list[str]:
+    """Names a script imports with `from mfload import ...`, read from its syntax tree without running it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "mfload" for alias in node.names]
+
+
+def test_demos_import_only_exported_names():
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    missing = [f"{path.name}: {name}" for path in demos for name in _package_imports(path)
+               if name not in mfload.__all__]
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", ["cli", "config", "fractal", "metrics", "simulation", "traffic"])

@@ -359,6 +359,14 @@ def test_generate_from_meta_seed_override():
     assert np.array_equal(b.values, again.values)
 
 
+@pytest.mark.parametrize("length", [2**24 + 1, 2**25, 0])
+def test_generate_calibrated_out_of_range_length_names_length(length):
+    # refused before the record is deepened, so the message names length, not depth
+    meta = GeneratorMeta(kind=GeneratorKind.COMPOSITE, seed=2, depth=14, target_hurst=0.7, multiplier_spread=0.5)
+    with pytest.raises(ConfigError, match=rf"^length: must lie in \[1, 16777216\] ticks, got {length}$"):
+        traffic.generate_calibrated(meta, length, seed=3)
+
+
 # ------------------------------------------------------------- calibration
 
 
