@@ -99,7 +99,7 @@ def cmd_generate(args) -> int:
     if args.delta_h == 0.0:
         # fGn's own range; a calibrated series checks the narrower target range
         if not 0.0 < args.hurst < 1.0:
-            raise ConfigError(f"--hurst must lie in (0, 1), got {args.hurst}")
+            raise ConfigError(f"--hurst: must lie in (0, 1), got {args.hurst!r}")
         series = traffic.generate_fgn(args.hurst, args.length, args.seed)
     else:
         traffic.check_calibration_targets(args.hurst, args.delta_h, "--hurst", "--delta-h")
@@ -147,7 +147,7 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
     started = _now()
 
     # one realization feeds both the measurement and the run
-    _, series = resolve_traffic(config, probes)
+    series = resolve_traffic(config, probes)
     used = series.values[: config.horizon]
     hurst, delta_h = traffic.measure_scaling(used)
     reports = run_scenario(config, series)

@@ -29,8 +29,6 @@ from .simulation import (
     Policy,
     ScenarioConfig,
     ServiceClass,
-    check_name,
-    check_window,
     homogeneous_cluster,
     reference_cluster,
 )
@@ -40,10 +38,10 @@ from .traffic import (GeneratorKind, GeneratorMeta, check_calibration_targets, c
 __all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_config_text"]
 
 
-def _budget(key: str, raw: str) -> int:
-    """A calibration probe budget, checked by the one budget rule under `key`."""
+def _budget(raw: str) -> int:
+    """A calibration probe budget, checked by the one budget rule."""
     budget = int(raw)
-    check_probe_budget(budget, key)
+    check_probe_budget(budget)
     return budget
 
 
@@ -86,8 +84,6 @@ def _parse_classes(raw: str) -> tuple[ServiceClass, ...]:
             )
         except ValueError as exc:
             raise ConfigError(f"demand.classes: {exc}") from exc
-    if not classes:
-        raise ConfigError("demand.classes: no classes given")
     return tuple(classes)
 
 
@@ -103,7 +99,7 @@ def _parse_grid(raw: str) -> list[tuple[float, float]]:
         except ValueError as exc:
             raise ConfigError(f"sweep.grid: {exc}") from exc
         where = f"sweep.grid: cell {token!r}:"
-        check_calibration_targets(hurst, delta_h, f"{where} H", f"{where} delta_h")
+        check_calibration_targets(hurst, delta_h, f"{where} hurst", f"{where} delta_h")
         cells.append((hurst, delta_h))
     return cells
 
@@ -115,7 +111,7 @@ _KEYS = {
         "kind": str.lower,
         "hurst": float,
         "delta_h": float,
-        "budget": functools.partial(_budget, "traffic.budget"),
+        "budget": _budget,
         "depth": int,
         "spread": float,
     },
@@ -125,8 +121,24 @@ _KEYS = {
     "sim": {"name": str, "horizon": int, "window": int, "arrival_scale": float, "seed": int},
     # every DemandParams field is a number but the class list
     "demand": {**{f.name: float for f in fields(DemandParams)}, "classes": _parse_classes},
-    "sweep": {"grid": _parse_grid, "budget": functools.partial(_budget, "sweep.budget")},
+    "sweep": {"grid": _parse_grid, "budget": _budget},
 }
+
+# the fields whose INI key has another name
+_KEY_OF_FIELD = {"target_hurst": "hurst", "multiplier_spread": "spread", "n": "servers"}
+
+
+def _named(section: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, a rejection's leading ``field`` (or ``field[i]``) rewritten to ``section.key``."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        field, sep, rule = str(exc).partition(": ")
+        name, bracket, index = field.partition("[")
+        key = _KEY_OF_FIELD.get(name, name)
+        if sep and key in _KEYS[section]:
+            raise ConfigError(f"{section}.{key}{bracket}{index}: {rule}") from None
+        raise
 
 
 def _load(path) -> dict[str, dict]:
@@ -159,7 +171,7 @@ def _load(path) -> dict[str, dict]:
             if parse is None:
                 raise ConfigError(f"{section}.{key}: unknown key")
             try:
-                values[key] = parse(raw)
+                values[key] = _named(section, parse, raw)
             except ConfigError:
                 raise
             except ValueError as exc:  # from int() or float(); the other parsers raise ConfigError
@@ -173,20 +185,22 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
     if kind == "calibrate":
         if "hurst" not in sec or "delta_h" not in sec:
             raise ConfigError("traffic.kind=calibrate requires traffic.hurst and traffic.delta_h")
-        hurst, delta_h = sec["hurst"], sec["delta_h"]
-        check_calibration_targets(hurst, delta_h, "traffic.hurst", "traffic.delta_h")
-        return CalibrationTarget(hurst, delta_h, sec.get("budget", CalibrationTarget.budget))
-    if kind not in {k.value for k in GeneratorKind}:
+        target = _named("traffic", CalibrationTarget, sec["hurst"], sec["delta_h"],
+                        sec.get("budget", CalibrationTarget.budget))
+    elif kind not in {k.value for k in GeneratorKind}:
         raise ConfigError(
             f"traffic.kind: expected one of calibrate/fgn/cascade/composite, got {kind!r}"
         )
-    # the meta keeps the knobs its kind reads and checks them
-    knobs = {
-        "depth": sec.get("depth", math.ceil(math.log2(horizon))),
-        "target_hurst": sec.get("hurst", 0.7),
-        "multiplier_spread": sec.get("spread", 0.5),
-    }
-    meta = GeneratorMeta(kind=kind, seed=seed, **knobs)
+    else:
+        # the kinds that draw ignore delta_h, but it is held to the target range all the same
+        _named("traffic", check_calibration_targets, None, sec.get("delta_h"))
+    # a record checks every knob it is given before it drops those its kind ignores; a
+    # composite one reads all three, so it also checks the knobs calibrate ignores
+    meta = _named("traffic", GeneratorMeta, kind="composite" if kind == "calibrate" else kind, seed=seed,
+                  depth=sec.get("depth", math.ceil(math.log2(horizon))),
+                  target_hurst=sec.get("hurst", 0.7), multiplier_spread=sec.get("spread", 0.5))
+    if kind == "calibrate":
+        return target
     # generate_from_meta would refuse it too, but without naming either key
     if meta.depth is not None and 2**meta.depth < horizon:
         raise ConfigError(f"traffic.depth: {meta.depth} yields {2**meta.depth} ticks < sim.horizon = {horizon}")
@@ -194,15 +208,18 @@ def _parse_traffic(sec: dict, seed: int, horizon: int):
 
 
 def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
-    explicit = [sec.pop(key) for key in list(sec) if key.startswith("server_")]
+    explicit = {key: sec.pop(key) for key in list(sec) if key.startswith("server_")}
     if explicit and sec:
         raise ConfigError("cluster: give either per-server lines or the homogeneous shorthand")
     if explicit:
-        # duplicate ids are rejected by ScenarioConfig
-        return tuple(sorted(explicit, key=lambda s: s.id))
+        first = {}
+        for key, spec in explicit.items():
+            if first.setdefault(spec.id, key) != key:
+                raise ConfigError(f"cluster.{key}: duplicate server id {spec.id}, also cluster.{first[spec.id]}")
+        return tuple(sorted(explicit.values(), key=lambda s: s.id))
     if not sec:
         return reference_cluster()
-    return homogeneous_cluster(sec.pop("servers", 8), **sec)
+    return _named("cluster", homogeneous_cluster, sec.pop("servers", 8), **sec)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -210,18 +227,19 @@ def parse_config(path) -> ScenarioConfig:
     sections = _load(path)
     sim = sections.get("sim", {})
     horizon = sim.get("horizon", ScenarioConfig.horizon)
-    # every CLI run measures its traffic with MF-DFA; checked before a composite infers its depth
-    check_length(horizon, MFDFA_MIN_SAMPLES, "sim.horizon")
-    check_window(sim.get("window", ScenarioConfig.window), horizon, "sim.window")
-    check_name(sim.get("name", ScenarioConfig.name), "sim.name")
+    # every CLI run measures its traffic with MF-DFA, a floor above ScenarioConfig's; checked
+    # here, before a composite infers its depth from the horizon
+    _named("sim", check_length, horizon, MFDFA_MIN_SAMPLES, "horizon")
     seed = sim.get("seed", ScenarioConfig.seed)
-    check_seed(seed, "sim.seed")
-    return ScenarioConfig(
+    # the traffic record takes the seed before ScenarioConfig exists to check it
+    _named("sim", check_seed, seed)
+    return _named(
+        "sim", ScenarioConfig,
         traffic=_parse_traffic(sections.get("traffic", {}), seed, horizon),
         cluster=_parse_cluster(sections.get("cluster", {})),
-        weights=WeightTriple(**sections.get("weights", {})),
-        policy=Policy(**sections.get("policy", {})),
-        demand_params=DemandParams(**sections.get("demand", {})),
+        weights=_named("weights", WeightTriple, **sections.get("weights", {})),
+        policy=_named("policy", Policy, **sections.get("policy", {})),
+        demand_params=_named("demand", DemandParams, **sections.get("demand", {})),
         **sim,
     )
 

@@ -20,13 +20,12 @@ score many windows at once with the bits of one window at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, check_non_negative, check_positive
 
 __all__ = [
     "ServerSpec",
@@ -58,9 +57,9 @@ class ServerSpec:
 
     def __post_init__(self):
         if not (1 <= self.cpu_count <= 1e308):
-            raise ConfigError(f"server {self.id}: cpu_count must lie in [1, 1e308]")
-        if not all(math.isfinite(v) and v > 0 for v in (self.ram_capacity, self.net_capacity)):
-            raise ConfigError(f"server {self.id}: ram_capacity and net_capacity must be finite and positive")
+            raise ConfigError(f"cpu_count: must lie in [1, 1e308], got {self.cpu_count!r}")
+        check_positive(self.ram_capacity, "ram_capacity")
+        check_positive(self.net_capacity, "net_capacity")
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,9 @@ class ResourceUtilization:
         for name in _RESOURCES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} utilization {v} outside [0,1]")
+                raise ConfigError(f"{name}: must lie in [0, 1], got {v!r}")
         if self.window < 1:
-            raise ConfigError("window must be a positive tick count")
+            raise ConfigError(f"window: must be a positive tick count, got {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,9 @@ class WeightTriple:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ConfigError(f"weights.{name} must be a finite number, got {v}")
-        if min(self.a, self.b, self.c) < 0.0:
-            raise ConfigError("weights must be non-negative")
+            check_non_negative(getattr(self, name), name)
         if abs(self.a + self.b + self.c - 1.0) > _WEIGHT_SUM_SLACK:
-            raise ConfigError(f"weights: invariant a + b + c = 1 violated (got {self.a + self.b + self.c})")
+            raise ConfigError(f"a + b + c: must equal 1, got {self.a + self.b + self.c!r}")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from . import metrics, traffic
-from .errors import ConfigError
+from .errors import ConfigError, check_non_negative, check_positive
 from .metrics import (
     ImbalanceReport,
     ResourceUtilization,
@@ -64,8 +64,6 @@ __all__ = [
     "DemandParams",
     "CalibrationTarget",
     "ScenarioConfig",
-    "check_window",
-    "check_name",
     "ClusterState",
     "homogeneous_cluster",
     "reference_cluster",
@@ -122,9 +120,8 @@ class Policy:
             object.__setattr__(self, "kind", PolicyKind(self.kind))
         except ValueError:
             names = sorted(k.value for k in PolicyKind)
-            raise ConfigError(f"policy.kind: expected one of {names}, got {self.kind!r}") from None
-        if not (math.isfinite(self.migration_threshold) and self.migration_threshold >= 0.0):
-            raise ConfigError(f"migration_threshold must be finite and non-negative, got {self.migration_threshold}")
+            raise ConfigError(f"kind: expected one of {names}, got {self.kind!r}") from None
+        check_non_negative(self.migration_threshold, "migration_threshold")
 
 
 @dataclass(frozen=True)
@@ -160,9 +157,9 @@ class ServiceClass:
 
     def __post_init__(self):
         if not (0.0 <= self.probability <= 1.0):
-            raise ConfigError("class probability must lie in [0,1]")
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.demand_scale, self.duration_scale)):
-            raise ConfigError("class scales must be finite and positive")
+            raise ConfigError(f"probability: must lie in [0, 1], got {self.probability!r}")
+        check_positive(self.demand_scale, "demand_scale")
+        check_positive(self.duration_scale, "duration_scale")
 
 
 @dataclass(frozen=True)
@@ -190,17 +187,13 @@ class DemandParams:
 
     def __post_init__(self):
         for name in ("cpu_mean", "ram_mean", "net_mean", "cpu_max", "ram_max", "net_max"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be finite and positive")
+            check_positive(getattr(self, name), name)
         for name in ("cpu_sigma", "ram_sigma", "net_sigma"):
             v = getattr(self, name)
             if not (v >= 0.0 and math.isfinite(v * v)):
-                raise ConfigError(f"{name} must be non-negative with a finite square, got {v}")
-        if not (math.isfinite(self.duration_mean) and self.duration_mean >= 1.0):
-            raise ConfigError("duration_mean must be finite and >= 1 tick")
-        if not self.classes:
-            raise ConfigError("at least one service class is required")
+                raise ConfigError(f"{name}: must be non-negative with a finite square, got {v!r}")
+        if not (1.0 <= self.duration_mean < math.inf):
+            raise ConfigError(f"duration_mean: must be finite and at least 1 tick, got {self.duration_mean!r}")
         for i, cls in enumerate(self.classes):
             mean = self.duration_mean * cls.duration_scale
             if 1.0 - 1.0 / max(mean, 1.0) == 1.0:
@@ -208,7 +201,7 @@ class DemandParams:
                 raise ConfigError(f"{name}: mean duration {mean:g} ticks rounds geometric q = 1 - 1/mean to 1")
         total = sum(c.probability for c in self.classes)
         if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"service class probabilities must sum to 1, got {total}")
+            raise ConfigError(f"classes: probabilities must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +213,7 @@ class CalibrationTarget:
     budget: int = 64
 
     def __post_init__(self):
-        traffic.check_calibration_targets(self.hurst, self.delta_h, "hurst", "delta_h")
+        traffic.check_calibration_targets(self.hurst, self.delta_h)
         traffic.check_probe_budget(self.budget)
 
 
@@ -230,7 +223,7 @@ def homogeneous_cluster(
     """N identical servers with ids 0..n-1."""
     check_integer(n, "n")
     if n < 1:
-        raise ConfigError("cluster needs at least one server")
+        raise ConfigError(f"n: must be a positive integer, got {n!r}")
     return tuple(
         ServerSpec(id=i, cpu_count=cpu_count, ram_capacity=ram_capacity, net_capacity=net_capacity)
         for i in range(n)
@@ -253,19 +246,6 @@ def reference_cluster() -> tuple[ServerSpec, ...]:
     )
 
 
-def check_window(window: int, horizon: int, key: str = "window") -> None:
-    """Reject a non-integer report window or one outside [1, horizon], naming the given key and value."""
-    check_integer(window, key)
-    if not (1 <= window <= horizon):
-        raise ConfigError(f"{key}: must satisfy 1 <= window <= horizon = {horizon}, got {window}")
-
-
-def check_name(name: str, key: str = "name") -> None:
-    """Reject a scenario name that is not one printable line (it heads CSV comments), naming the key."""
-    if not (isinstance(name, str) and name.isprintable()):
-        raise ConfigError(f"{key}: must be one printable line, got {name!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run depends on."""
@@ -283,16 +263,19 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_length(self.horizon, 256, "horizon")
-        check_window(self.window, self.horizon)
-        check_name(self.name)
-        if not (math.isfinite(self.arrival_scale) and self.arrival_scale > 0.0):
-            raise ConfigError(f"arrival_scale must be finite and positive, got {self.arrival_scale}")
+        check_integer(self.window, "window")
+        if not (1 <= self.window <= self.horizon):
+            raise ConfigError(f"window: must satisfy 1 <= window <= horizon = {self.horizon}, got {self.window!r}")
+        # the name heads the reports' CSV comments
+        if not (isinstance(self.name, str) and self.name.isprintable()):
+            raise ConfigError(f"name: must be one printable line, got {self.name!r}")
+        check_positive(self.arrival_scale, "arrival_scale")
         check_seed(self.seed)
         if len(self.cluster) < 1:
-            raise ConfigError("cluster needs at least one server")
+            raise ConfigError("cluster: must hold at least one server")
         ids = [s.id for s in self.cluster]
         if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate server ids in cluster")
+            raise ConfigError(f"cluster: server ids must be unique, got {ids!r}")
 
 
 class ClusterState:
@@ -866,10 +849,8 @@ def _stream_seed(seed: int, stream: int) -> int:
     return int(SeedSequence([int(seed), stream]).generate_state(2, np.uint32)[0])
 
 
-def resolve_traffic(
-    config: ScenarioConfig, probes: dict | None = None
-) -> tuple[GeneratorMeta, TrafficSeries]:
-    """Calibrate if needed, then realize the run's traffic series.
+def resolve_traffic(config: ScenarioConfig, probes: dict | None = None) -> TrafficSeries:
+    """Calibrate if needed, then realize the run's traffic series; its `meta` records the draw.
 
     An explicit GeneratorMeta is a complete record of one series, so it
     reproduces that exact series regardless of the config seed; only the
@@ -889,8 +870,8 @@ def resolve_traffic(
     elif isinstance(config.traffic, GeneratorMeta):
         series = traffic.generate_from_meta(config.traffic, config.horizon)
     else:
-        raise ConfigError("traffic must be a GeneratorMeta or a CalibrationTarget")
-    return series.meta, series
+        raise ConfigError(f"traffic: must be a GeneratorMeta or a CalibrationTarget, got {config.traffic!r}")
+    return series
 
 
 def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) -> list[ImbalanceReport]:
@@ -913,7 +894,7 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     :func:`step` on every tick and :func:`metrics.full_report` on every window.
     """
     if series is None:
-        _, series = resolve_traffic(config)
+        series = resolve_traffic(config)
     horizon, window = config.horizon, config.window
     if len(series.values) < horizon:
         raise ConfigError(

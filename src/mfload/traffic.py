@@ -41,7 +41,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from . import fractal
-from .errors import CalibrationError, ConfigError, EstimationError
+from .errors import CalibrationError, ConfigError, EstimationError, check_positive
 
 __all__ = [
     "INITIAL_MASS",
@@ -107,7 +107,7 @@ _KNOBS = {
     GeneratorKind.FGN: ("target_hurst",),
     GeneratorKind.COMPOSITE: ("depth", "target_hurst", "multiplier_spread"),
 }
-_MIN_DEPTH = {GeneratorKind.CASCADE: 1, GeneratorKind.COMPOSITE: _BURST_BLOCK_DEPTH + 1}
+_MIN_DEPTH = {GeneratorKind.CASCADE: 1, GeneratorKind.FGN: 1, GeneratorKind.COMPOSITE: _BURST_BLOCK_DEPTH + 1}
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class GeneratorMeta:
 
     ``target_hurst`` is the exponent handed to the generator (for the
     composite kind that is the envelope exponent, not a promise about the
-    measured value). A record keeps only the knobs its kind's generator
-    reads, requires all but depth, and checks their ranges; each generator
+    measured value). A record checks every knob it is given, then keeps only
+    those its kind's generator reads, all required but depth; each generator
     builds its record before it draws, so these are also its argument
     checks. ``kind`` may be given as its string value.
     """
@@ -134,29 +134,22 @@ class GeneratorMeta:
             object.__setattr__(self, "kind", GeneratorKind(self.kind))
         except ValueError:
             names = sorted(k.value for k in GeneratorKind)
-            raise ConfigError(f"traffic.kind: expected one of {names}, got {self.kind!r}") from None
+            raise ConfigError(f"kind: expected one of {names}, got {self.kind!r}") from None
         check_seed(self.seed)
+        if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
+            raise ConfigError(f"target_hurst: must lie in (0, 1), got {self.target_hurst!r}")
+        check_calibration_targets(None, self.target_delta_h, delta_h_key="target_delta_h")
+        if self.depth is not None:
+            check_integer(self.depth, "depth")
+            if not (_MIN_DEPTH[self.kind] <= self.depth <= _MAX_DEPTH):
+                raise ConfigError(f"depth: must lie in [{_MIN_DEPTH[self.kind]}, {_MAX_DEPTH}], got {self.depth!r}")
+        if self.multiplier_spread is not None:
+            check_positive(self.multiplier_spread, "multiplier_spread")
         for name in ("depth", "target_hurst", "multiplier_spread"):
             if name not in _KNOBS[self.kind]:
                 object.__setattr__(self, name, None)
             elif name != "depth" and getattr(self, name) is None:
                 raise ConfigError(f"{self.kind.value} meta needs {name}")
-        if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
-            raise ConfigError(f"target_hurst must lie in (0,1), got {self.target_hurst}")
-        if self.target_delta_h is not None and not (
-            math.isfinite(self.target_delta_h) and self.target_delta_h >= 0.0
-        ):
-            raise ConfigError(f"target_delta_h must be finite and non-negative, got {self.target_delta_h}")
-        if self.depth is not None:
-            check_integer(self.depth, "depth")
-            if not (_MIN_DEPTH[self.kind] <= self.depth <= _MAX_DEPTH):
-                raise ConfigError(f"depth must lie in [{_MIN_DEPTH[self.kind]}, {_MAX_DEPTH}], got {self.depth}")
-        if self.multiplier_spread is not None and not (
-            math.isfinite(self.multiplier_spread) and self.multiplier_spread > 0.0
-        ):
-            raise ConfigError(
-                f"multiplier_spread must be finite and positive, got {self.multiplier_spread}"
-            )
 
 
 @dataclass(frozen=True)
@@ -258,8 +251,7 @@ def generate_cascade(depth: int, multiplier_spread: float, seed: int) -> Traffic
     TrafficSeries
         Length 2^depth, sum of values equal to INITIAL_MASS.
     """
-    check_seed(seed)
-    meta = GeneratorMeta(kind=GeneratorKind.CASCADE, seed=int(seed), depth=depth,
+    meta = GeneratorMeta(kind=GeneratorKind.CASCADE, seed=seed, depth=depth,
                          multiplier_spread=float(multiplier_spread))
     rng = default_rng(SeedSequence([int(seed), _STREAM_CASCADE]))
     return TrafficSeries(values=_cascade_mass(depth, multiplier_spread, rng), meta=meta)
@@ -272,9 +264,8 @@ def generate_fgn(hurst: float, length: int, seed: int) -> TrafficSeries:
     mean; affine maps preserve the scaling exponents, so a DFA estimate on
     the output recovers `hurst`.
     """
-    check_seed(seed)
     check_length(length, 64)
-    meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=int(seed), target_hurst=float(hurst))
+    meta = GeneratorMeta(kind=GeneratorKind.FGN, seed=seed, target_hurst=float(hurst))
     rng = default_rng(SeedSequence([int(seed), _STREAM_ENVELOPE]))
     x = _fgn_increments(float(hurst), int(length), _fgn_noise(int(length), rng))
     x = x - x.min()
@@ -303,10 +294,9 @@ def generate_composite(
     marginal range. Needs depth >= 5 (at least one cascade level above the
     block size).
     """
-    check_seed(seed)
     meta = GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
-        seed=int(seed),
+        seed=seed,
         depth=depth,
         target_hurst=float(hurst),
         multiplier_spread=float(multiplier_spread),
@@ -365,7 +355,6 @@ def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None
     """
     check_length(length, 1)
     use_seed = meta.seed if seed is None else seed
-    check_seed(use_seed)
     if meta.kind is GeneratorKind.FGN:
         return generate_fgn(meta.target_hurst, max(int(length), 64), use_seed)
 
@@ -415,13 +404,13 @@ _COARSE_H = (0.55, 0.65, 0.75, 0.85, 0.95)
 _COARSE_SPREAD = (0.08, 0.18, 0.35, 0.7, 1.2, 2.0)
 
 
-def check_calibration_targets(hurst: float, delta_h: float, hurst_key: str = "target_hurst",
-                              delta_h_key: str = "target_delta_h") -> None:
-    """Reject targets outside hurst (0.5, 1) or delta_h [0, 4], naming the given key and value."""
-    if not (0.5 < hurst < 1.0):
-        raise ConfigError(f"{hurst_key} must lie in (0.5, 1), got {hurst}")
-    if not (0.0 <= delta_h <= 4.0):
-        raise ConfigError(f"{delta_h_key} must lie in [0, 4], got {delta_h}")
+def check_calibration_targets(hurst: float | None, delta_h: float | None, hurst_key: str = "hurst",
+                              delta_h_key: str = "delta_h") -> None:
+    """Reject targets outside hurst (0.5, 1) or delta_h [0, 4], naming the given key and value; skip a None."""
+    if hurst is not None and not (0.5 < hurst < 1.0):
+        raise ConfigError(f"{hurst_key}: must lie in (0.5, 1), got {hurst!r}")
+    if delta_h is not None and not (0.0 <= delta_h <= 4.0):
+        raise ConfigError(f"{delta_h_key}: must lie in [0, 4], got {delta_h!r}")
 
 
 def check_integer(value, key: str) -> None:
@@ -502,7 +491,7 @@ def calibrate(
         If the budget is exhausted outside tolerance; carries the best
         candidate meta, its measured pair and the residuals.
     """
-    check_calibration_targets(target_hurst, target_delta_h)
+    check_calibration_targets(target_hurst, target_delta_h, "target_hurst", "target_delta_h")
     check_probe_budget(budget)
 
     if probes is None:
@@ -598,7 +587,7 @@ def write_series_csv(path, series) -> None:
 
 
 def read_series_csv(path) -> np.ndarray:
-    """Read a `tick,value` CSV back into a value vector."""
+    """Read a `tick,value` CSV back into a value vector; each row's tick must be its 0-based index."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "tick,value":
@@ -611,6 +600,8 @@ def read_series_csv(path) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'tick,value'")
+            if parts[0].strip() != str(len(values)):
+                raise ConfigError(f"{path}:{lineno}: expected tick {len(values)}, got {parts[0]!r}")
             try:
                 values.append(float(parts[1]))
             except ValueError:

@@ -14,6 +14,7 @@ import pytest
 import mfload
 from mfload import traffic
 from mfload.cli import main
+from mfload.config import _KEYS
 from mfload.fractal import mfdfa
 from mfload.traffic import generate_fgn, read_series_csv
 
@@ -76,10 +77,10 @@ def test_generate_calibrated_series_past_the_probe_depth(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["--hurst", "1.2", "--delta-h", "1.0"], "--hurst must lie in (0.5, 1), got 1.2"),
-    (["--hurst", "1.2"], "--hurst must lie in (0, 1), got 1.2"),
-    (["--hurst", "0.7", "--delta-h", "5"], "--delta-h must lie in [0, 4], got 5.0"),
-    (["--hurst", "0.7", "--delta-h", "-1"], "--delta-h must lie in [0, 4], got -1.0"),
+    (["--hurst", "1.2", "--delta-h", "1.0"], "--hurst: must lie in (0.5, 1), got 1.2"),
+    (["--hurst", "1.2"], "--hurst: must lie in (0, 1), got 1.2"),
+    (["--hurst", "0.7", "--delta-h", "5"], "--delta-h: must lie in [0, 4], got 5.0"),
+    (["--hurst", "0.7", "--delta-h", "-1"], "--delta-h: must lie in [0, 4], got -1.0"),
 ], ids=["calibrated-hurst", "fgn-hurst", "delta-h-above", "delta-h-negative"])
 def test_generate_out_of_range_target_names_its_option(tmp_path, capsys, argv, named):
     out = tmp_path / "g"
@@ -176,6 +177,17 @@ def test_analyze_error_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_analyze_rejects_rows_out_of_tick_order(tmp_path, capsys):
+    # sorted by value, a 2048-tick fGn once measured H = 1.6 instead of 0.7
+    values = generate_fgn(0.7, 2048, seed=1).values
+    shuffled = tmp_path / "sorted.csv"
+    order = np.argsort(values, kind="stable").tolist()
+    shuffled.write_text("tick,value\n" + "".join(f"{t},{values[t]:.12g}\n" for t in order))
+    assert _run(["analyze", str(shuffled), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {shuffled}:2: expected tick 0, got '{order[0]}'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_non_numeric_value_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("tick,value\n0,1.0\n1,abc\n")
@@ -225,7 +237,7 @@ def test_simulate_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[weights]\na = 0.5\nb = 0.5\nc = 0.5\n")
     assert _run(["simulate", "--config", str(bad)]) == 1
-    assert "a + b + c = 1" in capsys.readouterr().err
+    assert "error: a + b + c: must equal 1, got 1.5\n" in capsys.readouterr().err
     typo = tmp_path / "typo.ini"
     typo.write_text("[sim]\nhorzon = 1024\n")
     assert _run(["simulate", "--config", str(typo)]) == 1
@@ -291,9 +303,9 @@ def test_simulate_demand_past_the_float_range_clips_to_its_maximum(tmp_path):
     ("[demand]\nduration_mean = 1e17\n",
      "duration_mean: mean duration 1e+17 ticks rounds geometric q = 1 - 1/mean to 1"),
     ("[demand]\nclasses = 1.0:1.0:1e17\n",
-     "classes[0]: mean duration 9.6e+18 ticks rounds geometric q = 1 - 1/mean to 1"),
-    ("[demand]\ncpu_sigma = 1e155\n", "cpu_sigma must be non-negative with a finite square, got 1e+155"),
-    ("[cluster]\ncpu_count = " + "9" * 401 + "\n", "server 0: cpu_count must lie in [1, 1e308]"),
+     "demand.classes[0]: mean duration 9.6e+18 ticks rounds geometric q = 1 - 1/mean to 1"),
+    ("[demand]\ncpu_sigma = 1e155\n", "demand.cpu_sigma: must be non-negative with a finite square, got 1e+155"),
+    ("[cluster]\ncpu_count = " + "9" * 401 + "\n", "cluster.cpu_count: must lie in [1, 1e308], got 999"),
 ], ids=["duration-mean", "class-duration-scale", "sigma-square", "cpu-count"])
 def test_simulate_rejects_values_that_would_break_the_run(tmp_path, capsys, text, message):
     cfg = tmp_path / "edge.ini"
@@ -335,8 +347,8 @@ def test_simulate_zero_calibration_budget_names_its_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("hurst", "1.2", "traffic.hurst must lie in (0.5, 1), got 1.2"),
-    ("delta_h", "4.5", "traffic.delta_h must lie in [0, 4], got 4.5"),
+    ("hurst", "1.2", "traffic.hurst: must lie in (0.5, 1), got 1.2"),
+    ("delta_h", "4.5", "traffic.delta_h: must lie in [0, 4], got 4.5"),
 ])
 def test_simulate_out_of_range_calibration_target_names_its_key(tmp_path, capsys, key, value,
                                                                 message):
@@ -353,10 +365,18 @@ def test_simulate_out_of_range_calibration_target_names_its_key(tmp_path, capsys
     ("[traffic]\nkind = cascade\nhurst = abc\n", "traffic.hurst: expected a number, got 'abc'"),
     ("[traffic]\nkind = fgn\nbudget = 0\n", "traffic.budget: must be a positive integer, got 0"),
     ("[sweep]\nbudget = zero\n", "sweep.budget: expected an integer, got 'zero'"),
-    ("[sweep]\ngrid = 0.6:9\n", "sweep.grid: cell '0.6:9': delta_h must lie in [0, 4]"),
+    ("[sweep]\ngrid = 0.6:9\n", "sweep.grid: cell '0.6:9': delta_h: must lie in [0, 4]"),
     ("[cluster]\nserver_0 = 8, 64, 32\ncpu_count = 2\n",
      "cluster: give either per-server lines or the homogeneous shorthand"),
-], ids=["cascade-hurst", "fgn-budget", "sweep-budget", "sweep-grid", "server-and-shorthand"])
+    # a record checks every knob it is given before it drops those its kind ignores
+    ("[traffic]\nkind = composite\ndelta_h = 9\n", "traffic.delta_h: must lie in [0, 4], got 9.0"),
+    ("[traffic]\nkind = fgn\nspread = -1\n", "traffic.spread: must be finite and positive, got -1.0"),
+    ("[traffic]\nkind = fgn\ndepth = 99\n", "traffic.depth: must lie in [1, 24], got 99"),
+    ("[traffic]\nkind = cascade\nhurst = 7\n", "traffic.hurst: must lie in (0, 1), got 7.0"),
+    ("[traffic]\nkind = calibrate\nhurst = 0.7\ndelta_h = 1\ndepth = 30\n",
+     "traffic.depth: must lie in [5, 24], got 30"),
+], ids=["cascade-hurst", "fgn-budget", "sweep-budget", "sweep-grid", "server-and-shorthand",
+        "composite-delta-h", "fgn-spread", "fgn-depth", "cascade-hurst-range", "calibrate-depth"])
 def test_simulate_rejects_bad_values_its_run_ignores(tmp_path, capsys, text, named):
     cfg = tmp_path / "ignored.ini"
     cfg.write_text(text)
@@ -389,6 +409,65 @@ def test_simulate_rejects_a_name_that_is_not_one_printable_line(tmp_path, capsys
     cfg.write_text(FAST_SIM.replace("name = cli-check", f"name = {name}"))
     assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "sim.name: must be one printable line, got " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_duplicate_server_ids_name_both_keys(tmp_path, capsys):
+    cfg = tmp_path / "dup.ini"
+    cfg.write_text("[cluster]\nserver_1 = 2, 16, 8\nserver_01 = 4, 32, 16\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: cluster.server_01: duplicate server id 1, also cluster.server_1\n"
+    assert not (tmp_path / "o").exists()
+
+
+# one out-of-range value for every key of every section
+BAD_VALUES = {
+    ("traffic", "kind"): "sine",
+    ("traffic", "hurst"): "1.5",
+    ("traffic", "delta_h"): "9",
+    ("traffic", "budget"): "0",
+    ("traffic", "depth"): "30",
+    ("traffic", "spread"): "-1",
+    ("cluster", "servers"): "0",
+    ("cluster", "cpu_count"): "0",
+    ("cluster", "ram_capacity"): "-1",
+    ("cluster", "net_capacity"): "0",
+    ("weights", "a"): "-0.5",
+    ("weights", "b"): "nan",
+    ("weights", "c"): "inf",
+    ("policy", "kind"): "greedy",
+    ("policy", "migration_threshold"): "-1",
+    ("sim", "name"): "tab\tname",
+    ("sim", "horizon"): "512",
+    ("sim", "window"): "0",
+    ("sim", "arrival_scale"): "-1",
+    ("sim", "seed"): "-1",
+    ("demand", "cpu_mean"): "-1",
+    ("demand", "cpu_sigma"): "-1",
+    ("demand", "ram_mean"): "0",
+    ("demand", "ram_sigma"): "nan",
+    ("demand", "net_mean"): "inf",
+    ("demand", "net_sigma"): "1e155",
+    ("demand", "duration_mean"): "0.5",
+    ("demand", "cpu_max"): "0",
+    ("demand", "ram_max"): "-2",
+    ("demand", "net_max"): "nan",
+    ("demand", "classes"): "0.5:1:1 0.2:1:1",
+    ("sweep", "grid"): "0.6:9",
+    ("sweep", "budget"): "0",
+}
+
+
+def test_bad_values_cover_every_config_key():
+    assert set(BAD_VALUES) == {(section, key) for section, keys in _KEYS.items() for key in keys}
+
+
+@pytest.mark.parametrize("section, key", sorted(BAD_VALUES), ids=[f"{s}.{k}" for s, k in sorted(BAD_VALUES)])
+def test_simulate_out_of_range_value_names_its_key_path(tmp_path, capsys, section, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {BAD_VALUES[section, key]}\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -457,8 +536,8 @@ def test_sweep_rejects_cells_whose_names_collide(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid, message", [
-    ("0.6:1.5 0.4:1.5", "sweep.grid: cell '0.4:1.5': H must lie in (0.5, 1), got 0.4"),
-    ("0.6:9", "sweep.grid: cell '0.6:9': delta_h must lie in [0, 4], got 9.0"),
+    ("0.6:1.5 0.4:1.5", "sweep.grid: cell '0.4:1.5': hurst: must lie in (0.5, 1), got 0.4"),
+    ("0.6:9", "sweep.grid: cell '0.6:9': delta_h: must lie in [0, 4], got 9.0"),
 ])
 def test_sweep_out_of_range_cell_names_the_cell(tmp_path, capsys, grid, message):
     cfg = tmp_path / "range.ini"

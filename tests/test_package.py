@@ -133,3 +133,34 @@ def test_unused_private_name_check_sees_an_unread_name(tmp_path):
     # read as a name, as an attribute and through an import
     b.write_text("import a\nfrom a import _helper\n\n_TABLE = {}\nprint(_helper(), a._LIMIT, _TABLE)\n")
     assert _unused_private_names([a, b]) == ["a.py:2: _SPARE", "a.py:3: _WIDTH", "a.py:10: _Signal"]
+
+
+def _key_path_messages(path: Path, sections) -> list[str]:
+    """`ConfigError(...)` calls whose message starts with `<section>.`, an INI key path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    prefixes = tuple(f"{section}." for section in sections)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ConfigError"):
+            continue
+        head = node.args[0]
+        if isinstance(head, ast.JoinedStr):
+            head = head.values[0] if head.values else None
+        if isinstance(head, ast.Constant) and isinstance(head.value, str) and head.value.startswith(prefixes):
+            found.append(f"{path.name}:{node.lineno}: {head.value}")
+    return found
+
+
+def test_only_config_names_key_paths():
+    # the library's rules name their own field; config maps it to its `section.key`
+    from mfload.config import _KEYS
+    paths = [SOURCE / f"{module}.py" for module in ("traffic", "simulation", "metrics", "fractal")]
+    assert [entry for path in paths for entry in _key_path_messages(path, _KEYS)] == []
+
+
+def test_key_path_check_sees_a_section_in_a_message(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text('raise ConfigError(f"policy.kind: {kind}")\nraise ConfigError("depth: too deep")\n'
+                    'raise errors.ConfigError("sim.seed: negative")\nraise ConfigError(f"{name}: bad")\n')
+    assert _key_path_messages(path, ["policy", "sim"]) == ["mod.py:1: policy.kind: ", "mod.py:3: sim.seed: negative"]

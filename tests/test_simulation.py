@@ -466,7 +466,7 @@ def test_policy_kind_given_as_a_string():
             runs.append((run_scenario(config), moves.call_count))
     assert runs[0][1] > 0
     assert runs[0] == runs[1]
-    with pytest.raises(ConfigError, match="policy.kind"):
+    with pytest.raises(ConfigError, match=r"^kind: expected one of \['least_composite', "):
         Policy(kind="bogus")
 
 
@@ -641,8 +641,8 @@ def test_run_scenario_is_deterministic():
 
 def test_run_scenario_seed_changes_draws_not_series():
     cfg_a, cfg_b = _fgn_config(seed=7), _fgn_config(seed=8)
-    _, series_a = resolve_traffic(cfg_a)
-    _, series_b = resolve_traffic(cfg_b)
+    series_a = resolve_traffic(cfg_a)
+    series_b = resolve_traffic(cfg_b)
     # an explicit generator record pins the series itself
     assert np.array_equal(series_a.values, series_b.values)
     # while arrival and demand draws still vary with the run seed
@@ -653,22 +653,22 @@ def test_calibration_target_draws_series_from_run_seed():
     target = CalibrationTarget(hurst=0.7, delta_h=0.0)
     cfg_a = _fgn_config(traffic=target, seed=7)
     cfg_b = _fgn_config(traffic=target, seed=8)
-    meta_a, series_a = resolve_traffic(cfg_a)
-    meta_b, series_b = resolve_traffic(cfg_b)
+    series_a = resolve_traffic(cfg_a)
+    series_b = resolve_traffic(cfg_b)
     assert not np.array_equal(series_a.values, series_b.values)
-    # the returned record is complete: it regenerates its series exactly
-    again = resolve_traffic(ScenarioConfig(traffic=meta_a, cluster=cfg_a.cluster,
+    # the series' record is complete: it regenerates its series exactly
+    again = resolve_traffic(ScenarioConfig(traffic=series_a.meta, cluster=cfg_a.cluster,
                                            horizon=1024, window=64,
-                                           arrival_scale=0.3, seed=99))[1]
+                                           arrival_scale=0.3, seed=99))
     assert np.array_equal(series_a.values, again.values)
 
 
 def test_calibrated_series_covers_horizons_past_the_probe_depth():
     # calibration probes at depth 14 (16384 ticks); a longer run needs a deeper series
     cfg = ScenarioConfig(traffic=CalibrationTarget(hurst=0.6, delta_h=1.5), horizon=2**15)
-    meta, series = resolve_traffic(cfg)
+    series = resolve_traffic(cfg)
     assert len(series) >= 2**15
-    assert meta.depth == 15
+    assert series.meta.depth == 15
     # an explicit depth that is too short is still refused
     short = GeneratorMeta(kind=GeneratorKind.COMPOSITE, seed=0, depth=10,
                           target_hurst=0.7, multiplier_spread=0.5)
@@ -678,7 +678,7 @@ def test_calibrated_series_covers_horizons_past_the_probe_depth():
 
 def test_run_scenario_accepts_the_resolved_series():
     cfg = _fgn_config(seed=3)
-    _, series = resolve_traffic(cfg)
+    series = resolve_traffic(cfg)
     assert run_scenario(cfg, series) == run_scenario(cfg)
     # the given series is the one simulated: no traffic, no load
     idle = TrafficSeries(values=np.zeros(1024), meta=None)

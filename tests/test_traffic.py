@@ -1,6 +1,7 @@
 """Generator invariants: conservation, determinism, and tunable width."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,15 +303,23 @@ def test_meta_kind_rules_are_checked_at_construction():
         GeneratorMeta(kind="cascade", seed=0, depth=8)
     with pytest.raises(ConfigError, match="composite meta needs multiplier_spread"):
         GeneratorMeta(kind="composite", seed=0, target_hurst=0.7)
-    with pytest.raises(ConfigError, match=r"depth must lie in \[1, 24\], got 25"):
+    with pytest.raises(ConfigError, match=r"^depth: must lie in \[1, 24\], got 25$"):
         GeneratorMeta(kind="cascade", seed=0, depth=25, multiplier_spread=0.5)
     # an explicit composite depth below 5 is refused, not raised to 5
-    with pytest.raises(ConfigError, match=r"depth must lie in \[5, 24\], got 4"):
+    with pytest.raises(ConfigError, match=r"^depth: must lie in \[5, 24\], got 4$"):
         GeneratorMeta(kind="composite", seed=0, depth=4, target_hurst=0.7, multiplier_spread=0.5)
-    # a record keeps only the knobs its kind's generator reads
-    fgn = GeneratorMeta(kind="fgn", seed=0, depth=30, target_hurst=0.7, multiplier_spread=-1.0)
+    # a record keeps only the knobs its kind's generator reads, after checking every one given
+    fgn = GeneratorMeta(kind="fgn", seed=0, depth=12, target_hurst=0.7, multiplier_spread=0.3)
     assert (fgn.depth, fgn.multiplier_spread) == (None, None)
     assert fgn == generate_fgn(0.7, 256, seed=0).meta
+    with pytest.raises(ConfigError, match=r"^depth: must lie in \[1, 24\], got 30$"):
+        GeneratorMeta(kind="fgn", seed=0, depth=30, target_hurst=0.7)
+    with pytest.raises(ConfigError, match=r"^multiplier_spread: must be finite and positive, got -1\.0$"):
+        GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7, multiplier_spread=-1.0)
+    with pytest.raises(ConfigError, match=r"^target_hurst: must lie in \(0, 1\), got 7\.0$"):
+        GeneratorMeta(kind="cascade", seed=0, target_hurst=7.0, multiplier_spread=0.5)
+    with pytest.raises(ConfigError, match=r"^target_delta_h: must lie in \[0, 4\], got 9\.0$"):
+        GeneratorMeta(kind="composite", seed=0, target_hurst=0.7, target_delta_h=9.0, multiplier_spread=0.5)
     # an inferred composite depth still starts at 5
     composite = GeneratorMeta(kind="composite", seed=0, target_hurst=0.7, multiplier_spread=0.5)
     assert len(generate_from_meta(composite, length=16)) == 32
@@ -646,3 +655,21 @@ def test_series_csv_rejects_malformed_input(tmp_path):
     path.write_text("tick,value\n")
     with pytest.raises(ConfigError):
         read_series_csv(path)
+
+
+def test_series_csv_tick_must_be_the_row_index(tmp_path):
+    # rows sorted by value once read back as a series with another H
+    values = generate_fgn(hurst=0.7, length=2048, seed=3).values
+    path = tmp_path / "sorted.csv"
+    order = np.argsort(values, kind="stable")
+    path.write_text("tick,value\n" + "".join(f"{t},{values[t]:.12g}\n" for t in order.tolist()))
+    first = int(order[0])
+    assert first != 0
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: expected tick 0, got '{first}'$"):
+        read_series_csv(path)
+    path.write_text("tick,value\n" + "".join(f"7,{v:.12g}\n" for v in values[:8].tolist()))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: expected tick 0, got '7'$"):
+        read_series_csv(path)
+    # comment and blank lines hold no row, so the ticks count data rows only
+    path.write_text("tick,value\n# head\n0,1.5\n\n1,2.5\n2,0.5\n")
+    assert read_series_csv(path).tolist() == [1.5, 2.5, 0.5]
