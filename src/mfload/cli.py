@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import fractal, metrics, traffic
-from .config import config_digest, parse_config, parse_sweep_grid
+from .config import _named, config_digest, parse_config, parse_sweep_grid
 from .errors import CalibrationError, ConfigError, EstimationError
 from .simulation import CalibrationTarget, ScenarioConfig, resolve_traffic, run_scenario
 
@@ -150,7 +150,8 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
     series = resolve_traffic(config, probes)
     used = series.values[: config.horizon]
     hurst, delta_h = traffic.measure_scaling(used)
-    reports = run_scenario(config, series)
+    # the arrival-mean cap needs the realized series, so its rejection is named here
+    reports = _named("sim", run_scenario, config, series)
     mean = _final_quarter_mean(reports)
     os.makedirs(out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, "series.csv")

@@ -542,8 +542,8 @@ def _arrival_means(values, arrival_scale: float, first_tick: int = 0) -> np.ndar
     over = np.flatnonzero(lam > MAX_TICK_ARRIVAL_MEAN)
     if over.size:
         j = int(over[0])
-        raise ConfigError(f"arrival_scale {arrival_scale:g} puts tick {first_tick + j}'s arrival mean "
-                          f"{lam[j]:g} above the cap {MAX_TICK_ARRIVAL_MEAN:g}")
+        raise ConfigError(f"arrival_scale: must keep every tick's arrival mean at most {MAX_TICK_ARRIVAL_MEAN:g} "
+                          f"(tick {first_tick + j}'s is {lam[j]:g}), got {arrival_scale!r}")
     return lam
 
 
@@ -750,6 +750,11 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
     j != src scores ``max(own, first)``, or ``max(own, second)`` when j is
     ``top``; ``first`` is at least the source's entry, and so is ``second``
     when ``top`` != src, so no such move can strictly lower the max SIL.
+    A source at or below the cluster average in cpu, ram and net ends the
+    pass before any candidate is scored: a move lowers its cpu and ram and
+    raises the net average, so no deviation from the average shrinks, and
+    as float subtraction, squaring, the non-negative weights and the sum
+    are monotone, every candidate's post-move SIL is at least the max SIL.
     """
     if policy.kind is not PolicyKind.THRESHOLD_MIGRATION:
         return []
@@ -761,23 +766,24 @@ def rebalance(state: ClusterState, policy: Policy, w: WeightTriple) -> list[tupl
 
     for _ in range(_MAX_MOVES_PER_TICK):
         utils = state._util  # read only: a committed move ends the pass
-        avgs = _system_averages_now(state)
-        sils = [sil_value(*u, *avgs, w) for u in utils]
+        avgs = avg_c, avg_r, avg_n = _system_averages_now(state)
+        sils = [sil_value(cu, ru, nu, avg_c, avg_r, avg_n, w) for cu, ru, nu in utils]
         max_sil = max(sils)
         if max_sil <= policy.migration_threshold:
             break
         src = sils.index(max_sil)
+        cu, ru, nu = utils[src]
+        if cu <= avg_c and ru <= avg_r and nu <= avg_n:
+            break
 
         # the source's post-move SIL, in _post_move_max_sils' float order
-        cu, ru, nu = utils[src]
         cc, rc = state.cpu_cap[src], state.ram_cap[src]
-        avg_c, avg_r, avg_n = avgs
-        candidates = sorted(
-            (t for t in state.running[src].values()
-             if sil_value(cu - t.cpu_demand / cc, ru - t.ram_demand / rc, nu,
-                          avg_c, avg_r, avg_n + t.net_demand / net_total, w) < max_sil),
-            key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id),
-        )
+        candidates = [t for t in state.running[src].values()
+                      if sil_value(cu - t.cpu_demand / cc, ru - t.ram_demand / rc, nu,
+                                   avg_c, avg_r, avg_n + t.net_demand / net_total, w) < max_sil]
+        if not candidates:
+            break
+        candidates.sort(key=lambda t: (composite_load(t.cpu_demand, t.ram_demand, t.net_demand, w), t.id))
         for task in candidates:
             post_max = _post_move_max_sils(state, utils, avgs, net_total, src, task, w)
             if post_max:

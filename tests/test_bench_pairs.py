@@ -1,6 +1,7 @@
-"""The pure summary functions of tools/bench_pairs.py, on made-up runs; no benchmark is run."""
+"""The summary functions and the benchmark check of tools/bench_pairs.py, on made-up runs and checkouts; no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,49 @@ def test_worse_than_bound_when_higher_is_better(factor, worse):
 
 def test_quartiles_of_a_single_run_are_that_run():
     assert bench_pairs.quartiles([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def _checkout(root, run_py="print('run')\n"):
+    """A made-up checkout holding only benchmark files, with leftovers in out/ and __pycache__/."""
+    (root / "perfbench" / "out").mkdir(parents=True)
+    (root / "perfbench" / "__pycache__").mkdir()
+    (root / "BENCHMARK.json").write_text('{"workloads": [{"name": "w"}], "end_to_end": []}\n')
+    (root / "perfbench" / "run.py").write_text(run_py)
+    (root / "perfbench" / "out" / "run-w.json").write_text(str(root))
+    (root / "perfbench" / "__pycache__" / "run.cpython.pyc").write_bytes(bytes(str(root), "utf-8"))
+    return root
+
+
+def test_bench_digest_ignores_out_and_pycache(tmp_path):
+    a, b = _checkout(tmp_path / "a"), _checkout(tmp_path / "b")
+    assert sorted(bench_pairs.bench_files(a)) == ["BENCHMARK.json", "perfbench/run.py"]
+    assert bench_pairs.bench_digest(a) == bench_pairs.bench_digest(b)
+    (b / "perfbench" / "run.py").write_text("print('other')\n")
+    assert bench_pairs.bench_digest(a) != bench_pairs.bench_digest(b)
+
+
+def test_different_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    parent = _checkout(tmp_path / "parent")
+    change = _checkout(tmp_path / "change", run_py="print('other')\n")
+    (change / "perfbench" / "extra.py").write_text("")
+
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seed", "1", "--out", str(out)])
+    assert exc.value.code != 0
+    assert "perfbench/extra.py, perfbench/run.py" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_both_bench_digests_are_recorded(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: _run(1.0))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seed", "1", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    commits = json.loads(out.read_text())["commits"]
+    assert commits["parent_bench_sha256"] == commits["change_bench_sha256"] == bench_pairs.bench_digest(change)

@@ -290,6 +290,14 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, section, key, val
     assert not (tmp_path / "o" / "report.csv").exists()
 
 
+def test_simulate_arrival_mean_above_the_cap_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "flood.ini"
+    cfg.write_text(FAST_SIM.replace("arrival_scale = 0.3", "arrival_scale = 1e300"))
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: sim.arrival_scale: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_demand_past_the_float_range_clips_to_its_maximum(tmp_path):
     # math.exp overflows on some cpu draws; they clip to cpu_max as lognormal's inf did
     cfg = tmp_path / "huge.ini"

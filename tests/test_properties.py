@@ -5,7 +5,9 @@ and a short arrival series. Every run must stay within capacity on every
 tick, conserve tasks after every step, place queued tasks in arrival
 order unless the earlier task fits nowhere, and repeat itself under the
 same seed; under threshold migration, each committed move's predicted
-post-move max SIL must equal the max SIL measured once it is applied.
+post-move max SIL must equal the max SIL measured once it is applied,
+and a pass whose max-SIL source sits at or below the cluster average in
+every resource must end after scoring each server once.
 `run_scenario`, which skips quiet ticks, must report exactly what calling
 `arrivals_from_traffic` and `step` on every tick reports. `score_windows`
 must report for each of up to 64 windows exactly what `full_report` gives
@@ -477,6 +479,49 @@ def test_bounded_migration_pass_equals_scoring_every_candidate(specs, w, placeme
         assert sim.rebalance(state, policy, w) == _scoring_every_candidate(reference, policy, w)
         assert state.running == reference.running
         assert state.net_surcharge == reference.net_surcharge
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(st.integers(1, 4), st.floats(1.0, 16.0), st.floats(1.0, 8.0)),
+       st.lists(st.tuples(st.integers(1, 4), st.floats(1.0, 4.0), st.floats(1.0, 4.0),
+                          st.floats(0.6, 0.7), st.floats(0.6, 0.7), st.floats(0.6, 0.7)),
+                min_size=2, max_size=3),
+       st.lists(st.tuples(*[st.floats(0.001, 0.015)] * 3), min_size=2, max_size=3),
+       weights(), st.booleans(), st.floats(0.0, 0.05))
+def test_pass_stopped_at_a_source_below_average_equals_scoring_every_candidate(
+        small, others, small_loads, w, move_first, threshold):
+    """Server 0 holds at most 4.5% of each capacity; 2-3 servers at least as large hold 60-70%.
+
+    Server 0's deviation from each average is then at least 0.355 and every
+    other server's at most 0.315, so server 0 is the max-SIL source while at
+    or below average in cpu, ram and net, also after its first task moves
+    on and leaves a net surcharge. The pass must end after scoring each
+    server once, with the moves, running sets and surcharges of the pass
+    that scores every candidate.
+    """
+    cores, ram, net = small
+    specs = (ServerSpec(0, cores, ram, net),) + tuple(
+        ServerSpec(i, cores * k, ram * r, net * n) for i, (k, r, n, *_) in enumerate(others, 1))
+    loads = [(0, c * cores, r * ram, n * net) for c, r, n in small_loads]
+    loads += [(s.id, lc * s.cpu_count, lr * s.ram_capacity, ln * s.net_capacity)
+              for s, (*_, lc, lr, ln) in zip(specs[1:], others)]
+    policy = sim.Policy(sim.PolicyKind.THRESHOLD_MIGRATION, threshold)
+    state, reference = sim.ClusterState(specs), sim.ClusterState(specs)
+    for s in (state, reference):
+        for tid, (i, c, r, n) in enumerate(loads):
+            s.place(i, sim.Task(tid, 0, c, r, n, 1), completes_at=100)
+        if move_first:
+            s.migrate(0, 1)
+    avgs = sim._system_averages_now(state)
+    sils = [sil_value(*u, *avgs, w) for u in state._util]
+    assert sils.index(max(sils)) == 0 and max(sils) > threshold
+    assert all(u <= a for u, a in zip(state.utilization(0), avgs))
+    with mock.patch.object(sim, "sil_value", wraps=sil_value) as scored:
+        moves = sim.rebalance(state, policy, w)
+    assert scored.call_count == state.n
+    assert moves == _scoring_every_candidate(reference, policy, w) == []
+    assert state.running == reference.running
+    assert state.net_surcharge == reference.net_surcharge
 
 
 def _reference_reports(config, series, on_tick=None):

@@ -403,6 +403,18 @@ def test_rebalance_scores_no_candidate_of_a_source_below_average_everywhere(monk
     assert scored == []
 
 
+def test_rebalance_stops_at_a_source_below_average_everywhere_after_the_server_scan():
+    """The state above: one SIL per server and none per candidate before the pass ends."""
+    state = ClusterState(homogeneous_cluster(3))
+    for tid in range(2):
+        state.place(0, _task(tid, cpu=0.1, ram=0.5, net=0.25), completes_at=100)
+    for i in (1, 2):
+        state.place(i, _task(i + 1, cpu=2.5, ram=20.0, net=10.0), completes_at=100)
+    with mock.patch.object(simulation, "sil_value", wraps=simulation.sil_value) as scored:
+        assert rebalance(state, Policy(kind=PolicyKind.THRESHOLD_MIGRATION), WeightTriple()) == []
+    assert scored.call_count == 3
+
+
 def test_rebalance_still_scores_and_moves_off_an_overloaded_source(monkeypatch):
     state = ClusterState(homogeneous_cluster(3))
     for tid in range(3):
@@ -786,7 +798,7 @@ def _spiked(n, spike_at):
     "series,arrival_scale,match",
     [
         # 1e7 * 0.2 = 2e6 is over the 1e6 cap at ticks 300 and 350; 5e5 elsewhere is not
-        (_spiked(1024, 300), 1e7, r"arrival_scale 1e\+07 puts tick 300's"),
+        (_spiked(1024, 300), 1e7, r"^arrival_scale: .* \(tick 300's is 2e\+06\), got 10000000\.0$"),
         (TrafficSeries(values=np.ones(1000), meta=None), 0.3,
          "series has 1000 ticks, fewer than the horizon 1024"),
     ],

@@ -10,8 +10,11 @@ out (or exported) in another directory:
 Pair k runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in each checkout for every workload in turn; the parent runs first in
 odd pairs and the change first in even pairs. Each checkout runs its own
-``perfbench/`` and ``src/``. The output is rewritten after every pair, so
-an interrupted set keeps the pairs it finished.
+``perfbench/`` and ``src/``, and the two must hold the same benchmark:
+before any run, the tool exits with status 2 naming every file of
+``BENCHMARK.json`` and ``perfbench/`` (its ``out/`` and ``__pycache__/``
+aside) that differs between them. The output is rewritten after every
+pair, so an interrupted set keeps the pairs it finished.
 
 Per workload and end-to-end metric (as the change's BENCHMARK.json declares
 them) the output holds both sides' runs, medians and inclusive quartiles,
@@ -44,6 +47,25 @@ def src_digest(checkout: Path) -> str:
     h = hashlib.sha256()
     for path in sorted((checkout / "src").rglob("*.py")):
         h.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def bench_files(checkout: Path) -> dict[str, str]:
+    """SHA-256 of each benchmark file by relative path: BENCHMARK.json and perfbench/ but out/ and __pycache__/."""
+    bench = checkout / "perfbench"
+    paths = [checkout / "BENCHMARK.json"]
+    for p in bench.rglob("*"):
+        parts = p.relative_to(bench).parts
+        if parts[0] != "out" and "__pycache__" not in parts:
+            paths.append(p)
+    return {str(p.relative_to(checkout)): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths if p.is_file()}
+
+
+def bench_digest(checkout: Path) -> str:
+    """SHA-256 over the relative paths and contents of the checkout's benchmark files."""
+    h = hashlib.sha256()
+    for rel, digest in sorted(bench_files(checkout).items()):
+        h.update(f"{rel}\0{digest}\0".encode())
     return h.hexdigest()
 
 
@@ -137,6 +159,11 @@ def main(argv=None) -> int:
         parser.error("--pairs must be positive")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    files = {s: bench_files(checkouts[s]) for s in SIDES}
+    differ = sorted(p for p in files["parent"].keys() | files["change"].keys()
+                    if files["parent"].get(p) != files["change"].get(p))
+    if differ:
+        parser.error(f"the checkouts run different benchmarks; these files differ: {', '.join(differ)}")
     with open(checkouts["change"] / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     declared = [w["name"] for w in spec["workloads"]]
@@ -167,7 +194,10 @@ def main(argv=None) -> int:
                 "Quartiles are inclusive quartiles over the runs. change_wins counts pairs where the change "
                 "is better; median_change is (change - parent) / parent of the medians."
             ),
-            "commits": {f"{s}_src_sha256": src_digest(checkouts[s]) for s in SIDES},
+            "commits": {
+                **{f"{s}_src_sha256": src_digest(checkouts[s]) for s in SIDES},
+                **{f"{s}_bench_sha256": bench_digest(checkouts[s]) for s in SIDES},
+            },
             "context": {
                 "python": platform.python_version(),
                 "nproc": os.cpu_count(),
