@@ -98,8 +98,7 @@ def cmd_generate(args) -> int:
     traffic.check_length(args.length, 64, "--length")
     if args.delta_h == 0.0:
         # fGn's own range; a calibrated series checks the narrower target range
-        if not 0.0 < args.hurst < 1.0:
-            raise ConfigError(f"--hurst: must lie in (0, 1), got {args.hurst!r}")
+        traffic.check_hurst(args.hurst, "--hurst")
         series = traffic.generate_fgn(args.hurst, args.length, args.seed)
     else:
         traffic.check_calibration_targets(args.hurst, args.delta_h, "--hurst", "--delta-h")

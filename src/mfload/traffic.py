@@ -23,8 +23,10 @@ MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
 local grid around the best probe. A composite draw depends on its exponent
 only through the fGn envelope, so a call colours one envelope per distinct
 exponent and composes each probe with that exponent from it, and all its
-envelopes colour one noise draw. Probes are memoized and counted against
-each call's budget.
+envelopes colour one noise draw. Each local round starts by dropping the
+envelopes farther from its centre than it and the later rounds can reach,
+so at most 5 are alive at any probe (a cold calibrate(0.9, 2.5) colours 13).
+Probes are memoized and counted against each call's budget.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -55,6 +57,7 @@ __all__ = [
     "generate_calibrated",
     "calibrate",
     "check_calibration_targets",
+    "check_hurst",
     "check_integer",
     "check_length",
     "check_probe_budget",
@@ -136,8 +139,8 @@ class GeneratorMeta:
             names = sorted(k.value for k in GeneratorKind)
             raise ConfigError(f"kind: expected one of {names}, got {self.kind!r}") from None
         check_seed(self.seed)
-        if self.target_hurst is not None and not (0.0 < self.target_hurst < 1.0):
-            raise ConfigError(f"target_hurst: must lie in (0, 1), got {self.target_hurst!r}")
+        if self.target_hurst is not None:
+            check_hurst(self.target_hurst, "target_hurst")
         check_calibration_targets(None, self.target_delta_h, delta_h_key="target_delta_h")
         if self.depth is not None:
             check_integer(self.depth, "depth")
@@ -413,6 +416,12 @@ def check_calibration_targets(hurst: float | None, delta_h: float | None, hurst_
         raise ConfigError(f"{delta_h_key}: must lie in [0, 4], got {delta_h!r}")
 
 
+def check_hurst(hurst: float, key: str = "hurst") -> None:
+    """Reject a generator exponent outside (0, 1), naming the given key and value."""
+    if not 0.0 < hurst < 1.0:
+        raise ConfigError(f"{key}: must lie in (0, 1), got {hurst!r}")
+
+
 def check_integer(value, key: str) -> None:
     """Reject a value Python cannot use as an index (a float, say), naming the given key and value."""
     try:
@@ -462,6 +471,11 @@ def calibrate(
     factor each round. A call colours one envelope per distinct exponent
     and composes every composite probe with that exponent from it; every
     envelope of a call colours one noise draw, and none outlives the call.
+    A local round with exponent step h_step can move the exponent at most
+    2 * h_step - 0.01 from its centre over it and the later rounds (0.07,
+    0.03, then 0.01), so it starts by dropping every envelope farther away:
+    no exponent is coloured twice, and at most 5 envelopes are alive at any
+    probe, where a cold calibrate(0.9, 2.5) would otherwise hold all 13.
 
     Parameters
     ----------
@@ -522,6 +536,11 @@ def calibrate(
             if score(probes[best]) <= _EARLY_STOP:
                 return
             hk, sk = best
+            # this round and the later ones reach at most h_step + h_step/2 + ... + 0.01 from hk;
+            # farther envelopes can never be read again (the slack covers the 6-digit rounding)
+            reach = 2 * h_step - 0.01 + 1e-9
+            for h in [h for h in envelopes if abs(h - hk) > reach]:
+                del envelopes[h]
             for h_off in (-h_step, -h_step / 2, 0.0, h_step / 2, h_step):
                 for sm in (1.0 / s_mult, 1.0, s_mult):
                     yield (round(min(hk + h_off, 0.99), 6), round(sk * sm, 6))
@@ -529,7 +548,8 @@ def calibrate(
             s_mult = math.sqrt(s_mult)
 
     # the composite envelopes of this call by exponent, all colouring one
-    # noise draw; they end with the call, so a sweep's cells share none
+    # noise draw; each local round drops those out of its reach, and the
+    # rest end with the call, so a sweep's cells share none
     noise_rng = default_rng(SeedSequence([_PROBE_SEED, _STREAM_ENVELOPE]))
     noise, envelopes = None, {}
     for knobs in candidates():

@@ -138,3 +138,31 @@ def test_both_bench_digests_are_recorded(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     commits = json.loads(out.read_text())["commits"]
     assert commits["parent_bench_sha256"] == commits["change_bench_sha256"] == bench_pairs.bench_digest(change)
+
+
+def test_a_metric_is_unresolved_when_the_parent_spreads_past_its_bound(tmp_path, monkeypatch):
+    spec = json.dumps({"workloads": [{"name": "w"}], "end_to_end": METRICS})
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    for root in (parent, change):
+        (root / "BENCHMARK.json").write_text(spec)
+    # scenario_s: the parent's IQR is 0.5 of its median, past the 0.25 bound, and one
+    # change run is worse than the parent's best; ticks_per_s: the same spread, but
+    # every change run beats every parent run
+    wide = [0.5, 1.0, 1.5, 0.6, 1.4, 0.5, 1.0, 1.5, 0.6, 1.4]
+    runs = {
+        parent: [_run(s, 1000.0 * s) for s in wide],
+        change: [_run(0.45 if k else 0.55, 1600.0) for k in range(10)],
+    }
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: runs[checkout].pop(0))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seed", "1", "--pairs", "10", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    assert metrics["scenario_s"]["parent_iqr_over_median"] > 0.25
+    assert metrics["scenario_s"]["change_wins"] == 9
+    assert metrics["scenario_s"]["unresolved"] is True
+    assert metrics["ticks_per_s"]["parent_iqr_over_median"] > 0.25
+    assert metrics["ticks_per_s"]["unresolved"] is False
+    # a parent spread within the bound resolves the metric whatever the runs
+    narrow = _summary(PARENT, [p * 1.1 for p in PARENT])["w"]["metrics"]["scenario_s"]
+    assert narrow["parent_iqr_over_median"] < 0.25 and narrow["unresolved"] is False

@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -473,6 +474,44 @@ def test_calibrate_colours_one_envelope_per_distinct_hurst(monkeypatch):
         target_delta_h=2.5,
         multiplier_spread=0.592128,
     )
+
+
+def test_calibrate_drops_envelopes_out_of_reach_and_colours_each_exponent_once(monkeypatch):
+    # each factor array is watched through a weak reference, so the count is
+    # of the envelopes the search itself still holds
+    factors, coloured, live = [], [], []
+    envelope, compose = traffic._envelope, traffic._compose
+
+    def watched(depth, hurst, noise):
+        env = envelope(depth, hurst, noise)
+        factors.append(weakref.ref(env[1]))
+        coloured.append(hurst)
+        return env
+
+    def counted(env, depth, spread, seed):
+        live.append(sum(ref() is not None for ref in factors))
+        return compose(env, depth, spread, seed)
+
+    monkeypatch.setattr(traffic, "_envelope", watched)
+    monkeypatch.setattr(traffic, "_compose", counted)
+    # (target, probe memo, expected (exponent, spread), exponents coloured)
+    grid_memo = {}
+    cases = [
+        ((0.9, 2.5), None, (0.975, 0.592128), 13),
+        ((0.6, 0.5), None, (0.48, 0.057243), 14),
+        ((0.6, 1.5), grid_memo, (0.55, 0.35), 5),
+        ((0.6, 2.5), grid_memo, (0.65, 0.7), 0),
+        ((0.9, 2.5), grid_memo, (0.975, 0.592128), 9),
+    ]
+    for target, probes, knobs, colourings in cases:
+        coloured.clear()
+        live.clear()
+        meta = calibrate(*target, probes=probes)
+        assert (meta.target_hurst, meta.multiplier_spread) == knobs
+        assert len(coloured) == len(set(coloured)) == colourings
+        assert max(live, default=0) <= 5
+        # nothing the call coloured outlives it
+        assert all(ref() is None for ref in factors)
 
 
 def test_calibrate_draws_the_probe_noise_once_per_call(monkeypatch):

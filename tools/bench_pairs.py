@@ -19,8 +19,11 @@ pair, so an interrupted set keeps the pairs it finished.
 Per workload and end-to-end metric (as the change's BENCHMARK.json declares
 them) the output holds both sides' runs, medians and inclusive quartiles,
 the pairs the change won (ties count for neither side), the relative change
-of the medians, the parent's interquartile range over its median, and
-whether the change's median is worse than the declared bound. The claimed
+of the medians, the parent's interquartile range over its median, whether
+the change's median is worse than the declared bound, and whether the
+metric is unresolved: the parent's runs spread wider than the bound, so a
+median within it shows nothing, unless every run of the change is better
+than every run of the parent. The claimed
 metric is met when the change wins at least nine tenths of the pairs and
 its median is better than the parent's by more than the parent's
 interquartile range.
@@ -106,14 +109,18 @@ def summarise(runs: dict, metrics: list[dict], workloads: list[str]) -> dict:
             stats = {s: dict(quartiles(vals[s]), runs=vals[s]) for s in SIDES}
             p_med, c_med = stats["parent"]["median"], stats["change"]["median"]
             change = (c_med - p_med) / p_med
+            spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / p_med
+            every_run_better = (max(vals["change"]) < min(vals["parent"]) if lower
+                                else min(vals["change"]) > max(vals["parent"]))
             entry["metrics"][name] = {
                 "better": m["better"],
                 "bound": m["bound"],
                 **stats,
                 "change_wins": sum((c < p) if lower else (c > p) for p, c in zip(vals["parent"], vals["change"])),
                 "median_change": change,
-                "parent_iqr_over_median": (stats["parent"]["q3"] - stats["parent"]["q1"]) / p_med,
+                "parent_iqr_over_median": spread,
                 "worse_than_bound": (change if lower else -change) > m["bound"],
+                "unresolved": spread > m["bound"] and not every_run_better,
             }
         for key in sorted(sides["change"][0]["host"]):
             if key != "interpreted_share":
