@@ -6,6 +6,11 @@ and the heterogeneity width delta_h = h(q_min) - h(q_max). Its q = 2 fit
 is plain order-1 DFA, so h(2) is the self-similarity exponent H that the
 whole pipeline reads.
 
+Each h(q) is the slope of the closed-form centred least-squares line
+through (log s, log F_q(s)), not of an ``np.polyfit`` solve: its SVD was
+the pipeline's only LAPACK call, and MF-DFA runs on every calibration
+probe.
+
 Everything is pure: identical inputs give bitwise-identical outputs.
 """
 
@@ -169,9 +174,21 @@ def _fluctuation_matrix(x: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _loglog_fit(scales: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """OLS slope and intercept on log-log axes."""
-    slope, intercept = np.polyfit(np.log(scales.astype(float)), np.log(values), 1)
-    return float(slope), float(intercept)
+    """OLS slope and intercept on log-log axes, as the closed-form centred line.
+
+    slope = Σ dx·(y − ȳ) / Σ dx² with dx = x − x̄, intercept = ȳ − slope·x̄,
+    each sum an ``np.add.reduce``. ``np.polyfit`` gives the same line to
+    about 1e-15 relative in the slope, but its SVD least-squares solve was
+    the pipeline's only LAPACK call, and it left about 1.1 MiB of
+    LAPACK/BLAS memory resident that nothing else uses.
+    """
+    x = np.log(scales.astype(float))
+    y = np.log(values)
+    x_mean = np.add.reduce(x) / x.size
+    y_mean = np.add.reduce(y) / y.size
+    dx = x - x_mean
+    slope = np.add.reduce(dx * (y - y_mean)) / np.add.reduce(dx * dx)
+    return float(slope), float(y_mean - slope * x_mean)
 
 
 def _fit(scales: np.ndarray, f2: np.ndarray, bounds: list[int], q: float) -> tuple[float, float]:

@@ -441,10 +441,6 @@ class ClusterState:
         self._add(dst, task)
         self.last_move_tick = self.tick
 
-    def completes_at(self, tick: int) -> bool:
-        """Whether any running task is scheduled to finish at `tick`."""
-        return tick in self._completion_buckets
-
     def _reset_surcharges(self) -> None:
         """End the tick's migration surcharges on the servers that carry one."""
         for i, s in enumerate(self.net_surcharge):

@@ -25,7 +25,7 @@ from mfload.fractal import (
     mfdfa,
     write_spectrum_csv,
 )
-from mfload.traffic import generate_cascade, generate_composite, generate_fgn
+from mfload.traffic import generate_cascade, generate_composite, generate_fgn, measure_scaling
 
 SF_SCALES = tuple(int(s) for s in np.unique(np.geomspace(16, 512, 12).astype(int)))
 
@@ -123,6 +123,47 @@ def test_mfdfa_deterministic():
     a, b = mfdfa(values), mfdfa(values)
     assert a.h_of_q == b.h_of_q
     assert a.delta_h == b.delta_h
+
+
+def _polyfit_line(scales, values):
+    """The log-log line by ``np.polyfit``'s least-squares solve, the reference for the closed form."""
+    slope, intercept = np.polyfit(np.log(scales.astype(float)), np.log(values), 1)
+    return float(slope), float(intercept)
+
+
+_GENERATORS = {"fgn": generate_fgn, "cascade": generate_cascade, "composite": generate_composite}
+
+
+@pytest.mark.parametrize("kind, args", [
+    *(("fgn", (h, n)) for h in (0.3, 0.8) for n in (1024, 5000, 2**14)),
+    ("cascade", (14, 0.8)),
+    ("composite", (14, 0.75, 1.5)),
+])
+def test_loglog_fit_equals_polyfit_at_every_q(monkeypatch, kind, args):
+    x = _GENERATORS[kind](*args, seed=11).values
+    fit, lines = fractal._loglog_fit, []
+    monkeypatch.setattr(fractal, "_loglog_fit", lambda s, v: lines.append((s, v)) or fit(s, v))
+    q_grid = tuple(sorted(DEFAULT_Q_GRID + (0.0,)))
+    mfdfa(x, q_grid)
+    assert len(lines) == len(q_grid)
+    for scales, values in lines:
+        slope, intercept = fit(scales, values)
+        ref_slope, ref_intercept = _polyfit_line(scales, values)
+        assert slope == pytest.approx(ref_slope, rel=1e-14, abs=0.0)
+        assert intercept == pytest.approx(ref_intercept, rel=1e-11, abs=0.0)
+
+
+def test_mfdfa_calls_no_least_squares_solver(monkeypatch):
+    # np.polyfit's SVD solve loads LAPACK working memory that nothing else in mfload uses
+    def refuse(*args, **kwargs):
+        raise AssertionError("MF-DFA called a LAPACK least-squares solve")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    x = generate_composite(14, 0.75, 1.5, seed=4).values
+    assert len(mfdfa(x).h_of_q) == len(DEFAULT_Q_GRID)
+    assert np.isfinite(mfdfa(x, (-2.0, 0.0, 2.0)).h_at(0.0))
+    assert all(np.isfinite(measure_scaling(x)))
 
 
 def _stacked_segment_f2(profile, scale):

@@ -590,7 +590,7 @@ def test_a_move_lets_a_queued_task_in_on_the_next_tick_without_other_events():
     events = {}
 
     def note(t, arrivals, state):
-        events[t] = (len(arrivals), state.completes_at(t), state.last_move_tick == t - 1,
+        events[t] = (len(arrivals), t in state._completion_buckets, state.last_move_tick == t - 1,
                      state.queue_len())
 
     reference = _reference_reports(config, series, on_tick=note)

@@ -749,9 +749,9 @@ def test_step_runs_exactly_on_event_ticks(policy):
 
     def note(t, arrivals, state):
         # last_move_tick starts at -1, so tick 0 counts as following a move
-        if arrivals or state.completes_at(t) or state.last_move_tick == t - 1:
+        if arrivals or t in state._completion_buckets or state.last_move_tick == t - 1:
             expected.append(t)
-            if not (arrivals or state.completes_at(t)):
+            if not (arrivals or t in state._completion_buckets):
                 move_only.append(t)
 
     _per_tick(config, series, on_tick=note)
