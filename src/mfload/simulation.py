@@ -38,6 +38,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -851,13 +852,22 @@ def _stream_seed(seed: int, stream: int) -> int:
     return int(SeedSequence([int(seed), stream]).generate_state(2, np.uint32)[0])
 
 
+@lru_cache(maxsize=1)  # the last explicit record realized: 128 KiB at 2^14 ticks
+def _realize_record(meta: GeneratorMeta, horizon: int) -> TrafficSeries:
+    """The series an explicit record realizes for `horizon` ticks; frozen, so a hit is a fresh call's series."""
+    return traffic.generate_from_meta(meta, horizon)
+
+
 def resolve_traffic(config: ScenarioConfig, probes: dict | None = None) -> TrafficSeries:
     """Calibrate if needed, then realize the run's traffic series; its `meta` records the draw.
 
     An explicit GeneratorMeta is a complete record of one series, so it
     reproduces that exact series regardless of the config seed; only the
-    arrival and demand draws vary between runs. A CalibrationTarget names
-    properties rather than a series, so its realization is drawn from the
+    arrival and demand draws vary between runs. It is realized once per
+    (record, horizon): the series stays referenced until another explicit
+    record or horizon is realized, so runs that repeat the record in one
+    process skip its generation. A CalibrationTarget names properties
+    rather than a series, so its realization is drawn per run from the
     config seed's traffic substream, at the calibration probe depth or
     deeper when the horizon needs more ticks. `probes` is the calibration
     probe memo of :func:`traffic.calibrate`, shared by the cells of a sweep.
@@ -870,7 +880,7 @@ def resolve_traffic(config: ScenarioConfig, probes: dict | None = None) -> Traff
             meta, config.horizon, _stream_seed(config.seed, _STREAM_TRAFFIC)
         )
     elif isinstance(config.traffic, GeneratorMeta):
-        series = traffic.generate_from_meta(config.traffic, config.horizon)
+        series = _realize_record(config.traffic, config.horizon)
     else:
         raise ConfigError(f"traffic: must be a GeneratorMeta or a CalibrationTarget, got {config.traffic!r}")
     return series
@@ -880,8 +890,10 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     """Simulate the full horizon; one ImbalanceReport per complete window.
 
     `series`, when given, is the config's traffic already realized by
-    :func:`resolve_traffic`; it must cover the horizon. All arrival counts
-    are drawn up front in one Poisson call, the same draws as per tick
+    :func:`resolve_traffic`; it must cover the horizon. Without it, an
+    explicit record is realized once per (record, horizon) and kept until
+    another is realized, while a CalibrationTarget is drawn per run. All
+    arrival counts are drawn up front in one Poisson call, the same draws as per tick
     (a zero mean draws nothing), after every tick's mean is checked
     against MAX_TICK_ARRIVAL_MEAN. Demands are drawn one arrival tick at a
     time, from constants derived once per run, in two calls per tick: 3k

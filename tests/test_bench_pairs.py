@@ -17,9 +17,9 @@ METRICS = [
 ]
 
 
-def _run(scenario_s, ticks_per_s=1000.0):
+def _run(scenario_s, ticks_per_s=1000.0, failed=0):
     return {
-        "result": {"failed": 0, "attempted": 4, "metrics": {
+        "result": {"failed": failed, "attempted": 4, "metrics": {
             "scenario_s": {"value": scenario_s}, "ticks_per_s": {"value": ticks_per_s}}},
         "host": {"scenario_s": scenario_s},
     }
@@ -64,6 +64,29 @@ def test_claim_is_not_met_when_the_median_gain_is_within_the_parent_iqr():
     assert claim["change_wins"] == 10
     assert 0.0 < claim["median_difference"] <= claim["parent_iqr"]
     assert not claim["met"]
+
+
+def test_claim_is_not_met_when_the_change_fails_more_scenarios(tmp_path, monkeypatch):
+    spec = json.dumps({"workloads": [{"name": "w"}], "end_to_end": METRICS})
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    for root in (parent, change):
+        (root / "BENCHMARK.json").write_text(spec)
+    # the change wins every pair by far more than the parent's IQR, but one of its runs failed a scenario
+    runs = {parent: [_run(p) for p in PARENT],
+            change: [_run(p - 0.2, failed=int(k == 4)) for k, p in enumerate(PARENT)]}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: runs[checkout].pop(0))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seed", "1", "--pairs", "10",
+            "--claim", "w:scenario_s", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())
+    w = report["workloads"]["w"]
+    assert w["failed"] == {"parent": 0, "change": 1} and w["attempted"] == {"parent": 40, "change": 40}
+    assert w["failed_share"] == {"parent": 0.0, "change": 1 / 40}
+    assert w["more_failures"] is True
+    claim = report["claim"]
+    assert claim["change_wins"] == 10 and claim["median_difference"] > claim["parent_iqr"]
+    assert claim["more_failures"] is True and claim["met"] is False
 
 
 def test_claim_on_a_higher_is_better_metric_counts_rises_as_gains():

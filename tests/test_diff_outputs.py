@@ -1,4 +1,4 @@
-"""tools/diff_outputs.py on made-up output trees; its CLI runner is stubbed, so no command runs."""
+"""tools/diff_outputs.py on made-up output trees; its CLI and demo runners are stubbed, so no command runs."""
 
 import importlib.util
 import json
@@ -18,9 +18,16 @@ def _manifest(hurst=0.75, start="2026-01-01T00:00:00+00:00"):
             "outputs": ["report.csv"], "timestamps": {"start": start, "end": start}}
 
 
-def _stub(monkeypatch, outputs):
-    """Stub the runner: each command writes `outputs[side](name)`, a {file: text or manifest dict} map."""
+def _stub(monkeypatch, outputs, stdout=None):
+    """Stub the runners: each command writes `outputs[side](name)`, a {file: text or manifest dict} map,
+    and the demo writes `stdout[side]`."""
+    stdout = stdout or {"parent": "policy isl_tot\n", "change": "policy isl_tot\n"}
     calls = []
+
+    def fake_run_demo(checkout, demo, out):
+        calls.append((checkout.name, out.name, [demo]))
+        out.mkdir(parents=True)
+        (out / "stdout.txt").write_text(stdout[checkout.name])
 
     def fake_run_cli(checkout, args, out):
         side, name = checkout.name, out.name
@@ -30,6 +37,7 @@ def _stub(monkeypatch, outputs):
             (out / rel).write_text(content if isinstance(content, str) else json.dumps(content))
 
     monkeypatch.setattr(diff_outputs, "run_cli", fake_run_cli)
+    monkeypatch.setattr(diff_outputs, "run_demo", fake_run_demo)
     return calls
 
 
@@ -46,8 +54,8 @@ def test_identical_outputs_exit_0_after_every_command_in_both_checkouts(tmp_path
     calls = _stub(monkeypatch, {"parent": _same, "change": lambda name: {
         **_same(name), "manifest.json": _manifest(start="2026-06-01T12:00:00+00:00")}})
     assert _main(tmp_path) == 0
-    assert capsys.readouterr().out.strip() == "10 files in both trees, 0 differences"
-    names = [name for name, _ in diff_outputs.COMMANDS]
+    assert capsys.readouterr().out.strip() == "11 files in both trees, 0 differences"
+    names = [name for name, _ in diff_outputs.COMMANDS] + ["policy_faceoff"]
     assert [(side, name) for side, name, _ in calls] == [(s, n) for s in ("parent", "change") for n in names]
     for side, name, args in calls:
         if name.startswith("analyze"):
@@ -71,7 +79,29 @@ def test_a_manifest_float_is_reported_in_ulps(tmp_path, monkeypatch, capsys):
     assert _main(tmp_path) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"simulate/manifest.json.measured.hurst: 0.75 -> {moved!r} (2 ulps)"
-    assert out[-1] == "10 files in both trees, 1 differences"
+    assert out[-1] == "11 files in both trees, 1 differences"
+
+
+def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys):
+    calls = _stub(monkeypatch, {"parent": _same, "change": _same},
+                  stdout={"parent": "least_sil 0.00100\n", "change": "least_sil 0.00101\n"})
+    assert _main(tmp_path) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "policy_faceoff/stdout.txt: bytes differ", "11 files in both trees, 1 differences"]
+    assert ("change", "policy_faceoff", ["policy_faceoff"]) in calls
+
+
+def test_run_demo_writes_the_demo_stdout(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_python(checkout, args):
+        ran.append((checkout, args))
+        return "policy isl_tot\n"
+
+    monkeypatch.setattr(diff_outputs, "_python", fake_python)
+    diff_outputs.run_demo(tmp_path, "policy_faceoff", tmp_path / "out" / "policy_faceoff")
+    assert ran == [(tmp_path, ["demos/policy_faceoff.py"])]
+    assert (tmp_path / "out" / "policy_faceoff" / "stdout.txt").read_text() == "policy isl_tot\n"
 
 
 def test_a_file_on_one_side_only(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,9 @@ in the engine's incremental bookkeeping cannot hide inside the oracle.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 from itertools import accumulate
 from unittest import mock
 
@@ -695,6 +697,41 @@ def test_run_scenario_accepts_the_resolved_series():
     # the given series is the one simulated: no traffic, no load
     idle = TrafficSeries(values=np.zeros(1024), meta=None)
     assert all(r.efficiency == 0.0 for r in run_scenario(cfg, idle))
+
+
+def test_an_explicit_record_is_realized_once_per_record_and_horizon(monkeypatch):
+    simulation._realize_record.cache_clear()
+    generate = simulation.traffic.generate_from_meta
+    calls = []
+
+    def counted(meta, length, seed=None):
+        calls.append((meta, length, seed))
+        return generate(meta, length, seed)
+
+    monkeypatch.setattr(simulation.traffic, "generate_from_meta", counted)
+    configs = [_fgn_config(seed=s) for s in (1, 2, 3)]
+    warm = [run_scenario(cfg) for cfg in configs]
+    assert calls == [(configs[0].traffic, 1024, None)]
+    # a hit simulates exactly what a cold call or the series given by hand does
+    cold = []
+    for cfg in configs:
+        simulation._realize_record.cache_clear()
+        cold.append(run_scenario(cfg))
+    given = [run_scenario(cfg, generate(cfg.traffic, cfg.horizon)) for cfg in configs]
+    assert repr(warm) == repr(cold) == repr(given)
+
+    # another horizon is realized afresh, and the memo lets the last series go
+    first = weakref.ref(resolve_traffic(configs[0]))
+    calls.clear()
+    assert len(resolve_traffic(_fgn_config(horizon=2048))) == 2048
+    assert len(calls) == 1
+    gc.collect()
+    assert first() is None
+
+    # a calibration target is drawn per run seed, never served from the memo
+    target = CalibrationTarget(hurst=0.7, delta_h=0.1)
+    a, b = (resolve_traffic(_fgn_config(traffic=target, seed=s)) for s in (7, 8))
+    assert not np.array_equal(a.values, b.values)
 
 
 def _gappy_config(policy):

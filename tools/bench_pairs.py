@@ -23,10 +23,12 @@ of the medians, the parent's interquartile range over its median, whether
 the change's median is worse than the declared bound, and whether the
 metric is unresolved: the parent's runs spread wider than the bound, so a
 median within it shows nothing, unless every run of the change is better
-than every run of the parent. The claimed
-metric is met when the change wins at least nine tenths of the pairs and
-its median is better than the parent's by more than the parent's
-interquartile range.
+than every run of the parent. Per workload it also holds each side's
+failed and attempted scenarios, their failed share, and whether the
+change's failed share exceeds the parent's. The claimed metric is met
+when the change wins at least nine tenths of the pairs, its median is
+better than the parent's by more than the parent's interquartile range,
+and the claimed workload's failed share is no higher than at the parent.
 """
 
 from __future__ import annotations
@@ -96,10 +98,16 @@ def summarise(runs: dict, metrics: list[dict], workloads: list[str]) -> dict:
     for w in workloads:
         sides = runs[w]
         pairs = len(sides["change"])
+        failed = {s: sum(r["result"]["failed"] for r in sides[s]) for s in SIDES}
+        attempted = {s: sum(r["result"]["attempted"] for r in sides[s]) for s in SIDES}
+        # every perfbench run attempts at least one scenario
+        share = {s: failed[s] / attempted[s] for s in SIDES}
         entry = {
             "pairs": pairs,
-            "failed": {s: sum(r["result"]["failed"] for r in sides[s]) for s in SIDES},
-            "attempted": {s: sum(r["result"]["attempted"] for r in sides[s]) for s in SIDES},
+            "failed": failed,
+            "attempted": attempted,
+            "failed_share": share,
+            "more_failures": share["change"] > share["parent"],
             "metrics": {},
             "host": {},
         }
@@ -130,8 +138,8 @@ def summarise(runs: dict, metrics: list[dict], workloads: list[str]) -> dict:
 
 
 def claim_of(summary: dict, workload: str, metric: str) -> dict:
-    m = summary[workload]["metrics"][metric]
-    pairs = summary[workload]["pairs"]
+    entry = summary[workload]
+    m, pairs = entry["metrics"][metric], entry["pairs"]
     p_med, c_med = m["parent"]["median"], m["change"]["median"]
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
     gain = (p_med - c_med) if m["better"] == "lower" else (c_med - p_med)
@@ -145,7 +153,8 @@ def claim_of(summary: dict, workload: str, metric: str) -> dict:
         "pairs": pairs,
         "parent_iqr": iqr,
         "median_difference": gain,
-        "met": m["change_wins"] >= math.ceil(0.9 * pairs) and gain > iqr,
+        "more_failures": entry["more_failures"],
+        "met": m["change_wins"] >= math.ceil(0.9 * pairs) and gain > iqr and not entry["more_failures"],
     }
 
 

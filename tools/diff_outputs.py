@@ -14,6 +14,9 @@ directory under a temporary root that is removed afterwards:
     mfload analyze <generate's series.csv>
     mfload analyze <generate's series.csv> --q-min -4 --q-max 4 --q-steps 17
 
+and it runs ``demos/policy_faceoff.py``, four policies over one explicit
+traffic record in one process, so the library's repeated-run path is
+covered too; its standard output is written to ``policy_faceoff/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
 that differs is printed with both values and their distance in ulps. The
@@ -42,20 +45,33 @@ COMMANDS = (
 )
 
 
+def _python(checkout: Path, args: list[str]) -> str:
+    """Standard output of ``python <args>`` run in the checkout on its own ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: python {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
 def run_cli(checkout: Path, args: list[str], out: Path) -> None:
     """Run one ``mfload`` command on the checkout's ``src/``, writing into `out`."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [sys.executable, "-m", "mfload.cli", *args, "--out", str(out)]
-    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"{checkout}: mfload {' '.join(args)} exited {done.returncode}:\n{done.stderr}")
+    _python(checkout, ["-m", "mfload.cli", *args, "--out", str(out)])
+
+
+def run_demo(checkout: Path, demo: str, out: Path) -> None:
+    """Run ``demos/<demo>.py`` on the checkout's ``src/``, writing its standard output to ``out/stdout.txt``."""
+    stdout = _python(checkout, [f"demos/{demo}.py"])
+    out.mkdir(parents=True)
+    (out / "stdout.txt").write_text(stdout, encoding="utf-8")
 
 
 def run_all(checkout: Path, root: Path) -> None:
-    """Every command of COMMANDS in `checkout`, into ``root/<name>``."""
+    """Every command of COMMANDS and the policy_faceoff demo in `checkout`, into ``root/<name>``."""
     series = root / "generate" / "series.csv"
     for name, args in COMMANDS:
         run_cli(checkout, [a.format(series=series) for a in args], root / name)
+    run_demo(checkout, "policy_faceoff", root / "policy_faceoff")
 
 
 def ulps(a: float, b: float) -> int:
