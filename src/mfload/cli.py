@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None:
             traffic.check_seed(args.seed, "--seed")
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

@@ -2,10 +2,10 @@
 
 Three families, one knob vocabulary:
 
-* ``generate_cascade``: conservative binary multiplicative cascade. Unit mass
-  is split recursively into (W, 1-W) fractions with W symmetric-Beta; the
-  ``multiplier_spread`` knob widens the multiplier distribution and with it
-  the measured delta_h.
+* ``generate_cascade``: conservative binary multiplicative cascade, unit
+  mean like every kind. A mass of 2^depth is split recursively into (W, 1-W)
+  fractions with W symmetric-Beta; the ``multiplier_spread`` knob widens the
+  multiplier distribution and with it the measured delta_h.
 * ``generate_fgn``: exact-covariance fractional Gaussian noise via circulant
   embedding, shifted and rescaled to a non-negative unit-mean intensity.
   Monofractal baseline: h(q) is flat at the chosen exponent.
@@ -46,7 +46,6 @@ from . import fractal
 from .errors import CalibrationError, ConfigError, EstimationError, check_positive
 
 __all__ = [
-    "INITIAL_MASS",
     "GeneratorKind",
     "GeneratorMeta",
     "TrafficSeries",
@@ -66,8 +65,6 @@ __all__ = [
     "write_series_csv",
     "read_series_csv",
 ]
-
-INITIAL_MASS = 1.0
 
 # composite internals, fixed by calibration experiments: burst plateaus of
 # 2^4 ticks keep h(2) steerable up to ~0.9 even at large spread, and the
@@ -129,7 +126,6 @@ class GeneratorMeta:
     seed: int
     depth: int | None = None
     target_hurst: float | None = None
-    target_delta_h: float | None = None
     multiplier_spread: float | None = None
 
     def __post_init__(self):
@@ -141,7 +137,6 @@ class GeneratorMeta:
         check_seed(self.seed)
         if self.target_hurst is not None:
             check_hurst(self.target_hurst, "target_hurst")
-        check_calibration_targets(None, self.target_delta_h, delta_h_key="target_delta_h")
         if self.depth is not None:
             check_integer(self.depth, "depth")
             if not (_MIN_DEPTH[self.kind] <= self.depth <= _MAX_DEPTH):
@@ -219,9 +214,9 @@ def _fgn_increments(hurst: float, n: int, noise: np.ndarray) -> np.ndarray:
 
 
 def _cascade_mass(depth: int, spread: float, rng) -> np.ndarray:
-    """Split INITIAL_MASS through `depth` binary levels; exact conservation."""
+    """Split a mass of 2^depth through `depth` binary levels: unit mean, exact conservation."""
     alpha = 1.0 / spread
-    mass = np.array([INITIAL_MASS])
+    mass = np.array([2.0**depth])
     for _ in range(depth):
         if alpha > _DEGENERATE_CONCENTRATION:
             w = np.full(mass.size, 0.5)
@@ -252,7 +247,7 @@ def generate_cascade(depth: int, multiplier_spread: float, seed: int) -> Traffic
     Returns
     -------
     TrafficSeries
-        Length 2^depth, sum of values equal to INITIAL_MASS.
+        Length 2^depth, unit mean: the values sum to 2^depth.
     """
     meta = GeneratorMeta(kind=GeneratorKind.CASCADE, seed=seed, depth=depth,
                          multiplier_spread=float(multiplier_spread))
@@ -340,7 +335,7 @@ def _compose(
         float(spread),
         default_rng(SeedSequence([int(seed), _STREAM_CASCADE])),
     )
-    placed = np.sort(mass)[slots] * slots.size  # unit-mean block masses
+    placed = np.sort(mass)[slots]  # unit-mean block masses
     v = np.repeat(placed, 2**_BURST_BLOCK_DEPTH) * factor
     mean = v.mean()
     if mean <= 0.0 or not np.isfinite(mean):
@@ -578,7 +573,6 @@ def calibrate(
         seed=_PROBE_SEED,
         depth=_PROBE_DEPTH if composite else None,
         target_hurst=float(best[0]),
-        target_delta_h=float(target_delta_h),
         multiplier_spread=float(best[1]) if composite else None,
     )
     if score(measured) > 1.0:

@@ -195,6 +195,27 @@ def test_analyze_non_numeric_value_names_file_and_line(tmp_path, capsys):
     assert f"{bad}:3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ("generate_out_is_a_file", "simulate_config_is_a_directory",
+                                  "analyze_series_is_a_directory", "config_is_not_utf8"))
+def test_os_and_decoding_errors_are_one_line_and_exit_1(tmp_path, capsys, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("[sim]\nname = caf\u00e9\n".encode("latin-1"))
+    # each case's argv and the path its one error line names
+    argv, named = {
+        "generate_out_is_a_file": (["generate", "--hurst", "0.7", "--length", "256", "--out", str(taken)], taken),
+        "simulate_config_is_a_directory": (["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
+                                           tmp_path),
+        "analyze_series_is_a_directory": (["analyze", str(tmp_path), "--out", str(tmp_path / "o")], tmp_path),
+        "config_is_not_utf8": (["simulate", "--config", str(latin1), "--out", str(tmp_path / "o")], latin1),
+    }[case]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(named) in err
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -221,6 +242,15 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
 
     values = read_series_csv(a / "series.csv")
     assert len(values) == 1024
+
+
+def test_simulate_cascade_at_the_default_arrival_scale_is_not_empty(tmp_path, capsys):
+    # a cascade is unit-mean like every other kind, so the default scale drives a live run
+    cfg = tmp_path / "cascade.ini"
+    cfg.write_text("[traffic]\nkind = cascade\nspread = 0.5\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    mean = float(capsys.readouterr().out.split("mean_isl_tot=")[1])
+    assert mean > 0.0
 
 
 def test_simulate_seed_override_changes_draws(tmp_path):

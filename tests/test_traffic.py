@@ -12,7 +12,6 @@ from mfload import traffic
 from mfload.errors import CalibrationError, ConfigError
 from mfload.fractal import mfdfa
 from mfload.traffic import (
-    INITIAL_MASS,
     GeneratorKind,
     GeneratorMeta,
     TrafficSeries,
@@ -38,11 +37,11 @@ def test_cascade_length_is_dyadic():
 
 
 def test_cascade_conserves_mass():
+    # unit mean, like every other kind, so `arrival_scale` is the mean arrivals per tick
     for depth in (1, 8, 14):
         for seed in range(3):
             series = generate_cascade(depth=depth, multiplier_spread=0.7, seed=seed)
-            total = float(series.values.sum())
-            assert abs(total - INITIAL_MASS) <= 1e-9 * INITIAL_MASS
+            assert abs(float(series.values.mean()) - 1.0) <= 1e-9
             assert np.all(series.values >= 0.0)
 
 
@@ -56,7 +55,7 @@ def test_cascade_deterministic():
 
 def test_cascade_degenerates_to_uniform_split():
     series = generate_cascade(depth=8, multiplier_spread=1e-10, seed=1)
-    assert np.allclose(series.values, INITIAL_MASS / 2**8, rtol=1e-6, atol=0.0)
+    assert np.array_equal(series.values, np.ones(2**8))
 
 
 def test_cascade_argument_validation():
@@ -215,7 +214,6 @@ def _monolithic_composite(depth, hurst, spread, seed):
     for s in range(segs):
         ranks = np.argsort(np.argsort(block_means[s * per : (s + 1) * per]))
         placed[s * per : (s + 1) * per] = smass[s::segs][ranks]
-    placed *= nblocks
     v = np.repeat(placed, block) * np.exp(1.5 * env)
     return 0.35 + 0.65 * (v / v.mean())
 
@@ -319,8 +317,6 @@ def test_meta_kind_rules_are_checked_at_construction():
         GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7, multiplier_spread=-1.0)
     with pytest.raises(ConfigError, match=r"^target_hurst: must lie in \(0, 1\), got 7\.0$"):
         GeneratorMeta(kind="cascade", seed=0, target_hurst=7.0, multiplier_spread=0.5)
-    with pytest.raises(ConfigError, match=r"^target_delta_h: must lie in \[0, 4\], got 9\.0$"):
-        GeneratorMeta(kind="composite", seed=0, target_hurst=0.7, target_delta_h=9.0, multiplier_spread=0.5)
     # an inferred composite depth still starts at 5
     composite = GeneratorMeta(kind="composite", seed=0, target_hurst=0.7, multiplier_spread=0.5)
     assert len(generate_from_meta(composite, length=16)) == 32
@@ -471,7 +467,6 @@ def test_calibrate_colours_one_envelope_per_distinct_hurst(monkeypatch):
         seed=167,
         depth=14,
         target_hurst=0.975,
-        target_delta_h=2.5,
         multiplier_spread=0.592128,
     )
 
@@ -622,7 +617,6 @@ def test_calibrate_search_path_matches_the_closure_search():
             seed=167,
             depth=14 if composite else None,
             target_hurst=best[0],
-            target_delta_h=delta_h,
             multiplier_spread=best[1] if composite else None,
         )
         if best_score <= 1.0:

@@ -14,9 +14,11 @@ directory under a temporary root that is removed afterwards:
     mfload analyze <generate's series.csv>
     mfload analyze <generate's series.csv> --q-min -4 --q-max 4 --q-steps 17
 
-and it runs ``demos/policy_faceoff.py``, four policies over one explicit
-traffic record in one process, so the library's repeated-run path is
-covered too; its standard output is written to ``policy_faceoff/stdout.txt``.
+and it runs the demos of DEMOS: ``demos/policy_faceoff.py``, four policies
+over one explicit traffic record in one process, so the library's
+repeated-run path is covered too, and ``demos/traffic_width.py``, MF-DFA on
+cascades of five spreads, so cascade generation and its measurement are
+covered. Each demo's standard output is written to ``<demo>/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
 that differs is printed with both values and their distance in ulps. The
@@ -43,6 +45,7 @@ COMMANDS = (
     ("analyze", ("analyze", "{series}")),
     ("analyze_q", ("analyze", "{series}", "--q-min", "-4", "--q-max", "4", "--q-steps", "17")),
 )
+DEMOS = ("policy_faceoff", "traffic_width")
 
 
 def _python(checkout: Path, args: list[str]) -> str:
@@ -67,11 +70,12 @@ def run_demo(checkout: Path, demo: str, out: Path) -> None:
 
 
 def run_all(checkout: Path, root: Path) -> None:
-    """Every command of COMMANDS and the policy_faceoff demo in `checkout`, into ``root/<name>``."""
+    """Every command of COMMANDS and every demo of DEMOS in `checkout`, into ``root/<name>``."""
     series = root / "generate" / "series.csv"
     for name, args in COMMANDS:
         run_cli(checkout, [a.format(series=series) for a in args], root / name)
-    run_demo(checkout, "policy_faceoff", root / "policy_faceoff")
+    for demo in DEMOS:
+        run_demo(checkout, demo, root / demo)
 
 
 def ulps(a: float, b: float) -> int:
