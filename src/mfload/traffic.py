@@ -20,13 +20,16 @@ Three families, one knob vocabulary:
 ``calibrate`` inverts the composite (or fGn, for near-zero delta_h targets)
 numerically: probe series are generated at a fixed probe seed, measured with
 MF-DFA, and the two knobs are searched on a coarse grid, then on a shrinking
-local grid around the best probe. A composite draw depends on its exponent
-only through the fGn envelope, so a call colours one envelope per distinct
-exponent and composes each probe with that exponent from it, and all its
-envelopes colour one noise draw. Each local round starts by dropping the
-envelopes farther from its centre than it and the later rounds can reach,
-so at most 5 are alive at any probe (a cold calibrate(0.9, 2.5) colours 13).
-Probes are memoized and counted against each call's budget.
+local grid around the best probe. The coarse grid's measured pairs are
+constants, tabulated in ``_COARSE_PROBES``; a change to the composite
+generator, the probe seed or depth, or MF-DFA must regenerate that table.
+A composite draw depends on its exponent only through the fGn envelope, so a
+call colours one envelope per distinct exponent it measures and composes
+each probe with that exponent from it, and all its envelopes colour one
+noise draw. Each local round starts by dropping the envelopes farther from
+its centre than it and the later rounds can reach, so at most 5 are alive at
+any probe (a cold calibrate(0.9, 2.5) colours 9). Probes, tabulated ones
+too, are memoized and counted against each call's budget.
 
 Everything is a pure function of its arguments; identical arguments give
 bitwise-identical output.
@@ -34,6 +37,7 @@ bitwise-identical output.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -401,6 +405,43 @@ _FGN_FAMILY_THRESHOLD = 0.2
 _COARSE_H = (0.55, 0.65, 0.75, 0.85, 0.95)
 _COARSE_SPREAD = (0.08, 0.18, 0.35, 0.7, 1.2, 2.0)
 
+# the coarse probes' measured (h(2), delta_h) in search order, each float as
+# its repr. They are constants of the composite generator, the probe seed and
+# depth, and MF-DFA, so a change to any of these must regenerate the table;
+# tests/test_traffic.py recomputes it and prints the literal on a mismatch.
+_COARSE_PROBES = dict(zip(itertools.product(_COARSE_H, _COARSE_SPREAD), (
+    (0.5918092901261768, 0.8775474756210476),
+    (0.5985104992986423, 1.1775816113025377),
+    (0.5994455435327296, 1.5132063045513071),
+    (0.5905873641000183, 2.1506518349339823),
+    (0.5267608634029882, 3.6923241543962977),
+    (0.5274114587467333, 5.484320500954676),
+    (0.6393369487265473, 0.9872179237941012),
+    (0.6374128469214911, 1.3441953392118204),
+    (0.6395449377374341, 1.6922813853269605),
+    (0.6231440002696155, 2.316881430884032),
+    (0.6064819131853578, 3.713724540767715),
+    (0.5965803709674554, 5.471338872881533),
+    (0.6992931950541177, 1.108259870131552),
+    (0.6966373075819211, 1.4293024643104304),
+    (0.6914848431042009, 1.8315854686065878),
+    (0.6798874765214988, 2.438834648506723),
+    (0.6315847025423391, 4.002262595963696),
+    (0.6306751130103139, 5.7559645722208055),
+    (0.760894085560029, 1.2390427293795567),
+    (0.7449145905555272, 1.524231895017707),
+    (0.7375868704012033, 1.9896477264752215),
+    (0.7149607728193158, 2.610069273682797),
+    (0.6503498842913215, 4.186650198888563),
+    (0.6464495163040239, 6.042592326199888),
+    (0.8492805948077775, 1.208908578581232),
+    (0.8208756760061667, 1.515550544191701),
+    (0.8106147438729254, 1.9581975232992954),
+    (0.7760893145838825, 2.5861966448683744),
+    (0.6944683169945769, 4.141275157296792),
+    (0.688963606147268, 5.9346136402679575),
+)))
+
 
 def check_calibration_targets(hurst: float | None, delta_h: float | None, hurst_key: str = "hurst",
                               delta_h_key: str = "delta_h") -> None:
@@ -463,14 +504,16 @@ def calibrate(
     exponent; the composite family a coarse 5 x 6 grid of
     (envelope exponent, spread), then up to three 5 x 3 local grids around
     the best probe, halving the exponent step and square-rooting the spread
-    factor each round. A call colours one envelope per distinct exponent
-    and composes every composite probe with that exponent from it; every
-    envelope of a call colours one noise draw, and none outlives the call.
-    A local round with exponent step h_step can move the exponent at most
-    2 * h_step - 0.01 from its centre over it and the later rounds (0.07,
-    0.03, then 0.01), so it starts by dropping every envelope farther away:
-    no exponent is coloured twice, and at most 5 envelopes are alive at any
-    probe, where a cold calibrate(0.9, 2.5) would otherwise hold all 13.
+    factor each round. The coarse grid's 30 measured pairs are tabulated
+    in `_COARSE_PROBES`, so only local probes are generated and measured.
+    A call colours one envelope per distinct exponent of the probes it
+    measures and composes each of them from it; every envelope of a call
+    colours one noise draw, and none outlives the call. A local round with
+    exponent step h_step can move the exponent at most 2 * h_step - 0.01
+    from its centre over it and the later rounds (0.07, 0.03, then 0.01),
+    so it starts by dropping every envelope farther away: no exponent is
+    coloured twice, and at most 5 envelopes are alive at any probe, where
+    a cold calibrate(0.9, 2.5), which colours 9, would otherwise hold all 9.
 
     Parameters
     ----------
@@ -481,13 +524,15 @@ def calibrate(
         <= 0.2 select the fGn family, larger ones the composite family.
     budget : int
         Maximum number of distinct probes this call visits before giving
-        up. A probe answered from `probes` still counts, so the search
-        path, the result and any CalibrationError do not depend on the memo.
+        up. A probe answered from `probes` or from the coarse table still
+        counts, so the search path, the result and any CalibrationError
+        depend on neither.
     probes : dict, optional
-        Memo from probe knobs to their measured (h(2), delta_h). Every
-        probe is a pure function of its knobs, so one dict can be shared
-        by the calibrations of a sweep: each distinct probe is then
-        generated and measured once. Measured probes are added to it.
+        Memo from probe knobs to their measured (h(2), delta_h), read
+        before the coarse table. Every probe is a pure function of its
+        knobs, so one dict can be shared by the calibrations of a sweep:
+        each distinct probe is then generated and measured once. Each
+        visited probe is added to it when visited, a tabulated one too.
 
     Returns
     -------
@@ -520,9 +565,7 @@ def calibrate(
             # measured h(2) lies within 0.015 of the knob: one probe scores under the early stop
             yield (min(target_hurst, 0.99),)
             return
-        for hk in _COARSE_H:
-            for sk in _COARSE_SPREAD:
-                yield (hk, sk)
+        yield from itertools.product(_COARSE_H, _COARSE_SPREAD)
         # shrinking local grid around the incumbent; the knobs are coupled
         # (raising the envelope exponent narrows the measured width), so
         # both must move together rather than by per-axis bisection
@@ -551,7 +594,9 @@ def calibrate(
         if knobs not in visited and len(visited) >= budget:
             break
         visited.add(knobs)
-        if knobs not in probes:
+        if knobs in _COARSE_PROBES:
+            probes.setdefault(knobs, _COARSE_PROBES[knobs])
+        elif knobs not in probes:
             if len(knobs) == 2 and knobs[0] not in envelopes:
                 if noise is None:
                     noise = _fgn_noise(2**_PROBE_DEPTH, noise_rng)
@@ -602,24 +647,27 @@ def write_series_csv(path, series) -> None:
 
 def read_series_csv(path) -> np.ndarray:
     """Read a `tick,value` CSV back into a value vector; each row's tick must be its 0-based index."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "tick,value":
-            raise ConfigError(f"expected header 'tick,value', got {header!r}")
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'tick,value'")
-            if parts[0].strip() != str(len(values)):
-                raise ConfigError(f"{path}:{lineno}: expected tick {len(values)}, got {parts[0]!r}")
-            try:
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: expected a number, got {parts[1]!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != "tick,value":
+                raise ConfigError(f"expected header 'tick,value', got {header!r}")
+            values = []
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise ConfigError(f"{path}:{lineno}: expected 'tick,value'")
+                if parts[0].strip() != str(len(values)):
+                    raise ConfigError(f"{path}:{lineno}: expected tick {len(values)}, got {parts[0]!r}")
+                try:
+                    values.append(float(parts[1]))
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: expected a number, got {parts[1]!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not values:
         raise ConfigError(f"{path}: no data rows")
     x = np.asarray(values, dtype=float)

@@ -196,12 +196,15 @@ def test_analyze_non_numeric_value_names_file_and_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ("generate_out_is_a_file", "simulate_config_is_a_directory",
-                                  "analyze_series_is_a_directory", "config_is_not_utf8"))
+                                  "analyze_series_is_a_directory", "config_is_not_utf8",
+                                  "series_is_not_utf8"))
 def test_os_and_decoding_errors_are_one_line_and_exit_1(tmp_path, capsys, case):
     taken = tmp_path / "taken"
     taken.write_text("")
     latin1 = tmp_path / "latin1.ini"
     latin1.write_bytes("[sim]\nname = caf\u00e9\n".encode("latin-1"))
+    latin1_csv = tmp_path / "latin1.csv"
+    latin1_csv.write_bytes("tick,value\n0,1.0\n1,caf\u00e9\n".encode("latin-1"))
     # each case's argv and the path its one error line names
     argv, named = {
         "generate_out_is_a_file": (["generate", "--hurst", "0.7", "--length", "256", "--out", str(taken)], taken),
@@ -209,6 +212,7 @@ def test_os_and_decoding_errors_are_one_line_and_exit_1(tmp_path, capsys, case):
                                            tmp_path),
         "analyze_series_is_a_directory": (["analyze", str(tmp_path), "--out", str(tmp_path / "o")], tmp_path),
         "config_is_not_utf8": (["simulate", "--config", str(latin1), "--out", str(tmp_path / "o")], latin1),
+        "series_is_not_utf8": (["analyze", str(latin1_csv), "--out", str(tmp_path / "o")], latin1_csv),
     }[case]
     assert _run(argv) == 1
     err = capsys.readouterr().err
@@ -628,10 +632,13 @@ def test_sweep_generates_each_distinct_probe_once(tmp_path, monkeypatch):
     monkeypatch.setattr(traffic, "_envelope", drawn_envelope)
     monkeypatch.setattr(traffic, "_compose", counted)
     cfg = tmp_path / "pair.ini"
-    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.6:1.5 0.6:2.5\n")
+    cfg.write_text(FAST_SIM + "\n[sweep]\ngrid = 0.6:1.5 0.6:2.5 0.9:2.5 0.9:2.4\n")
     assert _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
-    # both composite cells probe the same 30-point coarse grid first
-    assert len(calls) > 30
+    # the coarse grid is tabulated, so the first two cells compose no probe; 0.9:2.5
+    # composes its 34 local probes, and 0.9:2.4 visits 14 of them again, from the memo
+    # (the other compositions are the four cells' run series, at the run seed)
+    assert sum(key[3] == traffic._PROBE_SEED for key in calls) == 34
+    assert len(calls) == 34 + 4
     assert max(calls.values()) == 1
 
 

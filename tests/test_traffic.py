@@ -1,5 +1,6 @@
 """Generator invariants: conservation, determinism, and tunable width."""
 
+import itertools
 import math
 import re
 import weakref
@@ -460,8 +461,11 @@ def test_calibrate_colours_one_envelope_per_distinct_hurst(monkeypatch):
     probes = {}
     meta = calibrate(0.9, 2.5, probes=probes)
     assert len(probes) == 64
-    assert sorted(draws) == sorted({knobs[0] for knobs in probes})
-    assert len(draws) == 13
+    # the coarse grid is tabulated: only the local probes are drawn
+    live = [knobs for knobs in probes if knobs not in traffic._COARSE_PROBES]
+    assert len(live) == 34
+    assert sorted(draws) == sorted({knobs[0] for knobs in live})
+    assert len(draws) == 9
     assert meta == GeneratorMeta(
         kind=GeneratorKind.COMPOSITE,
         seed=167,
@@ -492,9 +496,9 @@ def test_calibrate_drops_envelopes_out_of_reach_and_colours_each_exponent_once(m
     # (target, probe memo, expected (exponent, spread), exponents coloured)
     grid_memo = {}
     cases = [
-        ((0.9, 2.5), None, (0.975, 0.592128), 13),
-        ((0.6, 0.5), None, (0.48, 0.057243), 14),
-        ((0.6, 1.5), grid_memo, (0.55, 0.35), 5),
+        ((0.9, 2.5), None, (0.975, 0.592128), 9),
+        ((0.6, 0.5), None, (0.48, 0.057243), 10),
+        ((0.6, 1.5), grid_memo, (0.55, 0.35), 0),
         ((0.6, 2.5), grid_memo, (0.65, 0.7), 0),
         ((0.9, 2.5), grid_memo, (0.975, 0.592128), 9),
     ]
@@ -524,12 +528,64 @@ def test_calibrate_draws_the_probe_noise_once_per_call(monkeypatch):
         assert draws == [2**14]
         calibrate(*target)
         assert draws == [2**14, 2**14]
-    # a call answered wholly from the memo draws nothing
+    # a call answered wholly from the memo draws nothing; (0.9, 2.5) measures
+    # local probes, so the memo, not the coarse table, is what answers it
     probes = {}
-    calibrate(0.52, 4.0, budget=30, probes=probes)
     draws.clear()
-    calibrate(0.52, 4.0, budget=30, probes=probes)
+    calibrate(0.9, 2.5, probes=probes)
+    assert draws == [2**14]
+    draws.clear()
+    calibrate(0.9, 2.5, probes=probes)
     assert draws == []
+
+
+def test_coarse_table_equals_the_probes_it_stands_for():
+    # a change to the composite generator, the probe seed or depth, or MF-DFA
+    # fails here; the message is the regenerated table, to paste into traffic.py
+    noise = traffic._fgn_noise(2**traffic._PROBE_DEPTH,
+                               default_rng(SeedSequence([traffic._PROBE_SEED, traffic._STREAM_ENVELOPE])))
+    knobs = list(itertools.product(traffic._COARSE_H, traffic._COARSE_SPREAD))
+    measured = [
+        measure_scaling(traffic._compose(traffic._envelope(traffic._PROBE_DEPTH, h, noise),
+                                         traffic._PROBE_DEPTH, s, traffic._PROBE_SEED))
+        for h, s in knobs
+    ]
+    literal = "\n".join(f"    ({h!r}, {dh!r})," for h, dh in measured)
+    assert list(traffic._COARSE_PROBES) == knobs
+    assert list(traffic._COARSE_PROBES.values()) == measured, "regenerated table:\n" + literal
+
+
+def _calibration_outcome(target, budget=64):
+    """(meta or the error's message and fields, list of the cold memo's items) of one call."""
+    probes = {}
+    try:
+        outcome = calibrate(*target, budget=budget, probes=probes)
+    except CalibrationError as exc:
+        outcome = (str(exc), exc.best_meta, exc.measured, exc.residuals)
+    return outcome, list(probes.items())
+
+
+def test_calibration_is_unchanged_without_the_coarse_table(monkeypatch):
+    cases = [(cell, 64) for cell in GRID_CELLS] + [
+        ((0.8, 1.0), 64), ((0.6, 0.5), 64), ((0.52, 4.0), 2), ((0.99, 3.9), 50)]
+    tabulated = [_calibration_outcome(*case) for case in cases]
+    monkeypatch.setattr(traffic, "_COARSE_PROBES", {})
+    measured = [_calibration_outcome(*case) for case in cases]
+    assert measured == tabulated
+    # two cases exhaust their budget: on the coarse grid (budget 2) and in the local rounds (budget 50)
+    assert sum(isinstance(outcome, tuple) for outcome, _ in tabulated) == 2
+
+
+def test_coarse_met_target_draws_and_measures_nothing(monkeypatch):
+    calls = []
+    for name in ("_fgn_noise", "_envelope", "_compose", "measure_scaling"):
+        original = getattr(traffic, name)
+        monkeypatch.setattr(traffic, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    for target in ((0.8, 1.0), (0.6, 1.5), (0.6, 2.5)):
+        probes = {}
+        calibrate(*target, probes=probes)
+        assert list(probes) == list(traffic._COARSE_PROBES)
+    assert calls == []
 
 
 class _Exhausted(Exception):
