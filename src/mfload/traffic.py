@@ -651,7 +651,7 @@ def read_series_csv(path) -> np.ndarray:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "tick,value":
-                raise ConfigError(f"expected header 'tick,value', got {header!r}")
+                raise ConfigError(f"{path}:1: expected header 'tick,value', got {header!r}")
             values = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()

@@ -189,10 +189,14 @@ def test_analyze_rejects_rows_out_of_tick_order(tmp_path, capsys):
 
 
 def test_analyze_non_numeric_value_names_file_and_line(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("tick,value\n0,1.0\n1,abc\n")
-    assert _run(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 1
-    assert f"{bad}:3:" in capsys.readouterr().err
+    # each bad file's text and the line its one error names
+    for name, text, line in (("bad.csv", "tick,value\n0,1.0\n1,abc\n", 3),
+                             ("semicolon.csv", "tick;value\n0;1.0\n", 1),
+                             ("empty.csv", "", 1)):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert _run(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert f"{bad}:{line}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ("generate_out_is_a_file", "simulate_config_is_a_directory",

@@ -182,15 +182,39 @@ def _stacked_segment_f2(profile, scale):
     return (resid * resid).mean(axis=1)
 
 
-@pytest.mark.parametrize("n", [2**14, 3000, 1024 + 17])
-def test_segment_f2_equals_the_stacked_formula_bitwise(n):
-    x = generate_composite(depth=14, hurst=0.75, multiplier_spread=0.7, seed=3).values[:n]
+def _composite_head(n):
+    return generate_composite(depth=14, hurst=0.75, multiplier_spread=0.7, seed=3).values[:n]
+
+
+# some default scales divide 2^14 and 3000 (both passes cover the same
+# segments), none divides 1041, and most leave a tail for the backward pass;
+# the calibrated probe record, a cascade with near-zero F² segments (h(q < 0)
+# rides on them) and an fGn pin the flat products on other shapes
+_F2_INPUTS = {
+    "16384": lambda: _composite_head(2**14),
+    "3000": lambda: _composite_head(3000),
+    "1041": lambda: _composite_head(1024 + 17),
+    "composite_calibrated": lambda: generate_composite(14, 0.975, 0.592, 167).values,
+    "cascade": lambda: generate_cascade(12, 1.6, 3).values,
+    "fgn_3000": lambda: generate_fgn(0.7, 3000, seed=5).values,
+}
+
+
+@pytest.mark.parametrize("case", list(_F2_INPUTS))
+def test_segment_f2_equals_the_stacked_formula_bitwise(case):
+    x = _F2_INPUTS[case]()
+    n = x.size
     profile = np.cumsum(x - x.mean())
-    # some default scales divide 2^14 and 3000 (both passes cover the same
-    # segments), none divides 1041, and most leave a tail for the backward pass
-    for s in default_scales(n):
-        assert np.array_equal(_segment_f2(profile, int(s), np.empty((2, n)), np.empty(2 * (n // int(s)))),
-                              _stacked_segment_f2(profile, int(s)))
+    odd_negative_slope = False
+    for s in default_scales(n).tolist():
+        got = _segment_f2(profile, s, np.empty((2, n)), np.empty(2 * (n // s)))
+        assert got.tobytes() == _stacked_segment_f2(profile, s).tobytes()
+        # an odd scale's centred ticks hold an exact 0.0, so a negative slope
+        # makes the trend's -0.0 product that einsum writes as +0.0
+        if s % 2:
+            tc = np.arange(s, dtype=float) - (s - 1) / 2
+            odd_negative_slope |= bool(((profile[: n // s * s].reshape(-1, s) * tc).sum(axis=1) < 0).any())
+    assert odd_negative_slope
 
 
 def _mean_mfdfa(x, q_grid):
