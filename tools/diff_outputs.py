@@ -9,16 +9,20 @@ Each checkout runs these commands with its own ``src/``, each into its own
 directory under a temporary root that is removed afterwards:
 
     mfload simulate --config configs/example.ini
+    mfload simulate --config <DENSE_MIGRATION, written into the temporary root>
     mfload sweep --config configs/grid.ini
     mfload generate --hurst 0.9 --delta-h 2.5
     mfload analyze <generate's series.csv>
     mfload analyze <generate's series.csv> --q-min -4 --q-max 4 --q-steps 17
 
-and it runs the demos of DEMOS: ``demos/policy_faceoff.py``, four policies
-over one explicit traffic record in one process, so the library's
-repeated-run path is covered too, and ``demos/traffic_width.py``, MF-DFA on
-cascades of five spreads, so cascade generation and its measurement are
-covered. Each demo's standard output is written to ``<demo>/stdout.txt``.
+The second command runs threshold_migration at arrival_scale 1.0, where
+more than half the dispatches find no server: the dense load at which the
+migration pass, the queue retry and the completion bookkeeping work
+hardest, and which no shipped config or demo reaches. Then it runs the
+demos of DEMOS: ``demos/policy_faceoff.py``, four policies over one
+explicit traffic record in one process, so the library's repeated-run path
+is covered too, and ``demos/traffic_width.py``, MF-DFA on cascades of five
+spreads, so cascade generation and its measurement are covered. Each demo's standard output is written to ``<demo>/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
 that differs is printed with both values and their distance in ulps. The
@@ -37,9 +41,23 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (output directory, CLI arguments); "{series}" is the generate command's series.csv
+# a dense threshold_migration run; the other [traffic], [cluster] and [demand] keys keep their defaults
+DENSE_MIGRATION = """\
+[policy]
+kind = threshold_migration
+migration_threshold = 0.001
+
+[sim]
+horizon = 4096
+arrival_scale = 1.0
+seed = 3
+"""
+
+# (output directory, CLI arguments); "{series}" is the generate command's
+# series.csv and "{dense}" the DENSE_MIGRATION config file
 COMMANDS = (
     ("simulate", ("simulate", "--config", "configs/example.ini")),
+    ("simulate_dense_migration", ("simulate", "--config", "{dense}")),
     ("sweep", ("sweep", "--config", "configs/grid.ini")),
     ("generate", ("generate", "--hurst", "0.9", "--delta-h", "2.5")),
     ("analyze", ("analyze", "{series}")),
@@ -69,11 +87,11 @@ def run_demo(checkout: Path, demo: str, out: Path) -> None:
     (out / "stdout.txt").write_text(stdout, encoding="utf-8")
 
 
-def run_all(checkout: Path, root: Path) -> None:
+def run_all(checkout: Path, root: Path, dense: Path) -> None:
     """Every command of COMMANDS and every demo of DEMOS in `checkout`, into ``root/<name>``."""
     series = root / "generate" / "series.csv"
     for name, args in COMMANDS:
-        run_cli(checkout, [a.format(series=series) for a in args], root / name)
+        run_cli(checkout, [a.format(series=series, dense=dense) for a in args], root / name)
     for demo in DEMOS:
         run_demo(checkout, demo, root / demo)
 
@@ -129,8 +147,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        run_all(args.parent.resolve(), roots["parent"])
-        run_all(args.change.resolve(), roots["change"])
+        dense = Path(tmp) / "dense_migration.ini"
+        dense.write_text(DENSE_MIGRATION, encoding="utf-8")
+        run_all(args.parent.resolve(), roots["parent"], dense)
+        run_all(args.change.resolve(), roots["change"], dense)
         compared, lines = diff_trees(roots["parent"], roots["change"])
     for line in lines:
         print(line)
