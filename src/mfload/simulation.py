@@ -263,6 +263,8 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
+        if not isinstance(self.traffic, (GeneratorMeta, CalibrationTarget)):
+            raise ConfigError(f"traffic: must be a GeneratorMeta or a CalibrationTarget, got {self.traffic!r}")
         check_length(self.horizon, 256, "horizon")
         check_integer(self.window, "window")
         if not (1 <= self.window <= self.horizon):
@@ -318,10 +320,8 @@ class ClusterState:
         self.net_cap = [float(s.net_capacity) for s in specs]
         self.cpu_total, self.ram_total, self.net_total = map(sum, (self.cpu_cap, self.ram_cap, self.net_cap))
         self._util = [(0.0, 0.0, 0.0)] * n
-        # servers whose triple changed since the last snapshot
-        self._changed: set[int] = set()
         self._freed: set[int] = set()
-        self._completion_buckets: dict[int, list[int]] = {}
+        self._completion_buckets: dict[int, list[Task]] = {}
         self._completion_ticks: list[int] = []  # min-heap of the buckets' ticks
         self._task_server: dict[int, int] = {}
         self._rows: list[list[tuple[float, float, float]]] = []
@@ -330,9 +330,8 @@ class ClusterState:
         self.completed = 0
         self.last_move_tick = -1
         self._rr_cursor = -1
-        # bumped by every change to the running sets; a migration pass that
-        # found no move at (version, policy, weights) finds none again there
-        self._version = 0
+        # a migration pass that found no move at (policy, weights) finds none
+        # again there until a running set changes, which clears this
         self._idle_rebalance = None
 
     def running_count(self) -> int:
@@ -371,19 +370,25 @@ class ClusterState:
         return self._util[i]
 
     def _refresh(self, i: int) -> None:
-        """Recompute server i's cached triple from its sums.
+        """Recompute server i's cached triple from its sums, and check it against capacity.
 
         Sums are clamped at zero: emptying a server can leave a -1 ulp
         residue from float subtraction. ``0.0 if 0.0 > x else x`` is ``max(x, 0.0)``
         without the call: x unless 0.0 is greater, so a -0.0 sum stays -0.0.
+        This is the one place a triple is made, so no over-capacity triple
+        is ever sampled.
         """
         c, r, v = self.cpu_sum[i], self.ram_sum[i], self.net_sum[i] + self.net_surcharge[i]
-        self._util[i] = (
+        u = self._util[i] = (
             (0.0 if 0.0 > c else c) / self.cpu_cap[i],
             (0.0 if 0.0 > r else r) / self.ram_cap[i],
             (0.0 if 0.0 > v else v) / self.net_cap[i],
         )
-        self._changed.add(i)
+        if max(u) > 1.0 + 1e-9:
+            raise RuntimeError(
+                f"internal consistency violation: server {self.specs[i].id} "
+                f"utilization {max(u):.12f} > 1 at tick {self.tick}"
+            )
 
     def admissible(self, task: Task) -> list[int]:
         """The servers that can admit `task` now, ascending: the one admission test."""
@@ -394,7 +399,7 @@ class ClusterState:
                 if cs[i] + dc <= cc[i] and rs[i] + dr <= rc[i] and ns[i] + sur[i] + dn <= nc[i]]
 
     def _add(self, i: int, task: Task) -> None:
-        self._version += 1
+        self._idle_rebalance = None
         self.running[i][task.id] = task
         self.cpu_sum[i] += task.cpu_demand
         self.ram_sum[i] += task.ram_demand
@@ -407,10 +412,10 @@ class ClusterState:
         bucket = self._completion_buckets.setdefault(completes_at, [])
         if not bucket:
             heapq.heappush(self._completion_ticks, completes_at)
-        bucket.append(task.id)
+        bucket.append(task)
 
     def _remove(self, i: int, task: Task) -> None:
-        self._version += 1
+        self._idle_rebalance = None
         del self.running[i][task.id]
         self.cpu_sum[i] -= task.cpu_demand
         self.ram_sum[i] -= task.ram_demand
@@ -420,17 +425,15 @@ class ClusterState:
 
     def complete_expired(self) -> int:
         """Release every task scheduled to finish before the current tick runs."""
-        ids = self._completion_buckets.pop(self.tick, None)
-        if not ids:
+        tasks = self._completion_buckets.pop(self.tick, None)
+        if not tasks:
             return 0
         # every earlier bucket was popped on its own tick, so this one is the top
         heapq.heappop(self._completion_ticks)
-        for tid in ids:
-            i = self._task_server.pop(tid)
-            task = self.running[i][tid]
-            self._remove(i, task)
+        for task in tasks:
+            self._remove(self._task_server.pop(task.id), task)
             self.completed += 1
-        return len(ids)
+        return len(tasks)
 
     def migrate(self, task_id: int, dst: int) -> None:
         """Move a running task; its net demand stays charged to the source this tick."""
@@ -438,7 +441,7 @@ class ClusterState:
         task = self.running[src][task_id]
         self.net_surcharge[src] += task.net_demand
         self._remove(src, task)
-        # completion bucket entries are keyed by task id, so they survive the move
+        # completion buckets hold the task itself, which moves unchanged
         self._add(dst, task)
         self.last_move_tick = self.tick
 
@@ -450,18 +453,7 @@ class ClusterState:
                 self._refresh(i)
 
     def snapshot(self) -> None:
-        """Sample every server's cached utilization for one tick.
-
-        Only triples changed since the last snapshot need the capacity check.
-        """
-        for i in self._changed:
-            u = self._util[i]
-            if max(u) > 1.0 + 1e-9:
-                raise RuntimeError(
-                    f"internal consistency violation: server {self.specs[i].id} "
-                    f"utilization {max(u):.12f} > 1 at tick {self.tick}"
-                )
-        self._changed.clear()
+        """Sample every server's cached utilization for one tick."""
         self._rows.append(self._util[:])
         self._spans.append(1)
 
@@ -836,7 +828,7 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
 
     if policy.kind is PolicyKind.THRESHOLD_MIGRATION:
         # a pass that found no move finds none again until the running sets change
-        idle_key = (state._version, policy, w)
+        idle_key = (policy, w)
         if state._idle_rebalance != idle_key and not rebalance(state, policy, w):
             state._idle_rebalance = idle_key
 
@@ -879,10 +871,8 @@ def resolve_traffic(config: ScenarioConfig, probes: dict | None = None) -> Traff
         series = traffic.generate_calibrated(
             meta, config.horizon, _stream_seed(config.seed, _STREAM_TRAFFIC)
         )
-    elif isinstance(config.traffic, GeneratorMeta):
-        series = _realize_record(config.traffic, config.horizon)
     else:
-        raise ConfigError(f"traffic: must be a GeneratorMeta or a CalibrationTarget, got {config.traffic!r}")
+        series = _realize_record(config.traffic, config.horizon)
     return series
 
 

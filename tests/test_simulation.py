@@ -620,6 +620,15 @@ def test_utilization_never_exceeds_capacity_under_pressure():
     assert saw_queue
 
 
+def test_an_over_capacity_server_is_an_internal_error():
+    # place trusts its caller's admission test, so it can overfill a server
+    state = ClusterState(homogeneous_cluster(1, cpu_count=4))
+    with pytest.raises(RuntimeError, match=r"^internal consistency violation: server 0 "
+                                           r"utilization 1\.250000000000 > 1 at tick 0$"):
+        state.place(0, _task(0, cpu=5.0), 4)
+        state.snapshot()
+
+
 def test_idle_cluster_reports_all_zero():
     state = ClusterState(reference_cluster())
     pol = Policy(kind=PolicyKind.LEAST_SIL)
@@ -860,7 +869,7 @@ def test_scenario_config_validation():
         ScenarioConfig(traffic=meta, seed=-1)
     with pytest.raises(ConfigError):
         ScenarioConfig(traffic=meta, cluster=(ServerSpec(0, 1, 1.0, 1.0), ServerSpec(0, 1, 1.0, 1.0)))
-    # a bare string is not a traffic description; rejected where it is resolved
+    # a bare string is not a traffic description; rejected when the config is built
     with pytest.raises(ConfigError):
         resolve_traffic(ScenarioConfig(traffic="fgn"))
 
