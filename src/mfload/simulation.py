@@ -330,8 +330,7 @@ class ClusterState:
         self.completed = 0
         self.last_move_tick = -1
         self._rr_cursor = -1
-        # a migration pass that found no move at (policy, weights) finds none
-        # again there until a running set changes, which clears this
+        # (policy, weights) at which a migration pass found no move; cleared by _add and _remove
         self._idle_rebalance = None
 
     def running_count(self) -> int:
@@ -370,13 +369,11 @@ class ClusterState:
         return self._util[i]
 
     def _refresh(self, i: int) -> None:
-        """Recompute server i's cached triple from its sums, and check it against capacity.
+        """Recompute server i's cached triple from its sums, and check it: the one place a triple is made.
 
         Sums are clamped at zero: emptying a server can leave a -1 ulp
         residue from float subtraction. ``0.0 if 0.0 > x else x`` is ``max(x, 0.0)``
         without the call: x unless 0.0 is greater, so a -0.0 sum stays -0.0.
-        This is the one place a triple is made, so no over-capacity triple
-        is ever sampled.
         """
         c, r, v = self.cpu_sum[i], self.ram_sum[i], self.net_sum[i] + self.net_surcharge[i]
         u = self._util[i] = (
@@ -864,29 +861,22 @@ def resolve_traffic(config: ScenarioConfig, probes: dict | None = None) -> Traff
     deeper when the horizon needs more ticks. `probes` is the calibration
     probe memo of :func:`traffic.calibrate`, shared by the cells of a sweep.
     """
-    if isinstance(config.traffic, CalibrationTarget):
-        meta = traffic.calibrate(
-            config.traffic.hurst, config.traffic.delta_h, config.traffic.budget, probes
-        )
-        series = traffic.generate_calibrated(
-            meta, config.horizon, _stream_seed(config.seed, _STREAM_TRAFFIC)
-        )
-    else:
-        series = _realize_record(config.traffic, config.horizon)
-    return series
+    if isinstance(config.traffic, GeneratorMeta):
+        return _realize_record(config.traffic, config.horizon)
+    meta = traffic.calibrate(config.traffic.hurst, config.traffic.delta_h, config.traffic.budget, probes)
+    return traffic.generate_calibrated(meta, config.horizon, _stream_seed(config.seed, _STREAM_TRAFFIC))
 
 
 def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) -> list[ImbalanceReport]:
     """Simulate the full horizon; one ImbalanceReport per complete window.
 
     `series`, when given, is the config's traffic already realized by
-    :func:`resolve_traffic`; it must cover the horizon. Without it, an
-    explicit record is realized once per (record, horizon) and kept until
-    another is realized, while a CalibrationTarget is drawn per run. All
-    arrival counts are drawn up front in one Poisson call, the same draws as per tick
-    (a zero mean draws nothing), after every tick's mean is checked
-    against MAX_TICK_ARRIVAL_MEAN. Demands are drawn one arrival tick at a
-    time, from constants derived once per run, in two calls per tick: 3k
+    :func:`resolve_traffic`; it must cover the horizon. Without it, that
+    function realizes it here. All arrival counts are drawn up front in
+    one Poisson call, the same draws as per tick (a zero mean draws
+    nothing), after every tick's mean is checked against
+    MAX_TICK_ARRIVAL_MEAN. Demands are drawn one arrival tick at a time,
+    from constants derived once per run, in two calls per tick: 3k
     normals, then k duration uniforms with the next arrival tick's class
     uniforms. :func:`step` runs only on event ticks (an arrival, a
     completion, or a migration on the tick before); the quiet run up to the

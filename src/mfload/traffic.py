@@ -415,31 +415,31 @@ _COARSE_PROBES = dict(zip(itertools.product(_COARSE_H, _COARSE_SPREAD), (
     (0.5994455435327296, 1.5132063045513071),
     (0.5905873641000183, 2.1506518349339823),
     (0.5267608634029882, 3.6923241543962977),
-    (0.5274114587467333, 5.484320500954676),
+    (0.5274114587467333, 5.3664031028603345),
     (0.6393369487265473, 0.9872179237941012),
     (0.6374128469214911, 1.3441953392118204),
     (0.6395449377374341, 1.6922813853269605),
     (0.6231440002696155, 2.316881430884032),
     (0.6064819131853578, 3.713724540767715),
-    (0.5965803709674554, 5.471338872881533),
+    (0.5965803709674554, 5.366875388249674),
     (0.6992931950541177, 1.108259870131552),
     (0.6966373075819211, 1.4293024643104304),
     (0.6914848431042009, 1.8315854686065878),
     (0.6798874765214988, 2.438834648506723),
     (0.6315847025423391, 4.002262595963696),
-    (0.6306751130103139, 5.7559645722208055),
+    (0.6306751130103139, 5.652580700083663),
     (0.760894085560029, 1.2390427293795567),
     (0.7449145905555272, 1.524231895017707),
     (0.7375868704012033, 1.9896477264752215),
     (0.7149607728193158, 2.610069273682797),
     (0.6503498842913215, 4.186650198888563),
-    (0.6464495163040239, 6.042592326199888),
+    (0.6464495163040239, 5.872230056728996),
     (0.8492805948077775, 1.208908578581232),
     (0.8208756760061667, 1.515550544191701),
     (0.8106147438729254, 1.9581975232992954),
     (0.7760893145838825, 2.5861966448683744),
     (0.6944683169945769, 4.141275157296792),
-    (0.688963606147268, 5.9346136402679575),
+    (0.688963606147268, 5.773960780056648),
 )))
 
 

@@ -168,6 +168,19 @@ def test_analyze_non_finite_spectrum_is_a_runtime_error(tmp_path, capsys):
     assert not (ana_out / "spectrum.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("unit", [1e300, 1e-300])
+def test_analyze_series_past_the_float_range_is_one_runtime_error(tmp_path, capsys, unit):
+    # x 1e300 once printed numpy's overflow warning, then failed at q = -5;
+    # x 1e-300 once read as a series whose fluctuations vanish
+    values = np.random.default_rng(4).random(2048) * unit
+    series = tmp_path / "series.csv"
+    series.write_text("tick,value\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(values.tolist())))
+    assert _run(["analyze", str(series), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: squared fluctuations left the float range; rescale the series\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_error_codes(tmp_path, capsys):
     assert _run(["analyze", str(tmp_path / "missing.csv")]) == 1
     flat = tmp_path / "flat.csv"

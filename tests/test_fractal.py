@@ -53,11 +53,55 @@ def test_dfa_rejects_degenerate_input():
         mfdfa(np.ones(255) + default_rng(0).random(255))
 
 
+def _one_ulp_bump():
+    """A constant series with one tick one ulp higher: its F² sit near 1e-31 of its mean square."""
+    x = np.ones(4096)
+    x[1000] = 1.0 + 2.0**-52
+    return x
+
+
 def test_dfa_shares_the_mfdfa_degeneracy_rule():
     # fluctuations under the floor at every scale: DFA once fitted H = 0 to the floored values
-    tiny = generate_fgn(0.7, 4096, seed=3).values * 1e-13
     with pytest.raises(DegenerateSeriesError, match="fluctuations vanish at every scale"):
-        mfdfa(tiny)
+        mfdfa(_one_ulp_bump())
+
+
+def _binomial(a, depth=14):
+    """The deterministic binomial multifractal: tick i carries a^(depth - k) (1 - a)^k, k the 1-bits of i."""
+    ones = np.bitwise_count(np.arange(2**depth))
+    return a ** (depth - ones) * (1 - a) ** ones
+
+
+def _binomial_h(a, q):
+    """The binomial model's analytic h(q) (Kantelhardt et al., Physica A 316, 2002)."""
+    return 1.0 / q - np.log(a**q + (1 - a) ** q) / (q * np.log(2.0))
+
+
+@pytest.mark.parametrize("a", [0.6, 0.7, 0.75])
+def test_mfdfa_reads_the_binomial_spectrum_within_its_known_bias(a):
+    # at depth 14, h(2) reads 0.042-0.043 low and delta_h 0.093, 0.043 and
+    # 0.023 high at a = 0.6, 0.7 and 0.75; the bands hold those biases
+    spectrum = mfdfa(_binomial(a))
+    h2 = _binomial_h(a, 2.0)
+    delta_h = _binomial_h(a, DEFAULT_Q_GRID[0]) - _binomial_h(a, DEFAULT_Q_GRID[-1])
+    assert h2 - 0.05 <= spectrum.h_at(2.0) <= h2
+    assert delta_h <= spectrum.delta_h <= delta_h + 0.1
+
+
+@pytest.mark.parametrize("x", [_binomial(0.75), generate_composite(14, 0.55, 2.0, 9).values],
+                         ids=["binomial", "composite"])
+def test_mfdfa_reads_a_series_the_same_in_any_units(x):
+    # the F² floor is a share of the series' own mean square; an absolute
+    # floor once read the binomial at 0.957 in units of 1e-6 and 1.210 in units of 1
+    delta_h = [mfdfa(x * unit).delta_h for unit in (2.0**-20, 1.0, 2.0**20)]
+    assert max(delta_h) - min(delta_h) <= 1e-9
+
+
+@pytest.mark.parametrize("unit", [1e300, 1e-300])
+def test_mfdfa_rejects_squares_past_the_float_range(unit):
+    x = default_rng(4).random(2048) * unit
+    with pytest.raises(EstimationError, match="^squared fluctuations left the float range; rescale the series$"):
+        mfdfa(x)
 
 
 # ----------------------------------------------------------------- mfdfa
@@ -221,7 +265,8 @@ def _mean_mfdfa(x, q_grid):
     """h(q) and intercepts of mfdfa with ``np.mean`` row means and moments, as first written."""
     scales = default_scales(x.size)
     profile = np.cumsum(x - x.mean())
-    f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), fractal._F2_FLOOR) for s in scales]
+    floor = fractal._F2_FLOOR * np.mean(x * x)
+    f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), floor) for s in scales]
     fits = []
     for q in q_grid:
         if q == 0.0:
@@ -250,8 +295,9 @@ def _per_scale_mfdfa(x, q_grid):
     """mfdfa with each scale's moment raised on its own fluctuations, as the fit was first written."""
     scales = default_scales(x.size)
     profile = np.cumsum(x - x.mean())
-    f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), fractal._F2_FLOOR) for s in scales]
-    if max(float(np.max(f2)) for f2 in f2s) < fractal._F2_FLOOR * 10:
+    floor = fractal._F2_FLOOR * np.mean(x * x)
+    f2s = [np.maximum(_stacked_segment_f2(profile, int(s)), floor) for s in scales]
+    if max(float(np.max(f2)) for f2 in f2s) < floor * 10:
         raise DegenerateSeriesError("fluctuations vanish at every scale")
     fits = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -282,7 +328,8 @@ def test_mfdfa_equals_the_per_scale_fit_bitwise(q_grid):
         generate_fgn(0.9, 3001, seed=6).values,
         generate_composite(depth=13, hurst=0.8, multiplier_spread=1.2, seed=7).values,
         generate_cascade(depth=12, multiplier_spread=0.5, seed=8).values,
-        generate_fgn(0.7, 4096, seed=3).values * 1e-13,  # vanishes at every scale
+        generate_fgn(0.7, 4096, seed=3).values * 1e-13,  # measured: the floor is in the series' units
+        _one_ulp_bump(),  # vanishes at every scale
     ]
     outcomes = [_outcome(mfdfa, x, q_grid) for x in series]
     assert outcomes == [_outcome(_per_scale_mfdfa, x, q_grid) for x in series]
