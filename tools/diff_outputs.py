@@ -22,7 +22,8 @@ hardest, and which no shipped config or demo reaches. Then it runs the
 demos of DEMOS: ``demos/policy_faceoff.py``, four policies over one
 explicit traffic record in one process, so the library's repeated-run path
 is covered too, and ``demos/traffic_width.py``, MF-DFA on cascades of five
-spreads, so cascade generation and its measurement are covered. Each demo's standard output is written to ``<demo>/stdout.txt``.
+spreads, so cascade generation and its measurement are covered. Each demo's
+standard output is written to ``<demo>/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
 that differs is printed with both values and their distance in ulps. The
