@@ -38,7 +38,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -841,28 +840,21 @@ def _stream_seed(seed: int, stream: int) -> int:
     return int(SeedSequence([int(seed), stream]).generate_state(2, np.uint32)[0])
 
 
-@lru_cache(maxsize=1)  # the last explicit record realized: 128 KiB at 2^14 ticks
-def _realize_record(meta: GeneratorMeta, horizon: int) -> TrafficSeries:
-    """The series an explicit record realizes for `horizon` ticks; frozen, so a hit is a fresh call's series."""
-    return traffic.generate_from_meta(meta, horizon)
-
-
 def resolve_traffic(config: ScenarioConfig, probes: dict | None = None) -> TrafficSeries:
     """Calibrate if needed, then realize the run's traffic series; its `meta` records the draw.
 
     An explicit GeneratorMeta is a complete record of one series, so it
     reproduces that exact series regardless of the config seed; only the
-    arrival and demand draws vary between runs. It is realized once per
-    (record, horizon): the series stays referenced until another explicit
-    record or horizon is realized, so runs that repeat the record in one
-    process skip its generation. A CalibrationTarget names properties
+    arrival and demand draws vary between runs. A caller that runs one
+    record many times realizes it here once and passes it to
+    :func:`run_scenario` as `series`. A CalibrationTarget names properties
     rather than a series, so its realization is drawn per run from the
     config seed's traffic substream, at the calibration probe depth or
     deeper when the horizon needs more ticks. `probes` is the calibration
     probe memo of :func:`traffic.calibrate`, shared by the cells of a sweep.
     """
     if isinstance(config.traffic, GeneratorMeta):
-        return _realize_record(config.traffic, config.horizon)
+        return traffic.generate_from_meta(config.traffic, config.horizon)
     meta = traffic.calibrate(config.traffic.hurst, config.traffic.delta_h, config.traffic.budget, probes)
     return traffic.generate_calibrated(meta, config.horizon, _stream_seed(config.seed, _STREAM_TRAFFIC))
 
@@ -871,8 +863,8 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     """Simulate the full horizon; one ImbalanceReport per complete window.
 
     `series`, when given, is the config's traffic already realized by
-    :func:`resolve_traffic`; it must cover the horizon. Without it, that
-    function realizes it here. All arrival counts are drawn up front in
+    :func:`resolve_traffic`: a TrafficSeries covering the horizon. Without
+    it, that function realizes it here. All arrival counts are drawn up front in
     one Poisson call, the same draws as per tick (a zero mean draws
     nothing), after every tick's mean is checked against
     MAX_TICK_ARRIVAL_MEAN. Demands are drawn one arrival tick at a time,
@@ -889,6 +881,8 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     """
     if series is None:
         series = resolve_traffic(config)
+    elif not isinstance(series, TrafficSeries):
+        raise ConfigError(f"series: must be a TrafficSeries, got {type(series).__name__}")
     horizon, window = config.horizon, config.window
     if len(series.values) < horizon:
         raise ConfigError(

@@ -66,8 +66,9 @@ def test_identical_outputs_exit_0_after_every_command_in_both_checkouts(tmp_path
 
     monkeypatch.setattr(diff_outputs, "run_cli", reading_run_cli)
     assert _main(tmp_path) == 0
-    assert capsys.readouterr().out.strip() == "14 files in both trees, 0 differences"
-    names = [name for name, _ in diff_outputs.COMMANDS] + ["policy_faceoff", "traffic_width"]
+    assert capsys.readouterr().out.strip() == "15 files in both trees, 0 differences"
+    names = [name for name, _ in diff_outputs.COMMANDS] + ["policy_faceoff", "traffic_width",
+                                                           "grid_ordering"]
     assert [(side, name) for side, name, _ in calls] == [(s, n) for s in ("parent", "change") for n in names]
     for side, name, args in calls:
         if name.startswith("analyze"):
@@ -96,7 +97,7 @@ def test_a_manifest_float_is_reported_in_ulps(tmp_path, monkeypatch, capsys):
     assert _main(tmp_path) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"simulate/manifest.json.measured.hurst: 0.75 -> {moved!r} (2 ulps)"
-    assert out[-1] == "14 files in both trees, 1 differences"
+    assert out[-1] == "15 files in both trees, 1 differences"
 
 
 def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys):
@@ -104,10 +105,11 @@ def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys
                   stdout={"parent": "least_sil 0.00100\n", "change": "least_sil 0.00101\n"})
     assert _main(tmp_path) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "policy_faceoff/stdout.txt: bytes differ", "traffic_width/stdout.txt: bytes differ",
-        "14 files in both trees, 2 differences"]
+        "grid_ordering/stdout.txt: bytes differ", "policy_faceoff/stdout.txt: bytes differ",
+        "traffic_width/stdout.txt: bytes differ", "15 files in both trees, 3 differences"]
     assert ("change", "policy_faceoff", ["policy_faceoff"]) in calls
     assert ("change", "traffic_width", ["traffic_width"]) in calls
+    assert ("change", "grid_ordering", ["grid_ordering"]) in calls
 
 
 def test_run_demo_writes_the_demo_stdout(tmp_path, monkeypatch):

@@ -708,36 +708,26 @@ def test_run_scenario_accepts_the_resolved_series():
     assert all(r.efficiency == 0.0 for r in run_scenario(cfg, idle))
 
 
-def test_an_explicit_record_is_realized_once_per_record_and_horizon(monkeypatch):
-    simulation._realize_record.cache_clear()
+def test_an_explicit_record_is_realized_per_run_and_let_go_after_it(monkeypatch):
     generate = simulation.traffic.generate_from_meta
-    calls = []
+    realized = []
 
-    def counted(meta, length, seed=None):
-        calls.append((meta, length, seed))
-        return generate(meta, length, seed)
+    def watched(meta, length, seed=None):
+        series = generate(meta, length, seed)
+        realized.append(weakref.ref(series))
+        return series
 
-    monkeypatch.setattr(simulation.traffic, "generate_from_meta", counted)
-    configs = [_fgn_config(seed=s) for s in (1, 2, 3)]
-    warm = [run_scenario(cfg) for cfg in configs]
-    assert calls == [(configs[0].traffic, 1024, None)]
-    # a hit simulates exactly what a cold call or the series given by hand does
-    cold = []
-    for cfg in configs:
-        simulation._realize_record.cache_clear()
-        cold.append(run_scenario(cfg))
-    given = [run_scenario(cfg, generate(cfg.traffic, cfg.horizon)) for cfg in configs]
-    assert repr(warm) == repr(cold) == repr(given)
-
-    # another horizon is realized afresh, and the memo lets the last series go
-    first = weakref.ref(resolve_traffic(configs[0]))
-    calls.clear()
-    assert len(resolve_traffic(_fgn_config(horizon=2048))) == 2048
-    assert len(calls) == 1
+    monkeypatch.setattr(simulation.traffic, "generate_from_meta", watched)
+    cfg = _fgn_config(seed=1)
+    first = run_scenario(cfg)
     gc.collect()
-    assert first() is None
+    assert len(realized) == 1 and realized[0]() is None
+    # a second run realizes the record afresh and simulates what the series given by hand does
+    again = run_scenario(cfg)
+    assert len(realized) == 2
+    assert repr(first) == repr(again) == repr(run_scenario(cfg, generate(cfg.traffic, cfg.horizon)))
 
-    # a calibration target is drawn per run seed, never served from the memo
+    # a calibration target is drawn per run seed
     target = CalibrationTarget(hurst=0.7, delta_h=0.1)
     a, b = (resolve_traffic(_fgn_config(traffic=target, seed=s)) for s in (7, 8))
     assert not np.array_equal(a.values, b.values)
@@ -847,8 +837,10 @@ def _spiked(n, spike_at):
         (_spiked(1024, 300), 1e7, r"^arrival_scale: .* \(tick 300's is 2e\+06\), got 10000000\.0$"),
         (TrafficSeries(values=np.ones(1000), meta=None), 0.3,
          "series has 1000 ticks, fewer than the horizon 1024"),
+        (np.ones(1024), 0.3, "^series: must be a TrafficSeries, got ndarray$"),
+        ([1.0] * 1024, 0.3, "^series: must be a TrafficSeries, got list$"),
     ],
-    ids=["mean_over_cap", "series_too_short"],
+    ids=["mean_over_cap", "series_too_short", "series_ndarray", "series_list"],
 )
 def test_run_scenario_rejects_bad_traffic_before_drawing(series, arrival_scale, match):
     cfg = _fgn_config(arrival_scale=arrival_scale)

@@ -20,10 +20,12 @@ more than half the dispatches find no server: the dense load at which the
 migration pass, the queue retry and the completion bookkeeping work
 hardest, and which no shipped config or demo reaches. Then it runs the
 demos of DEMOS: ``demos/policy_faceoff.py``, four policies over one
-explicit traffic record in one process, so the library's repeated-run path
-is covered too, and ``demos/traffic_width.py``, MF-DFA on cascades of five
-spreads, so cascade generation and its measurement are covered. Each demo's
-standard output is written to ``<demo>/stdout.txt``.
+explicit traffic record realized once, so the ``series`` argument of
+``run_scenario`` is covered; ``demos/traffic_width.py``, MF-DFA on
+cascades of five spreads, so cascade generation and its measurement are
+covered; and ``demos/grid_ordering.py``, three calibrated explicit records
+each run under five seeds, so calibrated records are covered across run
+seeds. Each demo's standard output is written to ``<demo>/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
 that differs is printed with both values and their distance in ulps. The
@@ -64,7 +66,7 @@ COMMANDS = (
     ("analyze", ("analyze", "{series}")),
     ("analyze_q", ("analyze", "{series}", "--q-min", "-4", "--q-max", "4", "--q-steps", "17")),
 )
-DEMOS = ("policy_faceoff", "traffic_width")
+DEMOS = ("policy_faceoff", "traffic_width", "grid_ordering")
 
 
 def _python(checkout: Path, args: list[str]) -> str:
