@@ -89,6 +89,8 @@ def _q_grid(args) -> tuple[float, ...]:
             raise ConfigError(f"{flag} must be finite, got {v}")
     if q_min >= q_max:
         raise ConfigError("--q-min must be below --q-max")
+    if not np.isfinite(q_max - q_min):
+        raise ConfigError(f"--q-min and --q-max must lie a finite distance apart, got {q_min} and {q_max}")
     grid = set(np.linspace(q_min, q_max, steps).tolist())
     grid.add(2.0)  # h(2) anchors every spectrum
     return tuple(sorted(grid))

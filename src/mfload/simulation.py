@@ -26,15 +26,15 @@ exceed 1.
 A run is a pure function of its ScenarioConfig: all randomness flows from
 the config seed through three named substreams (traffic, arrival counts,
 demand draws), so identical configs give bitwise-identical outputs
-regardless of host scheduling. A tick with k arrivals draws k class
-uniforms, 3k normals and k duration uniforms from the demand stream; one
-call draws a tick's duration uniforms with the next arrival tick's class uniforms.
+regardless of host scheduling. A tick with k arrivals makes three demand
+stream calls of its own: k class uniforms, 3k normals and k duration uniforms.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,6 +93,9 @@ MAX_TICK_ARRIVAL_MEAN = 1e6
 
 # closed windows averaged per numpy call; more saves little and costs memory
 _SCORE_BATCH = 4
+
+# the largest exponent math.exp takes without overflow
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class PolicyKind(str, Enum):
@@ -329,8 +332,6 @@ class ClusterState:
         self.completed = 0
         self.last_move_tick = -1
         self._rr_cursor = -1
-        # (policy, weights) at which a migration pass found no move; cleared by _add and _remove
-        self._idle_rebalance = None
 
     def running_count(self) -> int:
         return len(self._task_server)
@@ -395,7 +396,6 @@ class ClusterState:
                 if cs[i] + dc <= cc[i] and rs[i] + dr <= rc[i] and ns[i] + sur[i] + dn <= nc[i]]
 
     def _add(self, i: int, task: Task) -> None:
-        self._idle_rebalance = None
         self.running[i][task.id] = task
         self.cpu_sum[i] += task.cpu_demand
         self.ram_sum[i] += task.ram_demand
@@ -411,7 +411,6 @@ class ClusterState:
         bucket.append(task)
 
     def _remove(self, i: int, task: Task) -> None:
-        self._idle_rebalance = None
         del self.running[i][task.id]
         self.cpu_sum[i] -= task.cpu_demand
         self.ram_sum[i] -= task.ram_demand
@@ -545,11 +544,11 @@ def arrivals_from_traffic(
 
     The arrival count k is Poisson with mean arrival_scale * series[tick];
     demands and durations come from `demand_params` via `demand_rng`: k class
-    uniforms, 3k normals and k duration uniforms, the stream
-    :func:`run_scenario` draws with adjacent ticks' uniforms in one call. Two
-    separate streams let callers vary the counting process while freezing
-    the demand draws (and vice versa). A mean above MAX_TICK_ARRIVAL_MEAN
-    (1e6) is rejected before the tick draws anything.
+    uniforms, 3k normals and k duration uniforms, the three calls
+    :func:`run_scenario` makes for the tick. Two separate streams let
+    callers vary the counting process while freezing the demand draws (and
+    vice versa). A mean above MAX_TICK_ARRIVAL_MEAN (1e6) is rejected
+    before the tick draws anything.
     """
     values = series.values if isinstance(series, TrafficSeries) else np.asarray(series)
     if not (0 <= tick < len(values)):
@@ -576,28 +575,24 @@ def _demand_plan(p: DemandParams) -> tuple:
     return resources, list(accumulate(c.probability for c in p.classes)), classes
 
 
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
 def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng, id_start: int = 0):
     """Yield (tick, tasks) for each arrival tick and its count k >= 1, one tick at a time.
 
-    A tick draws k class uniforms, 3k normals (cpu, ram, net) and k duration
-    uniforms in stream order; one ``random(k + k_next)`` call draws its
-    duration uniforms with the next tick's class uniforms. A demand is
-    ``math.exp(mu + sigma * z)``: bitwise ``Generator.lognormal`` while numpy
-    computes ``loc + scale * z`` without FMA contraction (a test pins this).
-    A tick where ``math.exp`` overflows is drawn again with an exp giving lognormal's inf.
+    Each tick makes three calls of its own, in stream order: k class
+    uniforms, 3k normals (cpu, ram, net) and k duration uniforms. A demand
+    is ``math.exp(mu + sigma * z)``: bitwise ``Generator.lognormal`` while
+    numpy computes ``loc + scale * z`` without FMA contraction (a test pins
+    this). Past ``log(sys.float_info.max)``, where ``math.exp`` overflows,
+    it is ``math.inf``, as lognormal gives.
     Tasks skip Task's keyword constructor, whose frozen setattr is slow, then
     pass ``Task.__post_init__``: equal, hash-equal and frozen like ``Task(...)``.
     """
     ((mu_c, s_c, max_c), (mu_r, s_r, max_r), (mu_n, s_n, max_n)), cum, classes = plan
-    last, floor = len(cum) - 1, _DEMAND_FLOOR
-    def tick_tasks(tick, k, class_u, z, u, id_start, exp):
+    last, floor, top, exp, inf = len(cum) - 1, _DEMAND_FLOOR, _LOG_FLOAT_MAX, math.exp, math.inf
+    for tick, k in zip(ticks, counts):
+        class_u = demand_rng.random(k).tolist()
+        z = demand_rng.standard_normal(3 * k).tolist()
+        u = demand_rng.random(k).tolist()
         tasks = []
         for j in range(k):
             ci = 0
@@ -609,8 +604,9 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
             p = 1.0 - u[j]
             d = 1 if log_q is None else math.ceil(math.log(1e-300 if 1e-300 > p else p) / log_q)
             duration = d if d > 1 else 1
-            cpu, ram, net = (exp(mu_c + s_c * z[j]) * scale, exp(mu_r + s_r * z[k + j]) * scale,
-                             exp(mu_n + s_n * z[2 * k + j]) * scale)
+            xc, xr, xn = mu_c + s_c * z[j], mu_r + s_r * z[k + j], mu_n + s_n * z[2 * k + j]
+            cpu, ram, net = ((exp(xc) if xc <= top else inf) * scale, (exp(xr) if xr <= top else inf) * scale,
+                             (exp(xn) if xn <= top else inf) * scale)
             cpu, ram, net = (floor if floor > cpu else cpu, floor if floor > ram else ram,
                              floor if floor > net else net)
             cpu, ram, net = (max_c if max_c < cpu else cpu, max_r if max_r < ram else ram,
@@ -620,16 +616,6 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
                                  net_demand=net, duration=duration, service_class=ci)
             task.__post_init__()
             tasks.append(task)
-        return tasks
-    class_u = demand_rng.random(counts[0]).tolist() if counts else []
-    for tick, k, k_next in zip(ticks, counts, counts[1:] + [0]):
-        z = demand_rng.standard_normal(3 * k).tolist()
-        u = demand_rng.random(k + k_next).tolist()
-        try:
-            tasks = tick_tasks(tick, k, class_u, z, u, id_start, math.exp)
-        except OverflowError:
-            tasks = tick_tasks(tick, k, class_u, z, u, id_start, _exp_or_inf)
-        class_u = u[k:]
         id_start += k
         yield tick, tasks
 
@@ -791,10 +777,8 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
     queue retry runs only if a server was freed since the last retry, and
     its headroom filter covers only the freed servers (the freed-set
     invariant of :class:`ClusterState`); :func:`dispatch` still scores
-    every server. The migration pass is skipped when it found no move on
-    an earlier tick and no task has been placed, completed or moved since:
-    it is a pure function of that state. The snapshot copies the cached
-    utilization triples.
+    every server. Under threshold_migration the migration pass runs on
+    every tick. The snapshot copies the cached utilization triples.
     """
     state.complete_expired()
 
@@ -823,10 +807,7 @@ def step(state: ClusterState, arrivals, policy: Policy, w: WeightTriple) -> Clus
             state.place(target, task, state.tick + task.duration)
 
     if policy.kind is PolicyKind.THRESHOLD_MIGRATION:
-        # a pass that found no move finds none again until the running sets change
-        idle_key = (policy, w)
-        if state._idle_rebalance != idle_key and not rebalance(state, policy, w):
-            state._idle_rebalance = idle_key
+        rebalance(state, policy, w)
 
     state.snapshot()
     if state.last_move_tick == state.tick:
@@ -868,16 +849,16 @@ def run_scenario(config: ScenarioConfig, series: TrafficSeries | None = None) ->
     one Poisson call, the same draws as per tick (a zero mean draws
     nothing), after every tick's mean is checked against
     MAX_TICK_ARRIVAL_MEAN. Demands are drawn one arrival tick at a time,
-    from constants derived once per run, in two calls per tick: 3k
-    normals, then k duration uniforms with the next arrival tick's class
-    uniforms. :func:`step` runs only on event ticks (an arrival, a
-    completion, or a migration on the tick before); the quiet run up to the
-    next event or window end passes in one :meth:`ClusterState.hold`.
-    Closed windows are averaged `_SCORE_BATCH` at a time
-    (:func:`_window_means`), and the run's (windows, servers, 3) means are
-    scored once, after the last tick, by :func:`metrics.score_windows`. The
-    reports equal those of calling :func:`arrivals_from_traffic` and
-    :func:`step` on every tick and :func:`metrics.full_report` on every window.
+    from constants derived once per run, in the tick's own three calls: k
+    class uniforms, 3k normals and k duration uniforms. :func:`step` runs
+    only on event ticks (an arrival, a completion, or a migration on the
+    tick before); the quiet run up to the next event or window end passes
+    in one :meth:`ClusterState.hold`. Closed windows are averaged
+    `_SCORE_BATCH` at a time (:func:`_window_means`), and the run's
+    (windows, servers, 3) means are scored once, after the last tick, by
+    :func:`metrics.score_windows`. The reports equal those of calling
+    :func:`arrivals_from_traffic` and :func:`step` on every tick and
+    :func:`metrics.full_report` on every window.
     """
     if series is None:
         series = resolve_traffic(config)

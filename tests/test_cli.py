@@ -140,6 +140,19 @@ def test_analyze_rejects_a_non_finite_q_bound(tmp_path, capsys, flag, value):
     assert not (ana_out / "spectrum.csv").exists()
 
 
+def test_analyze_rejects_q_bounds_past_the_float_range_apart(tmp_path, capsys):
+    # linspace once overflowed on the span, warned twice and then named a grid the user never gave
+    gen_out = tmp_path / "g"
+    _run(["generate", "--hurst", "0.6", "--length", "2048", "--out", str(gen_out)])
+    capsys.readouterr()
+    ana_out = tmp_path / "a"
+    argv = ["analyze", str(gen_out / "series.csv"), "--q-min=-1e308", "--q-max=1e308", "--out", str(ana_out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --q-min and --q-max must lie a finite distance apart, got -1e+308 and 1e+308\n")
+    assert not (ana_out / "spectrum.csv").exists()
+
+
 @pytest.mark.parametrize("steps", ["1", "1000000000000000"])
 def test_analyze_rejects_q_steps_outside_its_range(tmp_path, capsys, steps):
     # a huge count once died in np.linspace with a numpy memory traceback

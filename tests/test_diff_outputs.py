@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mfload.config import parse_config
-from mfload.simulation import Policy, PolicyKind
+from mfload.simulation import DemandParams, Policy, PolicyKind
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("diff_outputs", _PATH)
@@ -56,17 +56,17 @@ def _main(tmp_path):
 def test_identical_outputs_exit_0_after_every_command_in_both_checkouts(tmp_path, monkeypatch, capsys):
     calls = _stub(monkeypatch, {"parent": _same, "change": lambda name: {
         **_same(name), "manifest.json": _manifest(start="2026-06-01T12:00:00+00:00")}})
-    dense, stubbed = [], diff_outputs.run_cli
+    read, stubbed = {"simulate_dense_migration": [], "simulate_huge_demand": []}, diff_outputs.run_cli
 
     def reading_run_cli(checkout, args, out):
-        # the config file lives only while main runs, so read it here
-        if out.name == "simulate_dense_migration":
-            dense.append((args[2], parse_config(args[2])))
+        # the config files live only while main runs, so read them here
+        if out.name in read:
+            read[out.name].append((args[2], parse_config(args[2])))
         stubbed(checkout, args, out)
 
     monkeypatch.setattr(diff_outputs, "run_cli", reading_run_cli)
     assert _main(tmp_path) == 0
-    assert capsys.readouterr().out.strip() == "15 files in both trees, 0 differences"
+    assert capsys.readouterr().out.strip() == "17 files in both trees, 0 differences"
     names = [name for name, _ in diff_outputs.COMMANDS] + ["policy_faceoff", "traffic_width",
                                                            "grid_ordering"]
     assert [(side, name) for side, name, _ in calls] == [(s, n) for s in ("parent", "change") for n in names]
@@ -76,11 +76,16 @@ def test_identical_outputs_exit_0_after_every_command_in_both_checkouts(tmp_path
             series = Path(args[1])
             assert series.name == "series.csv" and series.parent.name == "generate"
             assert series.parent.parent.name == side
-    # both checkouts read one dense threshold_migration config
-    (path, config), (change_path, change_config) = dense
-    assert path == change_path and config == change_config
-    assert config.policy == Policy(PolicyKind.THRESHOLD_MIGRATION, 0.001)
-    assert (config.arrival_scale, config.horizon, config.seed) == (1.0, 4096, 3)
+    # both checkouts read one dense threshold_migration config and one past-the-float-range demand config
+    configs = {}
+    for name, ((path, config), (change_path, change_config)) in read.items():
+        assert path == change_path and config == change_config
+        configs[name] = config
+    dense, huge = configs["simulate_dense_migration"], configs["simulate_huge_demand"]
+    assert dense.policy == Policy(PolicyKind.THRESHOLD_MIGRATION, 0.001)
+    assert (dense.arrival_scale, dense.horizon, dense.seed) == (1.0, 4096, 3)
+    assert huge.demand_params == DemandParams(cpu_mean=1e308, cpu_sigma=3.0)
+    assert (huge.policy, huge.horizon) == (Policy(), 4096)
 
 
 def test_a_csv_byte_differs(tmp_path, monkeypatch, capsys):
@@ -97,7 +102,7 @@ def test_a_manifest_float_is_reported_in_ulps(tmp_path, monkeypatch, capsys):
     assert _main(tmp_path) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"simulate/manifest.json.measured.hurst: 0.75 -> {moved!r} (2 ulps)"
-    assert out[-1] == "15 files in both trees, 1 differences"
+    assert out[-1] == "17 files in both trees, 1 differences"
 
 
 def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys):
@@ -106,7 +111,7 @@ def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys
     assert _main(tmp_path) == 1
     assert capsys.readouterr().out.splitlines() == [
         "grid_ordering/stdout.txt: bytes differ", "policy_faceoff/stdout.txt: bytes differ",
-        "traffic_width/stdout.txt: bytes differ", "15 files in both trees, 3 differences"]
+        "traffic_width/stdout.txt: bytes differ", "17 files in both trees, 3 differences"]
     assert ("change", "policy_faceoff", ["policy_faceoff"]) in calls
     assert ("change", "traffic_width", ["traffic_width"]) in calls
     assert ("change", "grid_ordering", ["grid_ordering"]) in calls

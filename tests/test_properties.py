@@ -527,9 +527,7 @@ def test_pass_stopped_at_a_source_below_average_equals_scoring_every_candidate(
 def _reference_reports(config, series, on_tick=None):
     """Reports of a per-tick loop: arrivals_from_traffic and step on every tick.
 
-    Clearing the migration pass's memo before each step runs that pass on
-    every tick, as an engine without any skipping does. `on_tick(t, arrivals,
-    state)` is called before each step.
+    `on_tick(t, arrivals, state)` is called before each step.
     """
     count_rng = default_rng(SeedSequence([config.seed, sim._STREAM_ARRIVALS]))
     demand_rng = default_rng(SeedSequence([config.seed, sim._STREAM_DEMANDS]))
@@ -542,7 +540,6 @@ def _reference_reports(config, series, on_tick=None):
         )
         if on_tick is not None:
             on_tick(t, arrivals, state)
-        state._idle_rebalance = None
         sim.step(state, arrivals, config.policy, config.weights)
         if (t + 1) % config.window == 0:
             reports.append(full_report(state.drain_window(), config.cluster, config.weights))

@@ -8,6 +8,7 @@ in the engine's incremental bookkeeping cannot hide inside the oracle.
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 from itertools import accumulate
 from unittest import mock
@@ -175,6 +176,8 @@ def _five_call_draw(k, tick, p, rng, id_start):
 
 _TWO_CLASSES = (ServiceClass(probability=0.3, demand_scale=0.5, duration_scale=0.25),
                 ServiceClass(probability=0.7, demand_scale=2.0, duration_scale=3.0))
+# the CLI float-range test's demand: some cpu lognormals are inf
+_PAST_THE_FLOAT_RANGE = DemandParams(cpu_mean=1e308, cpu_sigma=3.0)
 
 
 @pytest.mark.parametrize("params", [
@@ -184,7 +187,9 @@ _TWO_CLASSES = (ServiceClass(probability=0.3, demand_scale=0.5, duration_scale=0
     DemandParams(cpu_sigma=0.0, net_sigma=0.0, classes=_TWO_CLASSES),
     DemandParams(cpu_max=1e-7),
     DemandParams(classes=(ServiceClass(probability=1.0, demand_scale=8.0),)),
-], ids=["one_class", "two_classes", "one_tick_durations", "zero_sigma", "cap_below_floor", "past_the_caps"])
+    _PAST_THE_FLOAT_RANGE,
+], ids=["one_class", "two_classes", "one_tick_durations", "zero_sigma", "cap_below_floor", "past_the_caps",
+        "past_the_float_range"])
 @pytest.mark.parametrize("counts", [[1], [6], [1, 1, 1], [3, 1, 6, 2, 5, 4, 1],
                                     default_rng(9).integers(1, 7, 40).tolist()])
 def test_drawer_matches_the_five_call_stream_layout(params, counts):
@@ -198,6 +203,20 @@ def test_drawer_matches_the_five_call_stream_layout(params, counts):
     draws = simulation._draw_arrivals(ticks, counts, simulation._demand_plan(params), rng, 3)
     assert list(draws) == expected
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if params is _PAST_THE_FLOAT_RANGE and len(counts) > 3:
+        # the two longer count lists draw some cpu exponent past the drawer's guard, so its inf
+        # branch runs and is compared with lognormal's inf; the guard sits where math.exp overflows
+        top = math.log(sys.float_info.max)
+        assert simulation._LOG_FLOAT_MAX == top and math.isfinite(math.exp(top))
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(top, math.inf))
+        sigma = params.cpu_sigma
+        mu, twin, exponents = math.log(params.cpu_mean) - 0.5 * sigma**2, default_rng(seed), []
+        for k in counts:
+            twin.random(k)
+            exponents += [mu + sigma * z for z in twin.standard_normal(3 * k)[:k].tolist()]
+            twin.random(k)
+        assert max(exponents) > top
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -10,6 +10,7 @@ directory under a temporary root that is removed afterwards:
 
     mfload simulate --config configs/example.ini
     mfload simulate --config <DENSE_MIGRATION, written into the temporary root>
+    mfload simulate --config <HUGE_DEMAND, written into the temporary root>
     mfload sweep --config configs/grid.ini
     mfload generate --hurst 0.9 --delta-h 2.5
     mfload analyze <generate's series.csv>
@@ -18,14 +19,17 @@ directory under a temporary root that is removed afterwards:
 The second command runs threshold_migration at arrival_scale 1.0, where
 more than half the dispatches find no server: the dense load at which the
 migration pass, the queue retry and the completion bookkeeping work
-hardest, and which no shipped config or demo reaches. Then it runs the
-demos of DEMOS: ``demos/policy_faceoff.py``, four policies over one
-explicit traffic record realized once, so the ``series`` argument of
-``run_scenario`` is covered; ``demos/traffic_width.py``, MF-DFA on
-cascades of five spreads, so cascade generation and its measurement are
-covered; and ``demos/grid_ordering.py``, three calibrated explicit records
-each run under five seeds, so calibrated records are covered across run
-seeds. Each demo's standard output is written to ``<demo>/stdout.txt``.
+hardest, and which no shipped config or demo reaches. The third draws
+cpu demands with mean 1e308 and sigma 3, so some exponents pass
+``log(sys.float_info.max)`` and the demand drawer's overflow path runs.
+Then it runs the demos of DEMOS: ``demos/policy_faceoff.py``, four
+policies over one explicit traffic record realized once, so the
+``series`` argument of ``run_scenario`` is covered;
+``demos/traffic_width.py``, MF-DFA on cascades of five spreads, so
+cascade generation and its measurement are covered; and
+``demos/grid_ordering.py``, three calibrated explicit records each run
+under five seeds, so calibrated records are covered across run seeds.
+Each demo's standard output is written to ``<demo>/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
 that differs is printed with both values and their distance in ulps. The
@@ -56,11 +60,25 @@ arrival_scale = 1.0
 seed = 3
 """
 
+# cpu demands past the float range, which the drawer turns into inf and clips to cpu_max
+HUGE_DEMAND = """\
+[demand]
+cpu_mean = 1e308
+cpu_sigma = 3.0
+
+[sim]
+horizon = 4096
+"""
+
+# config files written into the temporary root, by the name COMMANDS gives them
+CONFIGS = {"dense": DENSE_MIGRATION, "huge": HUGE_DEMAND}
+
 # (output directory, CLI arguments); "{series}" is the generate command's
-# series.csv and "{dense}" the DENSE_MIGRATION config file
+# series.csv, and "{dense}" and "{huge}" are the config files of CONFIGS
 COMMANDS = (
     ("simulate", ("simulate", "--config", "configs/example.ini")),
     ("simulate_dense_migration", ("simulate", "--config", "{dense}")),
+    ("simulate_huge_demand", ("simulate", "--config", "{huge}")),
     ("sweep", ("sweep", "--config", "configs/grid.ini")),
     ("generate", ("generate", "--hurst", "0.9", "--delta-h", "2.5")),
     ("analyze", ("analyze", "{series}")),
@@ -90,11 +108,14 @@ def run_demo(checkout: Path, demo: str, out: Path) -> None:
     (out / "stdout.txt").write_text(stdout, encoding="utf-8")
 
 
-def run_all(checkout: Path, root: Path, dense: Path) -> None:
-    """Every command of COMMANDS and every demo of DEMOS in `checkout`, into ``root/<name>``."""
+def run_all(checkout: Path, root: Path, configs: dict[str, Path]) -> None:
+    """Every command of COMMANDS and every demo of DEMOS in `checkout`, into ``root/<name>``.
+
+    `configs` maps each name of CONFIGS to its written config file.
+    """
     series = root / "generate" / "series.csv"
     for name, args in COMMANDS:
-        run_cli(checkout, [a.format(series=series, dense=dense) for a in args], root / name)
+        run_cli(checkout, [a.format(series=series, **configs) for a in args], root / name)
     for demo in DEMOS:
         run_demo(checkout, demo, root / demo)
 
@@ -150,10 +171,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        dense = Path(tmp) / "dense_migration.ini"
-        dense.write_text(DENSE_MIGRATION, encoding="utf-8")
-        run_all(args.parent.resolve(), roots["parent"], dense)
-        run_all(args.change.resolve(), roots["change"], dense)
+        configs = {name: Path(tmp) / f"{name}.ini" for name in CONFIGS}
+        for name, path in configs.items():
+            path.write_text(CONFIGS[name], encoding="utf-8")
+        run_all(args.parent.resolve(), roots["parent"], configs)
+        run_all(args.change.resolve(), roots["change"], configs)
         compared, lines = diff_trees(roots["parent"], roots["change"])
     for line in lines:
         print(line)
