@@ -22,7 +22,6 @@ from .fractal import (
 )
 from .metrics import (
     ImbalanceReport,
-    ResourceUtilization,
     ServerSpec,
     WeightTriple,
     composite_load,

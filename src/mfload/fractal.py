@@ -59,7 +59,6 @@ class MultifractalSpectrum:
 
     q_grid: tuple[float, ...]
     h_of_q: tuple[float, ...]
-    delta_h: float
     intercepts: tuple[float, ...]
 
     def __post_init__(self):
@@ -70,14 +69,16 @@ class MultifractalSpectrum:
         for qi, hi, ci in zip(self.q_grid, self.h_of_q, self.intercepts):
             if not (np.isfinite(hi) and np.isfinite(ci)):
                 raise EstimationError(f"h(q) at q={qi:g} is not finite; the q-th moment left the float range")
-        expected = self.h_of_q[0] - self.h_of_q[-1]
-        if abs(self.delta_h - expected) > 1e-12:
-            raise ConfigError("delta_h must equal h(q_min) - h(q_max)")
         # small negatives are estimation noise; anything lower means the fit broke
         if self.delta_h < -0.1:
             raise EstimationError(
                 f"delta_h = {self.delta_h:.4f}; estimates below -0.1 indicate a degenerate fit"
             )
+
+    @property
+    def delta_h(self) -> float:
+        """The spectrum width h(q_min) - h(q_max)."""
+        return self.h_of_q[0] - self.h_of_q[-1]
 
     def h_at(self, q: float) -> float:
         """h(q) for a q present in the grid."""
@@ -280,7 +281,6 @@ def mfdfa(series, q_grid=DEFAULT_Q_GRID) -> MultifractalSpectrum:
     return MultifractalSpectrum(
         q_grid=q,
         h_of_q=h_of_q,
-        delta_h=h_of_q[0] - h_of_q[-1],
         intercepts=intercepts,
     )
 

@@ -29,7 +29,6 @@ from .errors import ConfigError, InsufficientDataError, check_non_negative, chec
 
 __all__ = [
     "ServerSpec",
-    "ResourceUtilization",
     "WeightTriple",
     "ImbalanceReport",
     "resource_imbalance",
@@ -60,24 +59,6 @@ class ServerSpec:
             raise ConfigError(f"cpu_count: must lie in [1, 1e308], got {self.cpu_count!r}")
         check_positive(self.ram_capacity, "ram_capacity")
         check_positive(self.net_capacity, "net_capacity")
-
-
-@dataclass(frozen=True)
-class ResourceUtilization:
-    """Mean utilization triple over one observation window of `window` ticks."""
-
-    cpu: float
-    ram: float
-    net: float
-    window: int
-
-    def __post_init__(self):
-        for name in _RESOURCES:
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name}: must lie in [0, 1], got {v!r}")
-        if self.window < 1:
-            raise ConfigError(f"window: must be a positive tick count, got {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +157,10 @@ def score_windows(means, specs: Sequence[ServerSpec], w: WeightTriple) -> list[I
     the same whichever windows share the call.
     """
     means = np.asarray(means, dtype=float)
+    if means.ndim != 3 or means.shape[2] != 3:
+        # an empty input carries no servers, whatever shape numpy gives it
+        error = InsufficientDataError if means.size == 0 else ConfigError
+        raise error(f"means: expected shape (windows, servers, 3), got {means.shape}")
     _check_aligned(means.shape[1], specs)
     n = len(specs)
     by_server = means.transpose(1, 0, 2)  # (n, W, 3): every server sum runs over axis 0
@@ -206,14 +191,10 @@ def score_windows(means, specs: Sequence[ServerSpec], w: WeightTriple) -> list[I
     ]
 
 
-def full_report(
-    utils: Sequence[ResourceUtilization],
-    specs: Sequence[ServerSpec],
-    w: WeightTriple,
-) -> ImbalanceReport:
-    """Every metric for one window: the one-window case of :func:`score_windows`."""
-    means = np.array([[(u.cpu, u.ram, u.net) for u in utils]], dtype=float).reshape(1, -1, 3)
-    return score_windows(means, specs, w)[0]
+def full_report(means, specs: Sequence[ServerSpec], w: WeightTriple) -> ImbalanceReport:
+    """Every metric for one window of per-server (cpu, ram, net) means, given as
+    triples or shaped (n, 3): the one-window case of :func:`score_windows`."""
+    return score_windows(np.asarray(means, dtype=float)[None], specs, w)[0]
 
 
 def write_report_csv(path, reports: Sequence[ImbalanceReport], window: int, summary: str | None = None) -> None:

@@ -47,7 +47,6 @@ from . import metrics, traffic
 from .errors import ConfigError, check_non_negative, check_positive
 from .metrics import (
     ImbalanceReport,
-    ResourceUtilization,
     ServerSpec,
     WeightTriple,
     composite_load,
@@ -472,11 +471,9 @@ class ClusterState:
         window, self._rows, self._spans = (self._rows, self._spans), [], []
         return window
 
-    def drain_window(self) -> list[ResourceUtilization]:
-        """Mean utilizations since the last drain; resets the samples."""
-        window = self._take_window()
-        means = _window_means([window])[0].tolist()
-        return [ResourceUtilization(*u, sum(window[1])) for u in means]
+    def drain_window(self) -> np.ndarray:
+        """Per-server mean (cpu, ram, net) since the last drain, shaped (servers, 3); resets the samples."""
+        return _window_means([self._take_window()])[0]
 
 
 def _window_means(windows) -> np.ndarray:

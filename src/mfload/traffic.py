@@ -347,25 +347,24 @@ def _compose(
     return _BASELINE_FRACTION + (1.0 - _BASELINE_FRACTION) * (v / mean)
 
 
-def generate_from_meta(meta: GeneratorMeta, length: int, seed: int | None = None) -> TrafficSeries:
+def generate_from_meta(meta: GeneratorMeta, length: int) -> TrafficSeries:
     """Regenerate a series from its parameter record.
 
     For the cascade-bearing kinds the output length is the smallest power
     of two >= `length` (their construction is dyadic); callers that need
-    exactly `length` ticks read a prefix. `seed` overrides meta.seed so one
-    calibrated parameter set can drive many independent runs.
+    exactly `length` ticks read a prefix. To run one parameter set under
+    another seed, pass ``replace(meta, seed=...)``.
     """
     check_length(length, 1)
-    use_seed = meta.seed if seed is None else seed
     if meta.kind is GeneratorKind.FGN:
-        return generate_fgn(meta.target_hurst, max(int(length), 64), use_seed)
+        return generate_fgn(meta.target_hurst, max(int(length), 64), meta.seed)
 
     depth = meta.depth or max(_MIN_DEPTH[meta.kind], math.ceil(math.log2(length)))
     if 2**depth < length:
         raise ConfigError(f"depth {depth} yields {2**depth} ticks < requested {length}")
     if meta.kind is GeneratorKind.CASCADE:
-        return generate_cascade(depth, meta.multiplier_spread, use_seed)
-    return generate_composite(depth, meta.target_hurst, meta.multiplier_spread, use_seed)
+        return generate_cascade(depth, meta.multiplier_spread, meta.seed)
+    return generate_composite(depth, meta.target_hurst, meta.multiplier_spread, meta.seed)
 
 
 def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficSeries:
@@ -378,7 +377,7 @@ def generate_calibrated(meta: GeneratorMeta, length: int, seed: int) -> TrafficS
     check_length(length, 1)
     if meta.depth is not None:
         meta = replace(meta, depth=max(meta.depth, math.ceil(math.log2(length))))
-    return generate_from_meta(meta, length, seed=seed)
+    return generate_from_meta(replace(meta, seed=seed), length)
 
 
 def measure_scaling(series) -> tuple[float, float]:

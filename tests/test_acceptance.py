@@ -14,7 +14,6 @@ from numpy.random import default_rng
 from mfload.cli import main as cli_main
 from mfload.fractal import mfdfa
 from mfload.metrics import ServerSpec, WeightTriple, full_report
-from mfload.metrics import ResourceUtilization
 from mfload.simulation import (
     ClusterState,
     DemandParams,
@@ -95,14 +94,12 @@ def test_criterion_1_metric_exactness():
             )
             for i in range(n)
         ]
-        utils = [ResourceUtilization(*rng.random(3), window=64) for _ in range(n)]
+        utils = [tuple(rng.random(3)) for _ in range(n)]
         raw = rng.random(3)
         w = WeightTriple(*(raw / raw.sum()))
         r = full_report(utils, specs, w)
 
-        cpu = np.array([u.cpu for u in utils])
-        ram = np.array([u.ram for u in utils])
-        net = np.array([u.net for u in utils])
+        cpu, ram, net = np.array(utils).T
         cw = np.array([s.cpu_count for s in specs], dtype=float)
         rw = np.array([s.ram_capacity for s in specs])
         nw = np.array([s.net_capacity for s in specs])
@@ -136,7 +133,7 @@ def test_criterion_1_metric_exactness():
 def test_criterion_2_trivial_zero_and_perturbation():
     w = WeightTriple()
     specs = reference_cluster()
-    uniform = [ResourceUtilization(0.5, 0.25, 0.75, window=64) for _ in specs]
+    uniform = [(0.5, 0.25, 0.75) for _ in specs]
     r0 = full_report(uniform, specs, w)
     zero_ok = (
         r0.isl_cpu == 0.0
@@ -152,8 +149,8 @@ def test_criterion_2_trivial_zero_and_perturbation():
     quad_ok = True
     worst = 0.0
     for delta in (0.01, 0.05, 0.2):
-        utils = [ResourceUtilization(0.4, 0.4, 0.4, window=64) for _ in range(n)]
-        utils[2] = ResourceUtilization(0.4 + delta, 0.4, 0.4, window=64)
+        utils = [(0.4, 0.4, 0.4) for _ in range(n)]
+        utils[2] = (0.4 + delta, 0.4, 0.4)
         floor = w.a * delta**2 * ((1.0 - wj) ** 2 + (n - 1) * wj**2) / n
         got = full_report(utils, homo, w).isl_tot
         worst = max(worst, abs(got - floor))

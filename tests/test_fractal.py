@@ -301,7 +301,7 @@ def _per_scale_mfdfa(x, q_grid):
                 f = [(np.add.reduce(f2 ** (q / 2.0)) / f2.size) ** (1.0 / q) for f2 in f2s]
             fits.append(fractal._loglog_fit(scales, np.array(f)))
     h, c = zip(*fits)
-    return MultifractalSpectrum(q_grid=q_grid, h_of_q=h, delta_h=h[0] - h[-1], intercepts=c)
+    return MultifractalSpectrum(q_grid=q_grid, h_of_q=h, intercepts=c)
 
 
 def _outcome(estimate, *args):
@@ -330,17 +330,10 @@ def test_mfdfa_equals_the_per_scale_fit_bitwise(q_grid):
 
 
 def test_spectrum_invariants_enforced():
-    with pytest.raises(ConfigError):
-        MultifractalSpectrum(
-            q_grid=(1.0, 2.0), h_of_q=(0.8, 0.7), delta_h=0.2, intercepts=(0.0, 0.0)
-        )
     with pytest.raises(EstimationError):
-        MultifractalSpectrum(
-            q_grid=(1.0, 2.0), h_of_q=(0.5, 0.8), delta_h=-0.3, intercepts=(0.0, 0.0)
-        )
-    spec = MultifractalSpectrum(
-        q_grid=(1.0, 2.0), h_of_q=(0.8, 0.7), delta_h=0.1, intercepts=(0.0, 0.0)
-    )
+        MultifractalSpectrum(q_grid=(1.0, 2.0), h_of_q=(0.5, 0.8), intercepts=(0.0, 0.0))
+    spec = MultifractalSpectrum(q_grid=(1.0, 2.0), h_of_q=(0.8, 0.7), intercepts=(0.0, 0.0))
+    assert spec.delta_h == 0.8 - 0.7
     assert spec.h_at(2.0) == 0.7
     with pytest.raises(ConfigError):
         spec.h_at(3.0)

@@ -15,7 +15,6 @@ from numpy.random import default_rng
 from mfload.errors import ConfigError, InsufficientDataError
 from mfload.metrics import (
     ImbalanceReport,
-    ResourceUtilization,
     ServerSpec,
     WeightTriple,
     full_report,
@@ -27,8 +26,8 @@ from mfload.metrics import (
 )
 
 
-def _u(cpu, ram, net, window=64):
-    return ResourceUtilization(cpu=cpu, ram=ram, net=net, window=window)
+def _u(cpu, ram, net):
+    return (cpu, ram, net)
 
 
 def _spec(i, cpu=4, ram=32.0, net=16.0):
@@ -37,9 +36,7 @@ def _spec(i, cpu=4, ram=32.0, net=16.0):
 
 def _brute_report(utils, specs, w):
     """Independent recomputation of every report field from raw inputs."""
-    cpu = np.array([u.cpu for u in utils])
-    ram = np.array([u.ram for u in utils])
-    net = np.array([u.net for u in utils])
+    cpu, ram, net = np.array(utils, dtype=float).T
     cw = np.array([s.cpu_count for s in specs], dtype=float)
     rw = np.array([s.ram_capacity for s in specs])
     nw = np.array([s.net_capacity for s in specs])
@@ -323,7 +320,7 @@ def test_scaling_multiplies_imbalance_by_alpha_squared():
     w = WeightTriple()
     base = full_report(utils, specs, w)
     for alpha in (0.5, 0.25, 1.0):
-        scaled = [_u(u.cpu * alpha, u.ram * alpha, u.net * alpha) for u in utils]
+        scaled = [_u(cpu * alpha, ram * alpha, net * alpha) for cpu, ram, net in utils]
         r = full_report(scaled, specs, w)
         assert r.isl_cpu == pytest.approx(alpha**2 * base.isl_cpu, rel=1e-9, abs=1e-15)
         assert r.ibl_tot == pytest.approx(alpha**2 * base.ibl_tot, rel=1e-9, abs=1e-15)
@@ -372,9 +369,9 @@ def test_weight_triple_invariants():
 
 def test_utilization_and_spec_invariants():
     with pytest.raises(ConfigError):
-        _u(1.01, 0.5, 0.5)
+        full_report([_u(1.01, 0.5, 0.5)], [_spec(0)], WeightTriple())
     with pytest.raises(ConfigError):
-        _u(0.5, -0.01, 0.5)
+        full_report([_u(0.5, -0.01, 0.5)], [_spec(0)], WeightTriple())
     with pytest.raises(ConfigError):
         ServerSpec(id=0, cpu_count=0, ram_capacity=1.0, net_capacity=1.0)
     with pytest.raises(ConfigError):
@@ -404,6 +401,30 @@ def test_score_windows_names_the_bad_utilization_in_any_window(value, message):
     means[2, 1, 1] = value
     with pytest.raises(ConfigError, match=re.escape(message)):
         score_windows(means, [_spec(0), _spec(1)], WeightTriple())
+
+
+@pytest.mark.parametrize("score, means, shape", [
+    (score_windows, [], "(0,)"),
+    (score_windows, np.full((1, 2, 2), 0.5), "(1, 2, 2)"),
+    (score_windows, np.full((1, 2, 3, 1), 0.5), "(1, 2, 3, 1)"),
+    (full_report, [(0.5, 0.5), (0.5, 0.5)], "(1, 2, 2)"),
+], ids=["empty", "pairs", "four-d", "full_report-pairs"])
+def test_means_of_the_wrong_shape_are_rejected_naming_the_shape(score, means, shape):
+    expected = f"means: expected shape (windows, servers, 3), got {shape}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        score(means, [_spec(0), _spec(1)], WeightTriple())
+
+
+def test_full_report_gives_the_same_bits_for_an_array_and_for_triples():
+    rng = default_rng(31)
+    for n in (1, 3, 8):
+        means = rng.random((n, 3))
+        means[0, 1] = -0.0
+        specs = [_spec(i, cpu=int(rng.integers(1, 64))) for i in range(n)]
+        w = WeightTriple(0.5, 0.3, 0.2)
+        bits = [[v.hex() for v in (r.isl_cpu, r.isl_ram, r.isl_net, r.ibl_tot, r.isl_tot, r.efficiency, *r.sil)]
+                for r in (full_report(means, specs, w), full_report([tuple(u) for u in means.tolist()], specs, w))]
+        assert bits[0] == bits[1]
 
 
 def test_full_report_rejects_duplicate_ids():

@@ -15,7 +15,7 @@ EXPORTED = {
     "CalibrationError", "ConfigError", "DegenerateSeriesError",
     "EstimationError", "InsufficientDataError",
     "DEFAULT_Q_GRID", "MultifractalSpectrum", "mfdfa",
-    "ImbalanceReport", "ResourceUtilization", "ServerSpec", "WeightTriple",
+    "ImbalanceReport", "ServerSpec", "WeightTriple",
     "composite_load", "full_report", "resource_imbalance", "score_windows",
     "sil_value",
     "CalibrationTarget", "ClusterState", "DemandParams", "Policy", "PolicyKind",

@@ -35,7 +35,6 @@ from mfload import simulation as sim
 from mfload.errors import ConfigError
 from mfload.metrics import (
     ImbalanceReport,
-    ResourceUtilization,
     ServerSpec,
     WeightTriple,
     composite_load,
@@ -118,7 +117,7 @@ def _run(sc, state, after_step=None):
         if after_step is not None:
             after_step(state)
         trace.append([state.utilization(i) for i in range(state.n)])
-    return trace, state.drain_window()
+    return trace, state.drain_window().tolist()
 
 
 def _max_sil(state, w):
@@ -638,8 +637,7 @@ def test_score_windows_equals_full_report_per_window(caps, w, n_windows, data):
     assert len(reports) == n_windows
     for k, report in enumerate(reports):
         rows = means[k].tolist()
-        utils = [ResourceUtilization(*u, window=1) for u in rows]
-        assert report == full_report(utils, specs, w) == _scalar_report(rows, specs, w)
+        assert report == full_report(rows, specs, w) == _scalar_report(rows, specs, w)
 
 
 # tiny, ordinary, square-overflowing and near-overflow floats, plus fixed edge values

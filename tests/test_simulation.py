@@ -576,8 +576,7 @@ def test_window_means_match_hand_average():
     for _ in range(3):
         step(state, [], pol, WeightTriple())
     utils = state.drain_window()
-    assert utils[0].cpu == pytest.approx((0.25 + 0.25) / 4.0, abs=1e-15)
-    assert utils[0].window == 4
+    assert utils[0, 0] == pytest.approx((0.25 + 0.25) / 4.0, abs=1e-15)
     with pytest.raises(ConfigError):
         state.drain_window()
 
@@ -653,8 +652,8 @@ def test_idle_cluster_reports_all_zero():
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     for _ in range(8):
         step(state, [], pol, WeightTriple())
-    for u in state.drain_window():
-        assert (u.cpu, u.ram, u.net) == (0.0, 0.0, 0.0)
+    for u in state.drain_window().tolist():
+        assert u == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------- full runs
@@ -731,8 +730,8 @@ def test_an_explicit_record_is_realized_per_run_and_let_go_after_it(monkeypatch)
     generate = simulation.traffic.generate_from_meta
     realized = []
 
-    def watched(meta, length, seed=None):
-        series = generate(meta, length, seed)
+    def watched(meta, length):
+        series = generate(meta, length)
         realized.append(weakref.ref(series))
         return series
 
@@ -834,13 +833,13 @@ def test_hold_of_m_ticks_equals_m_single_holds():
     for _ in range(7):
         single.hold(1)
     assert held.tick == single.tick == 8
-    assert held.drain_window() == single.drain_window()
+    assert held.drain_window().tolist() == single.drain_window().tolist()
     # a window that starts with a quiet run samples afresh
     held.hold(5)
     for _ in range(5):
         single.hold(1)
     assert held.tick == single.tick == 13
-    assert held.drain_window() == single.drain_window()
+    assert held.drain_window().tolist() == single.drain_window().tolist()
 
 
 def _spiked(n, spike_at):

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,8 +284,8 @@ def test_meta_rejects_a_non_integer_seed_or_depth_naming_it(field, value):
     lambda: generate_fgn(0.7, 256, seed=1.7),
     lambda: generate_cascade(8, 0.5, seed=1.7),
     lambda: generate_composite(8, 0.7, 0.5, seed=1.7),
-    lambda: generate_from_meta(GeneratorMeta(kind="fgn", seed=0, target_hurst=0.7), 1024, seed=1.7),
-    lambda: generate_from_meta(GeneratorMeta(kind="cascade", seed=0, multiplier_spread=0.5), 1024, seed=1.7),
+    lambda: generate_from_meta(replace(GeneratorMeta("fgn", 0, target_hurst=0.7), seed=1.7), 1024),
+    lambda: generate_from_meta(replace(GeneratorMeta("cascade", 0, multiplier_spread=0.5), seed=1.7), 1024),
 ], ids=["fgn", "cascade", "composite", "from_meta_fgn", "from_meta_cascade"])
 def test_generators_reject_a_float_seed_instead_of_truncating_it(generate):
     with pytest.raises(ConfigError, match=r"^seed: must be an integer, got 1\.7$"):
@@ -359,7 +360,7 @@ def test_generate_from_meta_rounds_length_up():
 def test_generate_from_meta_seed_override():
     meta = generate_cascade(depth=10, multiplier_spread=0.5, seed=5).meta
     a = generate_from_meta(meta, length=1024)
-    b = generate_from_meta(meta, length=1024, seed=6)
+    b = generate_from_meta(replace(meta, seed=6), length=1024)
     assert b.meta.seed == 6
     assert not np.array_equal(a.values, b.values)
     again = generate_from_meta(b.meta, length=1024)

@@ -22,13 +22,17 @@ migration pass, the queue retry and the completion bookkeeping work
 hardest, and which no shipped config or demo reaches. The third draws
 cpu demands with mean 1e308 and sigma 3, so some exponents pass
 ``log(sys.float_info.max)`` and the demand drawer's overflow path runs.
-Then it runs the demos of DEMOS: ``demos/policy_faceoff.py``, four
-policies over one explicit traffic record realized once, so the
-``series`` argument of ``run_scenario`` is covered;
-``demos/traffic_width.py``, MF-DFA on cascades of five spreads, so
-cascade generation and its measurement are covered; and
+Then it runs every demo, in the order of DEMOS:
+``demos/policy_faceoff.py``, four policies over one explicit traffic
+record realized once, so the ``series`` argument of ``run_scenario`` is
+covered; ``demos/traffic_width.py``, MF-DFA on cascades of five spreads,
+so cascade generation and its measurement are covered;
 ``demos/grid_ordering.py``, three calibrated explicit records each run
-under five seeds, so calibrated records are covered across run seeds.
+under five seeds, so calibrated records are covered across run seeds;
+``demos/estimator_check.py``, h(2) and delta_h of fGn at five Hurst
+exponents, so a spectrum's delta_h is printed; and
+``demos/imbalance_run.py``, one ``run_scenario`` on a calibration
+target, so the reports of a run driven from Python are printed.
 Each demo's standard output is written to ``<demo>/stdout.txt``.
 Every output file but ``manifest.json`` must be byte-identical. A
 ``manifest.json`` is compared as JSON without its ``timestamps``; each float
@@ -84,7 +88,7 @@ COMMANDS = (
     ("analyze", ("analyze", "{series}")),
     ("analyze_q", ("analyze", "{series}", "--q-min", "-4", "--q-max", "4", "--q-steps", "17")),
 )
-DEMOS = ("policy_faceoff", "traffic_width", "grid_ordering")
+DEMOS = ("policy_faceoff", "traffic_width", "grid_ordering", "estimator_check", "imbalance_run")
 
 
 def _python(checkout: Path, args: list[str]) -> str:
