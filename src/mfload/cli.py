@@ -61,12 +61,12 @@ def _build_parser() -> _ArgumentParser:
 
     simp = sub.add_parser("simulate", help="run one scenario from a config file")
     simp.add_argument("--config", required=True)
-    simp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    simp.add_argument("--seed", type=int, default=None, help="replace sim.seed")
     simp.add_argument("--out", default="out")
 
     swp = sub.add_parser("sweep", help="run the configured (H, delta_h) grid")
     swp.add_argument("--config", required=True)
-    swp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    swp.add_argument("--seed", type=int, default=None, help="replace sim.seed")
     swp.add_argument("--out", default="out")
     return parser
 
@@ -177,18 +177,14 @@ def _run_one(config: ScenarioConfig, out_dir: str, probes: dict | None = None) -
 
 
 def cmd_simulate(args) -> int:
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = parse_config(args.config, args.seed)
     hurst, delta_h, mean, _ = _run_one(config, args.out)
     print(f"scenario={config.name} H={hurst:.4g} dH={delta_h:.4g} mean_isl_tot={mean:.4g}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    base = parse_config(args.config)
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
+    base = parse_config(args.config, args.seed)
     cells, budget = parse_sweep_grid(args.config)
     named = {}
     for hurst, delta_h in cells:

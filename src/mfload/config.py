@@ -129,15 +129,17 @@ _KEY_OF_FIELD = {"target_hurst": "hurst", "multiplier_spread": "spread", "n": "s
 
 
 def _named(section: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, a rejection's leading ``field`` (or ``field[i]``) rewritten to ``section.key``."""
+    """`make(*args, **kwargs)`, a rejection's leading ``field`` (or ``field[i]``), or each
+    of its ``field + field ...``, rewritten to ``section.key``."""
     try:
         return make(*args, **kwargs)
     except ConfigError as exc:
-        field, sep, rule = str(exc).partition(": ")
-        name, bracket, index = field.partition("[")
-        key = _KEY_OF_FIELD.get(name, name)
-        if sep and key in _KEYS[section]:
-            raise ConfigError(f"{section}.{key}{bracket}{index}: {rule}") from None
+        head, sep, rule = str(exc).partition(": ")
+        terms = [term.partition("[") for term in head.split(" + ")]
+        keys = [_KEY_OF_FIELD.get(name, name) for name, _, _ in terms]
+        if sep and all(key in _KEYS[section] for key in keys):
+            paths = (f"{section}.{key}{bracket}{index}" for key, (_, bracket, index) in zip(keys, terms))
+            raise ConfigError(f"{' + '.join(paths)}: {rule}") from None
         raise
 
 
@@ -222,10 +224,12 @@ def _parse_cluster(sec: dict) -> tuple[ServerSpec, ...]:
     return _named("cluster", homogeneous_cluster, sec.pop("servers", 8), **sec)
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Read and fully validate a scenario configuration file."""
+def parse_config(path, seed: int | None = None) -> ScenarioConfig:
+    """Read and fully validate a scenario configuration file, with `seed`, when given, as its sim.seed."""
     sections = _load(path)
     sim = sections.get("sim", {})
+    if seed is not None:
+        sim["seed"] = seed
     horizon = sim.get("horizon", ScenarioConfig.horizon)
     # every CLI run measures its traffic with MF-DFA, a floor above ScenarioConfig's; checked
     # here, before a composite infers its depth from the horizon

@@ -20,6 +20,8 @@ score many windows at once with the bits of one window at a time.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,24 +85,28 @@ class ImbalanceReport:
     isl_cpu: float
     isl_ram: float
     isl_net: float
-    ibl_tot: float
     sil: tuple[float, ...]
-    isl_tot: float
     efficiency: float
 
     def __post_init__(self):
-        scalars = (self.isl_cpu, self.isl_ram, self.isl_net, self.ibl_tot, self.isl_tot)
-        if any(v < 0.0 or v != v for v in scalars):
+        if any(v < 0.0 or v != v for v in (self.isl_cpu, self.isl_ram, self.isl_net)):
             raise ConfigError("imbalance fields must be finite and non-negative")
-        if any(s < 0.0 for s in self.sil):
+        if not self.sil:
+            raise InsufficientDataError("need at least one server")
+        if any(not s >= 0.0 for s in self.sil):
             raise ConfigError("per-server SIL values must be non-negative")
         if not (0.0 <= self.efficiency <= 1.0 + _WEIGHT_SUM_SLACK):
             raise ConfigError(f"efficiency {self.efficiency} outside [0,1]")
-        if abs(self.ibl_tot - (self.isl_cpu + self.isl_ram + self.isl_net)) > 1e-12:
-            raise ConfigError("ibl_tot must equal isl_cpu + isl_ram + isl_net")
-        mean_sil = sum(self.sil) / len(self.sil)
-        if abs(self.isl_tot - mean_sil) > 1e-12:
-            raise ConfigError("isl_tot must equal mean(sil)")
+
+    @property
+    def ibl_tot(self) -> float:
+        """Total imbalance: the three per-resource imbalances summed."""
+        return self.isl_cpu + self.isl_ram + self.isl_net
+
+    @property
+    def isl_tot(self) -> float:
+        """Mean SIL, summed left to right: ``sum()`` compensates from Python 3.12 on, moving bits."""
+        return functools.reduce(operator.add, self.sil) / len(self.sil)
 
 
 def _check_aligned(n: int, specs: Sequence[ServerSpec]) -> None:
@@ -153,8 +159,8 @@ def score_windows(means, specs: Sequence[ServerSpec], w: WeightTriple) -> list[I
     a running sum, so every window's floats are added in the order of a
     plain float loop over its servers: sums start from 0 and add one server
     at a time, averages are capacity-weighted sums over capacity totals,
-    and ISL_tot and efficiency are sums over n. A window's report is thus
-    the same whichever windows share the call.
+    and efficiency is a sum over n, as a report's ISL_tot is. A window's
+    report is thus the same whichever windows share the call.
     """
     means = np.asarray(means, dtype=float)
     if means.ndim != 3 or means.shape[2] != 3:
@@ -177,17 +183,11 @@ def score_windows(means, specs: Sequence[ServerSpec], w: WeightTriple) -> list[I
     isl = resource_imbalance(by_server, avgs).T
     cpu_ram_net = by_server.transpose(2, 0, 1)
     sils = sil_value(*cpu_ram_net, *avgs.T, w)  # (n, W)
-    scalars = (
-        *isl,
-        isl[0] + isl[1] + isl[2],
-        _server_sum(sils) / n,
-        _server_sum(composite_load(*cpu_ram_net, w)) / n,
-    )
+    scalars = (*isl, _server_sum(composite_load(*cpu_ram_net, w)) / n)
     rows = zip(*(f.tolist() for f in scalars), sils.T.tolist())
     return [
-        ImbalanceReport(isl_cpu=ic, isl_ram=ir, isl_net=inet, ibl_tot=ibl, sil=tuple(sil),
-                        isl_tot=isl_tot, efficiency=eff)
-        for ic, ir, inet, ibl, isl_tot, eff, sil in rows
+        ImbalanceReport(isl_cpu=ic, isl_ram=ir, isl_net=inet, sil=tuple(sil), efficiency=eff)
+        for ic, ir, inet, eff, sil in rows
     ]
 
 

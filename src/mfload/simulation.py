@@ -620,12 +620,12 @@ def _draw_arrivals(ticks: list[int], counts: list[int], plan: tuple, demand_rng,
 def dispatch(task: Task, state: ClusterState, policy: Policy, w: WeightTriple) -> int | None:
     """Pick the server for a task, or None when nobody can admit it.
 
-    Pure decision: the caller applies the placement. Ties always break
-    toward the lowest server id: each scoring loop keeps the first minimum
-    by a strict ``<`` from ``math.inf``, as ``min(key=...)`` does, since
-    every load and SIL is finite (utilizations lie in [0, 1]).
-    ThresholdMigration places like LeastComposite; its corrective behavior
-    lives in :func:`rebalance`.
+    The caller applies the placement; the one state it changes is round robin's
+    cursor, moved to the server it picks. Ties always break toward the lowest
+    server id: each scoring loop keeps the first minimum by a strict ``<`` from
+    ``math.inf``, as ``min(key=...)`` does, since every load and SIL is finite
+    (utilizations lie in [0, 1]). ThresholdMigration places like LeastComposite;
+    its corrective behavior lives in :func:`rebalance`.
     """
     admissible = state.admissible(task)
     if not admissible:

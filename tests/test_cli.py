@@ -296,12 +296,24 @@ def test_simulate_seed_override_changes_draws(tmp_path):
     assert (a / "report.csv").read_bytes() != (b / "report.csv").read_bytes()
 
 
+def test_simulate_seed_override_is_the_run_of_the_file_with_that_seed(tmp_path):
+    # the default composite record draws at sim.seed, so --seed must reach it as well as the run
+    runs = {}
+    for name, seed, flags in (("flag", 1, ["--seed", "7"]), ("file", 7, [])):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[sim]\nhorizon = 1024\nseed = {seed}\n")
+        assert _run(["simulate", "--config", str(cfg), *flags, "--out", str(tmp_path / name)]) == 0
+        runs[name] = {f: (tmp_path / name / f).read_bytes() for f in ("series.csv", "report.csv", "sil.csv")}
+        runs[name]["digest"] = json.loads((tmp_path / name / "manifest.json").read_text())["config_digest"]
+    assert runs["flag"] == runs["file"]
+
+
 def test_simulate_config_errors(tmp_path, capsys):
     assert _run(["simulate", "--config", str(tmp_path / "nope.ini")]) == 1
     bad = tmp_path / "bad.ini"
     bad.write_text("[weights]\na = 0.5\nb = 0.5\nc = 0.5\n")
     assert _run(["simulate", "--config", str(bad)]) == 1
-    assert "error: a + b + c: must equal 1, got 1.5\n" in capsys.readouterr().err
+    assert "error: weights.a + weights.b + weights.c: must equal 1, got 1.5\n" in capsys.readouterr().err
     typo = tmp_path / "typo.ini"
     typo.write_text("[sim]\nhorzon = 1024\n")
     assert _run(["simulate", "--config", str(typo)]) == 1
@@ -528,6 +540,16 @@ BAD_VALUES = {
     ("sweep", "grid"): "0.6:9",
     ("sweep", "budget"): "0",
 }
+
+
+def test_simulate_weights_summing_off_one_name_every_weight_key(tmp_path, capsys):
+    # each weight lies in range on its own, so the rejection is of the three keys together
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[weights]\na = 1.0\n")
+    assert _run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: weights.a + weights.b + weights.c: must equal 1, got 1.6666666666666665\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_values_cover_every_config_key():

@@ -123,7 +123,10 @@ def test_cluster_shorthand_and_conflicts(tmp_path):
 
 
 def test_weights_invariant_message(tmp_path):
+    # the library names its fields; the config names each one's key path
     with pytest.raises(ConfigError, match=r"^a \+ b \+ c: must equal 1, got 1\.5$"):
+        WeightTriple(0.5, 0.5, 0.5)
+    with pytest.raises(ConfigError, match=r"^weights\.a \+ weights\.b \+ weights\.c: must equal 1, got 1\.5$"):
         parse_config(_write(tmp_path, "[weights]\na = 0.5\nb = 0.5\nc = 0.5\n"))
     cfg = parse_config(_write(tmp_path, "[weights]\na = 0.5\nb = 0.3\nc = 0.2\n"))
     assert cfg.weights == WeightTriple(0.5, 0.3, 0.2)

@@ -5,6 +5,7 @@ independent numpy implementation; the scalar tests pin down each operation
 with values small enough to check by hand.
 """
 
+import dataclasses
 import math
 import re
 
@@ -119,8 +120,7 @@ def test_total_imbalance_oracles():
     assert balanced.ibl_tot == balanced.isl_cpu == pytest.approx(0.18, abs=1e-15)
     assert full_report([_u(0.0, 0.0, 0.0)] * 2, [_spec(0), _spec(1)], WeightTriple()).ibl_tot == 0.0
     with pytest.raises(ConfigError):
-        ImbalanceReport(isl_cpu=-0.01, isl_ram=0.0, isl_net=0.0, ibl_tot=-0.01,
-                        sil=(0.0,), isl_tot=0.0, efficiency=0.5)
+        ImbalanceReport(isl_cpu=-0.01, isl_ram=0.0, isl_net=0.0, sil=(0.0,), efficiency=0.5)
 
 
 def test_server_sil_oracles():
@@ -139,11 +139,11 @@ def test_system_sil_oracles():
     skewed = [_spec(0, cpu=1), _spec(1, cpu=3)]
     r = full_report([_u(0.2, 0.0, 0.0), _u(0.6, 0.0, 0.0)], skewed, CPU_ONLY)
     assert r.isl_tot == pytest.approx(0.05, abs=1e-15)
-    assert ImbalanceReport(0.0, 0.0, 0.0, 0.0, sil=(0.123,), isl_tot=0.123, efficiency=0.5).isl_tot == 0.123
+    assert ImbalanceReport(0.0, 0.0, 0.0, sil=(0.123,), efficiency=0.5).isl_tot == 0.123
     with pytest.raises(InsufficientDataError):
         full_report([], [], WeightTriple())
     with pytest.raises(ConfigError):
-        ImbalanceReport(0.0, 0.0, 0.0, 0.0, sil=(0.1, -0.1), isl_tot=0.0, efficiency=0.5)
+        ImbalanceReport(0.0, 0.0, 0.0, sil=(0.1, -0.1), efficiency=0.5)
 
 
 def test_efficiency_bounds_and_mean():
@@ -163,7 +163,7 @@ def test_a_saturated_window_scores_under_weights_summing_just_above_one():
     assert report.efficiency == w.a + w.b + w.c
     assert full_report([_u(1.0, 1.0, 1.0)], [_spec(0)], w) == report
     with pytest.raises(ConfigError, match="efficiency"):
-        ImbalanceReport(0.0, 0.0, 0.0, 0.0, sil=(0.0,), isl_tot=0.0, efficiency=1.0 + 1e-8)
+        ImbalanceReport(0.0, 0.0, 0.0, sil=(0.0,), efficiency=1.0 + 1e-8)
 
 def test_formulas_give_the_same_bits_on_a_column_as_on_each_float():
     # libm pow(d, 2) and the rounded d * d part in about 1 of 1000 squares
@@ -379,16 +379,17 @@ def test_utilization_and_spec_invariants():
 
 
 def test_report_internal_consistency_enforced():
-    with pytest.raises(ConfigError):
-        ImbalanceReport(
-            isl_cpu=0.1, isl_ram=0.0, isl_net=0.0, ibl_tot=0.2,
-            sil=(0.0,), isl_tot=0.0, efficiency=0.5,
-        )
-    with pytest.raises(ConfigError):
-        ImbalanceReport(
-            isl_cpu=0.0, isl_ram=0.0, isl_net=0.0, ibl_tot=0.0,
-            sil=(0.1, 0.3), isl_tot=0.1, efficiency=0.5,
-        )
+    # a report holds only the terms; its totals are derived, so they cannot disagree with them
+    assert [f.name for f in dataclasses.fields(ImbalanceReport)] == ["isl_cpu", "isl_ram", "isl_net", "sil",
+                                                                     "efficiency"]
+    r = ImbalanceReport(isl_cpu=0.1, isl_ram=0.2, isl_net=0.3, sil=(0.1, 0.3), efficiency=0.5)
+    assert (r.ibl_tot, r.isl_tot) == (0.1 + 0.2 + 0.3, (0.1 + 0.3) / 2)
+    # left to right, as score_windows' running sums add: a compensated sum would give 1 + 2**-52
+    assert ImbalanceReport(0.0, 0.0, 0.0, sil=(1.0, 1e-16, 1e-16), efficiency=0.5).isl_tot == 1.0 / 3
+    with pytest.raises(ConfigError, match="SIL"):
+        ImbalanceReport(isl_cpu=0.0, isl_ram=0.0, isl_net=0.0, sil=(0.1, math.nan), efficiency=0.5)
+    with pytest.raises(InsufficientDataError):
+        ImbalanceReport(isl_cpu=0.0, isl_ram=0.0, isl_net=0.0, sil=(), efficiency=0.5)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -459,9 +460,7 @@ def test_csv_writers_match_the_per_row_fstring_form(tmp_path):
     # form of one row at a time, byte for byte, at the edges of the float range
     sil = (0.0, 5e-324, 1e300, 0.1)
     reports = [
-        ImbalanceReport(
-            isl_cpu=a, isl_ram=b, isl_net=0.0, ibl_tot=a + b + 0.0, sil=sil, isl_tot=sum(sil) / 4, efficiency=e
-        )
+        ImbalanceReport(isl_cpu=a, isl_ram=b, isl_net=0.0, sil=sil, efficiency=e)
         for a, b, e in ((0.0, 5e-324, 0.0), (1e300, 0.1, 0.1), (0.1, 0.0, 5e-324))
     ]
     ids = [0, 3, 5, 9]

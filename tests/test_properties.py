@@ -29,7 +29,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from numpy.random import SeedSequence, default_rng
+from numpy.random import default_rng
 
 from mfload import simulation as sim
 from mfload.errors import ConfigError
@@ -43,6 +43,8 @@ from mfload.metrics import (
     sil_value,
 )
 from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries, generate_fgn
+
+from per_tick import per_tick_reports
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -523,28 +525,6 @@ def test_pass_stopped_at_a_source_below_average_equals_scoring_every_candidate(
     assert state.net_surcharge == reference.net_surcharge
 
 
-def _reference_reports(config, series, on_tick=None):
-    """Reports of a per-tick loop: arrivals_from_traffic and step on every tick.
-
-    `on_tick(t, arrivals, state)` is called before each step.
-    """
-    count_rng = default_rng(SeedSequence([config.seed, sim._STREAM_ARRIVALS]))
-    demand_rng = default_rng(SeedSequence([config.seed, sim._STREAM_DEMANDS]))
-    state = sim.ClusterState(config.cluster)
-    reports = []
-    for t in range(config.horizon):
-        arrivals = sim.arrivals_from_traffic(
-            series, t, config.arrival_scale, config.demand_params, count_rng, demand_rng,
-            id_start=state.arrived,
-        )
-        if on_tick is not None:
-            on_tick(t, arrivals, state)
-        sim.step(state, arrivals, config.policy, config.weights)
-        if (t + 1) % config.window == 0:
-            reports.append(full_report(state.drain_window(), config.cluster, config.weights))
-    return reports
-
-
 # run_scenario is handed the series, so this record is never realized
 _UNUSED_TRAFFIC = GeneratorMeta(kind=GeneratorKind.FGN, seed=0, target_hurst=0.7)
 
@@ -561,7 +541,7 @@ def test_run_scenario_equals_the_per_tick_reference(sc, extra_ticks, window, qui
         horizon=horizon, window=window, arrival_scale=sc["arrival_scale"],
         demand_params=sc["demand"], seed=sc["seed"],
     )
-    assert sim.run_scenario(config, series) == _reference_reports(config, series)
+    assert sim.run_scenario(config, series) == per_tick_reports(config, series)
 
 
 def test_a_move_lets_a_queued_task_in_on_the_next_tick_without_other_events():
@@ -589,7 +569,7 @@ def test_a_move_lets_a_queued_task_in_on_the_next_tick_without_other_events():
         events[t] = (len(arrivals), t in state._completion_buckets, state.last_move_tick == t - 1,
                      state.queue_len())
 
-    reference = _reference_reports(config, series, on_tick=note)
+    reference = per_tick_reports(config, series, on_tick=note)
     arrivals, completes, moved_before, queued = events[48]
     assert (arrivals, completes, moved_before) == (0, False, True)
     assert events[49][3] < queued  # the queue shrank on tick 48
@@ -617,8 +597,7 @@ def _scalar_report(rows, specs, w):
     isl = [_sequential_sum((v - a) * (v - a) for v in col) for col, a in zip(cols, avgs)]
     sils = tuple(sil_value(*u, *avgs, w) for u in rows)
     return ImbalanceReport(
-        isl_cpu=isl[0], isl_ram=isl[1], isl_net=isl[2], ibl_tot=isl[0] + isl[1] + isl[2],
-        sil=sils, isl_tot=_sequential_sum(sils) / len(rows),
+        isl_cpu=isl[0], isl_ram=isl[1], isl_net=isl[2], sil=sils,
         efficiency=_sequential_sum(composite_load(*u, w) for u in rows) / len(rows),
     )
 
@@ -638,6 +617,8 @@ def test_score_windows_equals_full_report_per_window(caps, w, n_windows, data):
     for k, report in enumerate(reports):
         rows = means[k].tolist()
         assert report == full_report(rows, specs, w) == _scalar_report(rows, specs, w)
+        # the derived mean keeps the float order of a loop from zero over the servers
+        assert report.isl_tot == _sequential_sum(report.sil) / len(specs)
 
 
 # tiny, ordinary, square-overflowing and near-overflow floats, plus fixed edge values

@@ -21,7 +21,7 @@ from numpy.random import SeedSequence, default_rng
 
 from mfload import simulation
 from mfload.errors import ConfigError
-from mfload.metrics import ServerSpec, WeightTriple, full_report
+from mfload.metrics import ServerSpec, WeightTriple
 from mfload.simulation import (
     CalibrationTarget,
     ClusterState,
@@ -41,6 +41,8 @@ from mfload.simulation import (
     step,
 )
 from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries, generate_fgn
+
+from per_tick import per_tick_reports
 
 
 def _task(tid, cpu=1.0, ram=0.5, net=0.25, duration=4, tick=0):
@@ -765,24 +767,6 @@ def _gappy_config(policy):
     return config, TrafficSeries(values=values, meta=None)
 
 
-def _per_tick(config, series, on_tick=None):
-    """Reports of arrivals_from_traffic and step on every tick; on_tick(t, arrivals, state)
-    runs before each step."""
-    count_rng = default_rng(SeedSequence([config.seed, simulation._STREAM_ARRIVALS]))
-    demand_rng = default_rng(SeedSequence([config.seed, simulation._STREAM_DEMANDS]))
-    state = ClusterState(config.cluster)
-    reports = []
-    for t in range(config.horizon):
-        arrivals = arrivals_from_traffic(series, t, config.arrival_scale, config.demand_params,
-                                         count_rng, demand_rng, id_start=state.arrived)
-        if on_tick is not None:
-            on_tick(t, arrivals, state)
-        step(state, arrivals, config.policy, config.weights)
-        if (t + 1) % config.window == 0:
-            reports.append(full_report(state.drain_window(), config.cluster, config.weights))
-    return reports
-
-
 _GAPPY_POLICIES = [Policy(PolicyKind.LEAST_SIL), Policy(PolicyKind.ROUND_ROBIN),
                    Policy(PolicyKind.THRESHOLD_MIGRATION, 0.001)]
 
@@ -793,7 +777,7 @@ def test_event_loop_reports_equal_the_per_tick_loop(policy):
     assert config.horizon % config.window and config.horizon // config.window > simulation._SCORE_BATCH
     reports = run_scenario(config, series)
     assert len(reports) == 62
-    assert reports == _per_tick(config, series)
+    assert reports == per_tick_reports(config, series)
 
 
 @pytest.mark.parametrize("policy", _GAPPY_POLICIES, ids=lambda p: p.kind.value)
@@ -808,7 +792,7 @@ def test_step_runs_exactly_on_event_ticks(policy):
             if not (arrivals or t in state._completion_buckets):
                 move_only.append(t)
 
-    _per_tick(config, series, on_tick=note)
+    per_tick_reports(config, series, on_tick=note)
     stepped = []
 
     def recording_step(state, arrivals, policy, w):

@@ -9,6 +9,7 @@ Each checkout runs these commands with its own ``src/``, each into its own
 directory under a temporary root that is removed afterwards:
 
     mfload simulate --config configs/example.ini
+    mfload simulate --config configs/example.ini --seed 2
     mfload simulate --config <DENSE_MIGRATION, written into the temporary root>
     mfload simulate --config <HUGE_DEMAND, written into the temporary root>
     mfload sweep --config configs/grid.ini
@@ -16,12 +17,14 @@ directory under a temporary root that is removed afterwards:
     mfload analyze <generate's series.csv>
     mfload analyze <generate's series.csv> --q-min -4 --q-max 4 --q-steps 17
 
-The second command runs threshold_migration at arrival_scale 1.0, where
-more than half the dispatches find no server: the dense load at which the
-migration pass, the queue retry and the completion bookkeeping work
-hardest, and which no shipped config or demo reaches. The third draws
-cpu demands with mean 1e308 and sigma 3, so some exponents pass
-``log(sys.float_info.max)`` and the demand drawer's overflow path runs.
+The second runs the first with ``--seed`` in place of the file's
+``sim.seed``, so the seed override is covered. The third runs
+threshold_migration at arrival_scale 1.0, where more than half the
+dispatches find no server: the dense load at which the migration pass, the
+queue retry and the completion bookkeeping work hardest, and which no
+shipped config or demo reaches. The fourth draws cpu demands with mean
+1e308 and sigma 3, so some exponents pass ``log(sys.float_info.max)`` and
+the demand drawer's overflow path runs.
 Then it runs every demo, in the order of DEMOS:
 ``demos/policy_faceoff.py``, four policies over one explicit traffic
 record realized once, so the ``series`` argument of ``run_scenario`` is
@@ -81,6 +84,7 @@ CONFIGS = {"dense": DENSE_MIGRATION, "huge": HUGE_DEMAND}
 # series.csv, and "{dense}" and "{huge}" are the config files of CONFIGS
 COMMANDS = (
     ("simulate", ("simulate", "--config", "configs/example.ini")),
+    ("simulate_seed", ("simulate", "--config", "configs/example.ini", "--seed", "2")),
     ("simulate_dense_migration", ("simulate", "--config", "{dense}")),
     ("simulate_huge_demand", ("simulate", "--config", "{huge}")),
     ("sweep", ("sweep", "--config", "configs/grid.ini")),
