@@ -13,7 +13,6 @@ gives byte-identical CSVs; only the manifest timestamps differ.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,9 +21,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import fractal, metrics, traffic
-from .config import _named, config_digest, parse_config, parse_sweep_grid
+from .config import _named, config_digest, parse_config, parse_sweep
 from .errors import CalibrationError, ConfigError, EstimationError
-from .simulation import CalibrationTarget, ScenarioConfig, resolve_traffic, run_scenario
+from .simulation import ScenarioConfig, resolve_traffic, run_scenario
 
 __all__ = ["main"]
 
@@ -124,14 +123,12 @@ def cmd_analyze(args) -> int:
 
 
 def _final_quarter_mean(reports) -> float:
-    tail = reports[3 * len(reports) // 4 :]
-    return float(np.mean([r.isl_tot for r in tail])) if tail else 0.0
+    # a run has at least one window (ScenarioConfig holds window <= horizon), so no tail is empty
+    return float(np.mean([r.isl_tot for r in reports[3 * len(reports) // 4 :]]))
 
 
 def _final_half_cv(reports) -> float:
     tail = [r.isl_tot for r in reports[len(reports) // 2 :]]
-    if not tail:
-        return 0.0
     mean = float(np.mean(tail))
     if mean == 0.0:
         return 0.0
@@ -184,36 +181,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = parse_config(args.config, args.seed)
-    cells, budget = parse_sweep_grid(args.config)
-    named = {}
-    for hurst, delta_h in cells:
-        name = f"h{hurst:g}_dh{delta_h:g}"
-        if name in named:
-            h0, dh0 = named[name]
-            raise ConfigError(
-                f"sweep.grid: cells {h0!r}:{dh0!r} and {hurst!r}:{delta_h!r} "
-                f"both write {name}"
-            )
-        named[name] = (hurst, delta_h)
-
     # one probe memo per sweep: the cells' calibrations revisit the same probes
     probes = {}
     rows = {}
-    for name, (hurst, delta_h) in named.items():
-        cell_config = dataclasses.replace(
-            base,
-            name=name,
-            traffic=CalibrationTarget(hurst=hurst, delta_h=delta_h, budget=budget),
-        )
+    for cell in parse_sweep(args.config, args.seed):
+        target = cell.traffic
         try:
-            summary = _run_one(cell_config, os.path.join(args.out, name), probes)
+            summary = _run_one(cell, os.path.join(args.out, cell.name), probes)
         except CalibrationError as exc:
             raise CalibrationError(
-                f"sweep.grid: cell {hurst!r}:{delta_h!r}: {exc}",
+                f"sweep.grid: cell {target.hurst!r}:{target.delta_h!r}: {exc}",
                 exc.best_meta, exc.measured, exc.residuals,
             ) from exc
-        rows[name] = ",".join([name] + [f"{v:.12g}" for v in (hurst, delta_h, *summary)])
+        rows[cell.name] = ",".join([cell.name] + [f"{v:.12g}" for v in (target.hurst, target.delta_h, *summary)])
 
     header = (
         "scenario,H_target,dH_target,H_measured,dH_measured,"

@@ -17,7 +17,7 @@ import functools
 import hashlib
 import math
 import os
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 
 from .errors import ConfigError
@@ -35,7 +35,7 @@ from .simulation import (
 from .traffic import (GeneratorKind, GeneratorMeta, check_calibration_targets, check_length,
                       check_probe_budget, check_seed)
 
-__all__ = ["parse_config", "parse_sweep_grid", "config_digest", "canonical_config_text"]
+__all__ = ["parse_config", "parse_sweep", "config_digest", "canonical_config_text"]
 
 
 def _budget(raw: str) -> int:
@@ -87,9 +87,10 @@ def _parse_classes(raw: str) -> tuple[ServiceClass, ...]:
     return tuple(classes)
 
 
-def _parse_grid(raw: str) -> list[tuple[float, float]]:
-    """Whitespace- or comma-separated `H:delta_h` cells, e.g. ``0.6:1.5 0.9:2.5``."""
-    cells = []
+def _parse_grid(raw: str) -> dict[str, tuple[float, float]]:
+    """Whitespace- or comma-separated `H:delta_h` cells, e.g. ``0.6:1.5 0.9:2.5``, as {name: (H, delta_h)} in
+    grid order; the name ``h<H>_dh<delta_h>`` is the cell's scenario and output directory, so it is unique."""
+    cells = {}
     for token in raw.replace(",", " ").split():
         parts = token.split(":")
         if len(parts) != 2:
@@ -100,7 +101,13 @@ def _parse_grid(raw: str) -> list[tuple[float, float]]:
             raise ConfigError(f"sweep.grid: {exc}") from exc
         where = f"sweep.grid: cell {token!r}:"
         check_calibration_targets(hurst, delta_h, f"{where} hurst", f"{where} delta_h")
-        cells.append((hurst, delta_h))
+        name = f"h{hurst:g}_dh{delta_h:g}"
+        if name in cells:
+            h0, dh0 = cells[name]
+            raise ConfigError(f"sweep.grid: cells {h0!r}:{dh0!r} and {hurst!r}:{delta_h!r} both write {name}")
+        cells[name] = (hurst, delta_h)
+    if not cells:
+        raise ConfigError("sweep.grid: no cells given")
     return cells
 
 
@@ -179,6 +186,9 @@ def _load(path) -> dict[str, dict]:
             except ValueError as exc:  # from int() or float(); the other parsers raise ConfigError
                 noun = "a number" if parse is float else "an integer"
                 raise ConfigError(f"{section}.{key}: expected {noun}, got {raw!r}") from exc
+    # a [sweep] section without cells is rejected as an empty grid is, whichever command reads the file
+    if "sweep" in sections and "grid" not in sections["sweep"]:
+        raise ConfigError("sweep.grid: no cells given")
     return sections
 
 
@@ -248,15 +258,16 @@ def parse_config(path, seed: int | None = None) -> ScenarioConfig:
     )
 
 
-def parse_sweep_grid(path) -> tuple[list[tuple[float, float]], int]:
-    """Read the [sweep] section: (H, delta_h) cells plus a calibration budget."""
-    sections = _load(path)
-    if "sweep" not in sections:
+def parse_sweep(path, seed: int | None = None) -> list[ScenarioConfig]:
+    """The file's scenario (`parse_config(path, seed)`) once per [sweep] grid cell, in grid order: under the
+    cell's name, with the cell's calibration target as its traffic."""
+    base = parse_config(path, seed)
+    sweep = _load(path).get("sweep")
+    if sweep is None:
         raise ConfigError("sweep: section missing (required by the sweep command)")
-    sweep = sections["sweep"]
-    if not sweep.get("grid"):
-        raise ConfigError("sweep.grid: no cells given")
-    return sweep["grid"], sweep.get("budget", CalibrationTarget.budget)
+    budget = sweep.get("budget", CalibrationTarget.budget)
+    return [replace(base, name=name, traffic=CalibrationTarget(hurst, delta_h, budget))
+            for name, (hurst, delta_h) in sweep["grid"].items()]
 
 
 def canonical_config_text(config: ScenarioConfig) -> str:

@@ -21,6 +21,7 @@ score many windows at once with the bits of one window at a time.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -89,12 +90,12 @@ class ImbalanceReport:
     efficiency: float
 
     def __post_init__(self):
-        if any(v < 0.0 or v != v for v in (self.isl_cpu, self.isl_ram, self.isl_net)):
+        if not all(0.0 <= v < math.inf for v in (self.isl_cpu, self.isl_ram, self.isl_net)):
             raise ConfigError("imbalance fields must be finite and non-negative")
         if not self.sil:
             raise InsufficientDataError("need at least one server")
-        if any(not s >= 0.0 for s in self.sil):
-            raise ConfigError("per-server SIL values must be non-negative")
+        if not all(0.0 <= s < math.inf for s in self.sil):
+            raise ConfigError("per-server SIL values must be finite and non-negative")
         if not (0.0 <= self.efficiency <= 1.0 + _WEIGHT_SUM_SLACK):
             raise ConfigError(f"efficiency {self.efficiency} outside [0,1]")
 

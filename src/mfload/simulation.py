@@ -471,10 +471,6 @@ class ClusterState:
         window, self._rows, self._spans = (self._rows, self._spans), [], []
         return window
 
-    def drain_window(self) -> np.ndarray:
-        """Per-server mean (cpu, ram, net) since the last drain, shaped (servers, 3); resets the samples."""
-        return _window_means([self._take_window()])[0]
-
 
 def _window_means(windows) -> np.ndarray:
     """Per-server mean utilizations of equally long windows, each given as (rows, spans).

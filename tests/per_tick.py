@@ -6,6 +6,11 @@ from mfload import simulation as sim
 from mfload.metrics import full_report
 
 
+def drain_window(state):
+    """Per-server mean (cpu, ram, net) since the last drain, shaped (servers, 3); resets the samples."""
+    return sim._window_means([state._take_window()])[0]
+
+
 def per_tick_reports(config, series, on_tick=None):
     """Reports of a per-tick loop: arrivals_from_traffic and step on every tick.
 
@@ -24,5 +29,5 @@ def per_tick_reports(config, series, on_tick=None):
             on_tick(t, arrivals, state)
         sim.step(state, arrivals, config.policy, config.weights)
         if (t + 1) % config.window == 0:
-            reports.append(full_report(state.drain_window(), config.cluster, config.weights))
+            reports.append(full_report(drain_window(state), config.cluster, config.weights))
     return reports

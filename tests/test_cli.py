@@ -450,6 +450,10 @@ def test_simulate_out_of_range_calibration_target_names_its_key(tmp_path, capsys
     ("[traffic]\nkind = fgn\nbudget = 0\n", "traffic.budget: must be a positive integer, got 0"),
     ("[sweep]\nbudget = zero\n", "sweep.budget: expected an integer, got 'zero'"),
     ("[sweep]\ngrid = 0.6:9\n", "sweep.grid: cell '0.6:9': delta_h: must lie in [0, 4]"),
+    ("[sweep]\ngrid = 0.6:1.5 0.6000001:1.5\n",
+     "sweep.grid: cells 0.6:1.5 and 0.6000001:1.5 both write h0.6_dh1.5"),
+    ("[sweep]\ngrid = ,\n", "sweep.grid: no cells given"),
+    ("[sweep]\nbudget = 8\n", "sweep.grid: no cells given"),
     ("[cluster]\nserver_0 = 8, 64, 32\ncpu_count = 2\n",
      "cluster: give either per-server lines or the homogeneous shorthand"),
     # a record checks every knob it is given before it drops those its kind ignores
@@ -459,7 +463,8 @@ def test_simulate_out_of_range_calibration_target_names_its_key(tmp_path, capsys
     ("[traffic]\nkind = cascade\nhurst = 7\n", "traffic.hurst: must lie in (0, 1), got 7.0"),
     ("[traffic]\nkind = calibrate\nhurst = 0.7\ndelta_h = 1\ndepth = 30\n",
      "traffic.depth: must lie in [5, 24], got 30"),
-], ids=["cascade-hurst", "fgn-budget", "sweep-budget", "sweep-grid", "server-and-shorthand",
+], ids=["cascade-hurst", "fgn-budget", "sweep-budget", "sweep-grid", "sweep-grid-collision",
+        "sweep-grid-empty", "sweep-grid-missing", "server-and-shorthand",
         "composite-delta-h", "fgn-spread", "fgn-depth", "cascade-hurst-range", "calibrate-depth"])
 def test_simulate_rejects_bad_values_its_run_ignores(tmp_path, capsys, text, named):
     cfg = tmp_path / "ignored.ini"
@@ -601,6 +606,18 @@ def test_sweep_grid_summary(tmp_path):
     row = lines[1].split(",")
     assert float(row[1]) == 0.6
     assert np.isfinite(float(row[5])) and float(row[6]) >= 0.0
+
+
+def test_sweep_without_arrivals_summarizes_cv_as_zero(tmp_path):
+    # every window's ISL is 0, so the final half's cv would divide by a zero mean
+    cfg = tmp_path / "idle.ini"
+    cfg.write_text(FAST_SIM.replace("arrival_scale = 0.3", "arrival_scale = 1e-300")
+                   + "\n[sweep]\ngrid = 0.7:0.05\nbudget = 16\n")
+    out = tmp_path / "s"
+    assert _run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "h0.7_dh0.05"
+    assert row[5:] == ["0", "0"]
 
 
 def test_sweep_requires_grid_section(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Scenario file parsing: defaults, overrides, and failure messages."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from mfload.config import _KEYS, canonical_config_text, config_digest, parse_config, parse_sweep_grid
+from mfload.config import _KEYS, canonical_config_text, config_digest, parse_config, parse_sweep
 from mfload.errors import ConfigError
 from mfload.metrics import WeightTriple
 from mfload.simulation import (
@@ -218,16 +219,47 @@ def test_scenario_name_must_be_one_printable_line():
 
 
 def test_sweep_grid_parsing(tmp_path):
-    path = _write(tmp_path, "[sweep]\ngrid = 0.6:1.5, 0.6:2.5 0.9:2.5\nbudget = 32\n")
-    cells, budget = parse_sweep_grid(path)
-    assert cells == [(0.6, 1.5), (0.6, 2.5), (0.9, 2.5)]
-    assert budget == 32
-    cells, budget = parse_sweep_grid(_write(tmp_path, "[sweep]\ngrid = 0.7:0.5\n"))
-    assert budget == 64
+    path = _write(tmp_path, "[sim]\nseed = 4\n[sweep]\ngrid = 0.6:1.5, 0.6:2.5 0.9:2.5\nbudget = 32\n")
+    cells = parse_sweep(path)
+    assert [(c.name, c.traffic) for c in cells] == [
+        ("h0.6_dh1.5", CalibrationTarget(0.6, 1.5, 32)),
+        ("h0.6_dh2.5", CalibrationTarget(0.6, 2.5, 32)),
+        ("h0.9_dh2.5", CalibrationTarget(0.9, 2.5, 32)),
+    ]
+    # every cell is the file's own scenario, seed override included, but for its name and traffic
+    base = parse_config(path, seed=9)
+    for cell in parse_sweep(path, seed=9):
+        assert cell == dataclasses.replace(base, name=cell.name, traffic=cell.traffic)
+    # cells keep grid order, whatever order their names sort in
+    cells = parse_sweep(_write(tmp_path, "[sweep]\ngrid = 0.9:0.5 0.7:0.5\n"))
+    assert [c.name for c in cells] == ["h0.9_dh0.5", "h0.7_dh0.5"]
+    assert {c.traffic.budget for c in cells} == {64}
     with pytest.raises(ConfigError, match="section missing"):
-        parse_sweep_grid(_write(tmp_path, "[sim]\nseed = 1\n"))
+        parse_sweep(_write(tmp_path, "[sim]\nseed = 1\n"))
     with pytest.raises(ConfigError, match="expected H:delta_h"):
-        parse_sweep_grid(_write(tmp_path, "[sweep]\ngrid = 0.7\n"))
+        parse_sweep(_write(tmp_path, "[sweep]\ngrid = 0.7\n"))
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("grid = ,", "sweep.grid: no cells given"),
+    ("grid =", "sweep.grid: no cells given"),
+    ("budget = 8", "sweep.grid: no cells given"),
+    ("grid = 0.6:1.5 0.6000001:1.5", "sweep.grid: cells 0.6:1.5 and 0.6000001:1.5 both write h0.6_dh1.5"),
+    ("grid = 0.7:1 0.7:1.0", "sweep.grid: cells 0.7:1.0 and 0.7:1.0 both write h0.7_dh1"),
+])
+def test_every_command_rejects_a_grid_without_distinct_cells(tmp_path, sweep, message):
+    # the grid is checked wherever the file is read, as every other key is
+    path = _write(tmp_path, f"[sweep]\n{sweep}\n")
+    for parse in (parse_config, parse_sweep):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse(path)
+
+
+def test_a_bad_grid_is_reported_before_a_bad_scenario_value(tmp_path):
+    # every value is parsed before the scenario is built from them
+    path = _write(tmp_path, "[sim]\nhorizon = 10\n[sweep]\ngrid = 0.6:1.5 0.6000001:1.5\n")
+    with pytest.raises(ConfigError, match="^sweep.grid: cells"):
+        parse_config(path)
 
 
 def test_canonical_text_and_digest(tmp_path):
@@ -248,7 +280,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_shipped_configs_parse_and_document_every_key():
     parse_config(CONFIGS / "example.ini")
     parse_config(CONFIGS / "grid.ini")
-    assert parse_sweep_grid(CONFIGS / "grid.ini") == ([(0.6, 1.5), (0.6, 2.5), (0.9, 2.5)], 64)
+    cells = parse_sweep(CONFIGS / "grid.ini")
+    assert [(c.name, c.traffic) for c in cells] == [
+        ("h0.6_dh1.5", CalibrationTarget(0.6, 1.5, 64)),
+        ("h0.6_dh2.5", CalibrationTarget(0.6, 2.5, 64)),
+        ("h0.9_dh2.5", CalibrationTarget(0.9, 2.5, 64)),
+    ]
+    assert {(c.horizon, c.window, c.arrival_scale, c.seed) for c in cells} == {(16384, 64, 0.1, 1)}
     # every accepted key appears in its section of the annotated file, commented or not
     documented, section = set(), None
     for line in (CONFIGS / "example.ini").read_text().splitlines():

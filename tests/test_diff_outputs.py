@@ -66,7 +66,7 @@ def test_identical_outputs_exit_0_after_every_command_in_both_checkouts(tmp_path
 
     monkeypatch.setattr(diff_outputs, "run_cli", reading_run_cli)
     assert _main(tmp_path) == 0
-    assert capsys.readouterr().out.strip() == "21 files in both trees, 0 differences"
+    assert capsys.readouterr().out.strip() == "23 files in both trees, 0 differences"
     names = [name for name, _ in diff_outputs.COMMANDS] + ["policy_faceoff", "traffic_width", "grid_ordering",
                                                            "estimator_check", "imbalance_run"]
     assert [(side, name) for side, name, _ in calls] == [(s, n) for s in ("parent", "change") for n in names]
@@ -102,7 +102,7 @@ def test_a_manifest_float_is_reported_in_ulps(tmp_path, monkeypatch, capsys):
     assert _main(tmp_path) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"simulate/manifest.json.measured.hurst: 0.75 -> {moved!r} (2 ulps)"
-    assert out[-1] == "21 files in both trees, 1 differences"
+    assert out[-1] == "23 files in both trees, 1 differences"
 
 
 def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys):
@@ -112,7 +112,7 @@ def test_the_demo_stdout_is_compared_byte_for_byte(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out.splitlines() == [
         "estimator_check/stdout.txt: bytes differ", "grid_ordering/stdout.txt: bytes differ",
         "imbalance_run/stdout.txt: bytes differ", "policy_faceoff/stdout.txt: bytes differ",
-        "traffic_width/stdout.txt: bytes differ", "21 files in both trees, 5 differences"]
+        "traffic_width/stdout.txt: bytes differ", "23 files in both trees, 5 differences"]
     for demo in ("policy_faceoff", "traffic_width", "grid_ordering", "estimator_check", "imbalance_run"):
         assert ("change", demo, [demo]) in calls
 

@@ -386,8 +386,15 @@ def test_report_internal_consistency_enforced():
     assert (r.ibl_tot, r.isl_tot) == (0.1 + 0.2 + 0.3, (0.1 + 0.3) / 2)
     # left to right, as score_windows' running sums add: a compensated sum would give 1 + 2**-52
     assert ImbalanceReport(0.0, 0.0, 0.0, sil=(1.0, 1e-16, 1e-16), efficiency=0.5).isl_tot == 1.0 / 3
-    with pytest.raises(ConfigError, match="SIL"):
-        ImbalanceReport(isl_cpu=0.0, isl_ram=0.0, isl_net=0.0, sil=(0.1, math.nan), efficiency=0.5)
+    for bad in (math.nan, math.inf, -1e-300):
+        with pytest.raises(ConfigError, match="SIL values must be finite and non-negative"):
+            ImbalanceReport(isl_cpu=0.0, isl_ram=0.0, isl_net=0.0, sil=(0.1, bad), efficiency=0.5)
+        for field in ("isl_cpu", "isl_ram", "isl_net"):
+            with pytest.raises(ConfigError, match="imbalance fields must be finite and non-negative"):
+                ImbalanceReport(**{"isl_cpu": 0.0, "isl_ram": 0.0, "isl_net": 0.0, field: bad},
+                                sil=(0.1,), efficiency=0.5)
+    # the largest finite values stand
+    assert ImbalanceReport(1.7976931348623157e308, 0.0, 0.0, sil=(1.7976931348623157e308,), efficiency=0.5)
     with pytest.raises(InsufficientDataError):
         ImbalanceReport(isl_cpu=0.0, isl_ram=0.0, isl_net=0.0, sil=(), efficiency=0.5)
 

@@ -153,9 +153,9 @@ def _key_path_messages(path: Path, sections) -> list[str]:
 
 
 def test_only_config_names_key_paths():
-    # the library's rules name their own field; config maps it to its `section.key`
+    # the library's rules name their own field and the CLI's its flag; config maps a field to its `section.key`
     from mfload.config import _KEYS
-    paths = [SOURCE / f"{module}.py" for module in ("traffic", "simulation", "metrics", "fractal")]
+    paths = [SOURCE / f"{module}.py" for module in ("cli", "traffic", "simulation", "metrics", "fractal")]
     assert [entry for path in paths for entry in _key_path_messages(path, _KEYS)] == []
 
 

@@ -44,7 +44,7 @@ from mfload.metrics import (
 )
 from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries, generate_fgn
 
-from per_tick import per_tick_reports
+from per_tick import drain_window, per_tick_reports
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None)
 
@@ -119,7 +119,7 @@ def _run(sc, state, after_step=None):
         if after_step is not None:
             after_step(state)
         trace.append([state.utilization(i) for i in range(state.n)])
-    return trace, state.drain_window().tolist()
+    return trace, drain_window(state).tolist()
 
 
 def _max_sil(state, w):
@@ -228,8 +228,8 @@ def test_freed_server_retry_equals_the_full_queue_retry(sc, window):
         assert [q.id for q in state.queue] == [q.id for q in reference.queue]
         assert state.running == reference.running
         if (t + 1) % window == 0:
-            assert (full_report(state.drain_window(), sc["specs"], w)
-                    == full_report(reference.drain_window(), sc["specs"], w))
+            assert (full_report(drain_window(state), sc["specs"], w)
+                    == full_report(drain_window(reference), sc["specs"], w))
 
 
 def _post_move_max_sil(state, utils, avgs, net_total, src, dst, task, w):

@@ -42,7 +42,7 @@ from mfload.simulation import (
 )
 from mfload.traffic import GeneratorKind, GeneratorMeta, TrafficSeries, generate_fgn
 
-from per_tick import per_tick_reports
+from per_tick import drain_window, per_tick_reports
 
 
 def _task(tid, cpu=1.0, ram=0.5, net=0.25, duration=4, tick=0):
@@ -577,10 +577,10 @@ def test_window_means_match_hand_average():
     step(state, [_task(0, cpu=1.0, duration=2)], pol, WeightTriple())
     for _ in range(3):
         step(state, [], pol, WeightTriple())
-    utils = state.drain_window()
+    utils = drain_window(state)
     assert utils[0, 0] == pytest.approx((0.25 + 0.25) / 4.0, abs=1e-15)
     with pytest.raises(ConfigError):
-        state.drain_window()
+        drain_window(state)
 
 
 def _cumsum_window_means(windows):
@@ -654,7 +654,7 @@ def test_idle_cluster_reports_all_zero():
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     for _ in range(8):
         step(state, [], pol, WeightTriple())
-    for u in state.drain_window().tolist():
+    for u in drain_window(state).tolist():
         assert u == [0.0, 0.0, 0.0]
 
 
@@ -807,6 +807,71 @@ def test_step_runs_exactly_on_event_ticks(policy):
         assert [t for t in move_only if t > 0]  # a move alone makes the next tick an event
 
 
+def _clipped_lognormal_moments(mean, sigma, floor, cap):
+    """E[X] and E[X^2] of X = exp(mu + sigma * Z), mu = log(mean) - sigma^2 / 2, clipped to [floor, cap]."""
+    mu = math.log(mean) - 0.5 * sigma**2
+
+    def cdf(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    def below(k, a):  # E[X^k; X <= a]
+        return math.exp(k * mu + 0.5 * (k * sigma) ** 2) * cdf((math.log(a) - mu) / sigma - k * sigma)
+
+    p_floor, p_cap = cdf((math.log(floor) - mu) / sigma), 1.0 - cdf((math.log(cap) - mu) / sigma)
+    return tuple(floor**k * p_floor + below(k, cap) - below(k, floor) + cap**k * p_cap for k in (1, 2))
+
+
+def test_mean_efficiency_matches_campbells_theorem_for_the_offered_load():
+    # An oracle that shares no engine code. While no task waits, the tasks running at tick t are the
+    # discrete Mt/G/inf queue (Eick, Massey and Whitt, Oper. Res. 41(4), 1993): Poisson with mean
+    # m(t) = sum_{u <= t} lam_u q^(t - u), since a task dispatched at u occupies u .. u+d-1 and
+    # P(d > k) = q^k. On a homogeneous cluster the efficiency of a tick is the summed weighted load Y of
+    # the running tasks, so by Campbell's theorem its mean is E[Y] m(t) and, as shot noise, its lag-k
+    # covariance is E[Y^2] m(t) q^k. The seed mean lies 0.5 standard errors from it; with 8-tick tasks,
+    # an engine whose tasks occupied one tick too long gave 10.4.
+    demand = DemandParams(duration_mean=8.0)
+    specs = homogeneous_cluster(8, cpu_count=64, ram_capacity=512.0, net_capacity=256.0)
+    base = ScenarioConfig(traffic=GeneratorMeta(GeneratorKind.FGN, seed=5, depth=11, target_hurst=0.9),
+                          cluster=specs, horizon=2048, window=64, arrival_scale=1.0, demand_params=demand)
+    series = resolve_traffic(base)
+    q = 1.0 - 1.0 / demand.duration_mean
+    m, offered = [], 0.0
+    for lam in base.arrival_scale * series.values[: base.horizon]:
+        offered = lam + q * offered
+        m.append(offered)
+    m = np.array(m)
+
+    w, floor = base.weights, 1e-6  # DemandParams clips demands to [1e-6, *_max]
+    resources = [(w.a, demand.cpu_mean, demand.cpu_sigma, demand.cpu_max, sum(s.cpu_count for s in specs)),
+                 (w.b, demand.ram_mean, demand.ram_sigma, demand.ram_max, sum(s.ram_capacity for s in specs)),
+                 (w.c, demand.net_mean, demand.net_sigma, demand.net_max, sum(s.net_capacity for s in specs))]
+    moments = [(weight / total, *_clipped_lognormal_moments(mean, sigma, floor, cap))
+               for weight, mean, sigma, cap, total in resources]
+    mean_y = sum(scale * m1 for scale, m1, _ in moments)
+    # a task's three demands are drawn independently
+    mean_y2 = mean_y**2 + sum(scale**2 * (m2 - m1**2) for scale, m1, m2 in moments)
+    expected = mean_y * m.mean()
+    # a run's mean over ticks: each tick's variance plus twice its covariance with every later tick
+    later = q * (1.0 - q ** (base.horizon - 1 - np.arange(base.horizon))) / (1.0 - q)
+    seeds = range(1, 9)
+    standard_error = math.sqrt(mean_y2 * np.sum(m * (1.0 + 2.0 * later)) / base.horizon**2 / len(seeds))
+
+    run_means = []
+    for seed in seeds:
+        queued, engine = [], []
+
+        def watch(t, arrivals, state):
+            # called before every step, so it sees the queue each earlier step left
+            queued.append(state.queue_len())
+            engine[:] = [state]
+
+        reports = per_tick_reports(dataclasses.replace(base, seed=seed), series, on_tick=watch)
+        queued.append(engine[0].queue_len())
+        assert max(queued) == 0  # the closed form's premise: no task ever waits
+        run_means.append(sum(r.efficiency for r in reports) / len(reports))
+    assert abs(sum(run_means) / len(seeds) - expected) < 3.0 * standard_error
+
+
 def test_hold_of_m_ticks_equals_m_single_holds():
     pol = Policy(kind=PolicyKind.LEAST_SIL)
     states = [ClusterState(homogeneous_cluster(2)) for _ in range(2)]
@@ -817,13 +882,13 @@ def test_hold_of_m_ticks_equals_m_single_holds():
     for _ in range(7):
         single.hold(1)
     assert held.tick == single.tick == 8
-    assert held.drain_window().tolist() == single.drain_window().tolist()
+    assert drain_window(held).tolist() == drain_window(single).tolist()
     # a window that starts with a quiet run samples afresh
     held.hold(5)
     for _ in range(5):
         single.hold(1)
     assert held.tick == single.tick == 13
-    assert held.drain_window().tolist() == single.drain_window().tolist()
+    assert drain_window(held).tolist() == drain_window(single).tolist()
 
 
 def _spiked(n, spike_at):

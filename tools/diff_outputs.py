@@ -13,12 +13,14 @@ directory under a temporary root that is removed afterwards:
     mfload simulate --config <DENSE_MIGRATION, written into the temporary root>
     mfload simulate --config <HUGE_DEMAND, written into the temporary root>
     mfload sweep --config configs/grid.ini
+    mfload sweep --config configs/grid.ini --seed 2
     mfload generate --hurst 0.9 --delta-h 2.5
     mfload analyze <generate's series.csv>
     mfload analyze <generate's series.csv> --q-min -4 --q-max 4 --q-steps 17
 
 The second runs the first with ``--seed`` in place of the file's
-``sim.seed``, so the seed override is covered. The third runs
+``sim.seed``, and the sixth the fifth, so the seed override is covered for
+one scenario and for every cell of a sweep. The third runs
 threshold_migration at arrival_scale 1.0, where more than half the
 dispatches find no server: the dense load at which the migration pass, the
 queue retry and the completion bookkeeping work hardest, and which no
@@ -88,6 +90,7 @@ COMMANDS = (
     ("simulate_dense_migration", ("simulate", "--config", "{dense}")),
     ("simulate_huge_demand", ("simulate", "--config", "{huge}")),
     ("sweep", ("sweep", "--config", "configs/grid.ini")),
+    ("sweep_seed", ("sweep", "--config", "configs/grid.ini", "--seed", "2")),
     ("generate", ("generate", "--hurst", "0.9", "--delta-h", "2.5")),
     ("analyze", ("analyze", "{series}")),
     ("analyze_q", ("analyze", "{series}", "--q-min", "-4", "--q-max", "4", "--q-steps", "17")),
